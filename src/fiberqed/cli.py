@@ -9,24 +9,29 @@ self-documenting and byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, eigen, spectra
-from .errors import ConfigInvalid
-from .model import SystemParams, single_excitation
+from .errors import ConfigInvalid, DegenerateBlock
+from .model import BARE_MODES, NORMAL_MODES, SystemParams, single_excitation
 
 __all__ = ["Scenario", "parse_scenario", "run_scenario", "main"]
 
 RUN_KINDS = ("trajectory", "spectrum", "decomposition")
-SWEEPABLE = ("g", "v", "kappa", "kappa_b", "gamma")
+# sweep parameter -> the SystemParams fields it sets
+SWEEPABLE = {
+    "g": ("g1", "g2"),
+    "v": ("v1", "v2"),
+    "kappa": ("kappa1", "kappa2"),
+    "kappa_b": ("kappa_b",),
+    "gamma": ("gamma",),
+}
 _FMT = "%.12e"
 
 
@@ -155,11 +160,14 @@ def parse_scenario(path) -> Scenario:
         if len(omega_keys) != 3:
             raise ConfigInvalid("[run] omega_min, omega_max and omega_points "
                                 "must be given together")
-        omega_spec = (
-            _floats("run", "omega_min", raw_run["omega_min"]),
-            _floats("run", "omega_max", raw_run["omega_max"]),
-            int(_floats("run", "omega_points", raw_run["omega_points"])),
-        )
+        lo, hi, n = (_floats("run", k, raw_run[k])
+                     for k in ("omega_min", "omega_max", "omega_points"))
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ConfigInvalid(f"[run] omega_min = {lo} must be below omega_max = {hi}")
+        if not (n.is_integer() and n >= 2):
+            raise ConfigInvalid(f"[run] omega_points = {raw_run['omega_points']!r} "
+                                "is not an integer >= 2")
+        omega_spec = (lo, hi, int(n))
 
     sweep = None
     if cp.has_section("sweep"):
@@ -181,6 +189,13 @@ def parse_scenario(path) -> Scenario:
         )
         if not values or not all(np.isfinite(values)):
             raise ConfigInvalid("[sweep] values must be a non-empty list of finite numbers")
+        suffixes = {}  # each value names its output files through f"{value:g}"
+        for value in values:
+            tag = f"{value:g}"
+            if tag in suffixes:
+                raise ConfigInvalid(f"[sweep] values {suffixes[tag]!r} and {value!r} "
+                                    f"both give the file suffix {parameter}{tag}")
+            suffixes[tag] = value
         sweep = (parameter, values)
 
     return Scenario(
@@ -198,33 +213,11 @@ def parse_scenario(path) -> Scenario:
     )
 
 
-def _with_value(params: SystemParams, name: str, value: float) -> SystemParams:
-    mapping = {
-        "g": {"g1": value, "g2": value},
-        "v": {"v1": value, "v2": value},
-        "kappa": {"kappa1": value, "kappa2": value},
-        "kappa_b": {"kappa_b": value},
-        "gamma": {"gamma": value},
-    }[name]
-    fields = {
-        "g1": params.g1, "g2": params.g2, "v1": params.v1, "v2": params.v2,
-        "kappa1": params.kappa1, "kappa2": params.kappa2,
-        "kappa_b": params.kappa_b, "gamma": params.gamma,
-        "detuning": params.detuning,
-    }
-    fields.update(mapping)
-    return SystemParams(**fields)
-
-
 def _header(scn: Scenario, params: SystemParams, columns, point=None) -> list:
     lines = [f"# fiberqed scenario: {scn.name}"]
     lines.append(
         "# params: "
-        + " ".join(
-            f"{k}={getattr(params, k):.9g}"
-            for k in ("g1", "g2", "v1", "v2", "kappa1", "kappa2",
-                      "kappa_b", "gamma", "detuning")
-        )
+        + " ".join(f"{f.name}={getattr(params, f.name):.9g}" for f in fields(params))
     )
     run_line = f"# run: type={scn.run} initial={scn.initial}"
     if point is not None:
@@ -250,39 +243,45 @@ def _omega_grid(scn: Scenario, params: SystemParams) -> np.ndarray:
 
 def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point=None):
     """Execute one parameter point; returns (files, summary lines)."""
+    params.require_symmetric()  # every run type needs the normal-mode picture
     suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
-    decomp = eigen.full_decomposition(params, single_excitation(scn.initial))
-    summary = []
-    if decomp.labels is not None:
-        lam = ", ".join(
-            f"{lbl}: {decomp.eigenvalues[j]:.6g}" for j, lbl in enumerate(decomp.labels)
-        )
+    initial = single_excitation(scn.initial)
+    try:
+        decomp = eigen.full_decomposition(params, initial)
+    except DegenerateBlock:
+        # at the critical point p = 0 there is no eigenbasis; a trajectory
+        # uses the decomposition only for this summary line
+        if scn.run != "trajectory":
+            raise
+        decomp, labels = None, None
+        eigenvalues = np.linalg.eigvals(dynamics.bare_generator(params))
     else:
-        lam = ", ".join(f"{x:.6g}" for x in decomp.eigenvalues)
-    summary.append(f"eigenvalues: {lam}")
+        eigenvalues, labels = decomp.eigenvalues, decomp.labels
+    if labels is not None:
+        lam = ", ".join(f"{lbl}: {eigenvalues[j]:.6g}" for j, lbl in enumerate(labels))
+    else:
+        lam = ", ".join(f"{x:.6g}" for x in eigenvalues)
+    summary = [f"eigenvalues: {lam}"]
 
     files = []
     if scn.run == "trajectory":
-        params.require_symmetric()  # normal-mode occupation columns need it
         cfg = dynamics.IntegratorConfig(
             dt=scn.dt, t_max=scn.t_max, record_every=scn.record_every
         )
-        traj = dynamics.evolve_bare(params, single_excitation(scn.initial), cfg)
+        traj = dynamics.evolve_bare(params, initial, cfg)
         occ = dynamics.occupations(traj)
-        cols = ["t", "atom1", "atom2", "cavity1", "cavity2", "fiber",
-                "bs_plus", "bs_minus", "fd_plus", "fd_minus", "cd", "survival",
-                "p_atom1", "p_atom2", "p_cavity1", "p_cavity2", "p_fiber"]
-        data = [traj.times] + [occ[c] for c in cols[1:11]] + [traj.survival]
-        data += [traj.channel_probs[c] for c in dynamics.CHANNELS]
+        modes = (*BARE_MODES, *NORMAL_MODES)
+        cols = ["t", *modes, "survival"] + [f"p_{c}" for c in dynamics.CHANNELS]
+        data = ([traj.times] + [occ[c] for c in modes] + [traj.survival]
+                + [traj.channel_probs[c] for c in dynamics.CHANNELS])
         path = out_dir / f"{scn.out_base}{suffix}_trajectory.csv"
         _write_csv(path, _header(scn, params, cols, point), data)
         files.append(path)
         totals = {c: traj.channel_probs[c][-1] for c in dynamics.CHANNELS}
         residual = traj.survival[-1] + sum(totals.values()) - 1.0
     else:
-        params.require_symmetric()  # labeled quasi-mode output needs it
         grid = _omega_grid(scn, params)
-        specs = {c: spectra.channel_spectrum(decomp, c, grid) for c in scn.channels}
+        specs = {c: spectra.channel_spectrum(decomp, c, grid) for c in dynamics.CHANNELS}
         if scn.run == "spectrum":
             cols = ["omega"] + list(scn.channels)
             data = [grid] + [specs[c].spectrum for c in scn.channels]
@@ -304,10 +303,7 @@ def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point=None):
                 path = out_dir / f"{scn.out_base}{suffix}_decomposition_{c}.csv"
                 _write_csv(path, _header(scn, params, cols, point), data)
                 files.append(path)
-        all_specs = {
-            c: spectra.channel_spectrum(decomp, c, grid) for c in dynamics.CHANNELS
-        }
-        totals = {c: spectra.integrated_spectrum(all_specs[c]) for c in dynamics.CHANNELS}
+        totals = {c: spectra.integrated_spectrum(specs[c]) for c in dynamics.CHANNELS}
         residual = sum(totals.values()) - 1.0
     summary.append(
         "channel totals: "
@@ -327,26 +323,12 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
     if scn.sweep is not None:
         points = [(scn.sweep[0], value) for value in scn.sweep[1]]
 
-    def job(point):
-        params = scn.params if point is None else _with_value(scn.params, *point)
-        return _run_point(scn, params, out, point)
-
-    max_workers = len(points)
-    env = os.environ.get("FIBERQED_THREADS")
-    if env:
-        try:
-            max_workers = max(1, min(max_workers, int(env)))
-        except ValueError:
-            raise ConfigInvalid(f"FIBERQED_THREADS = {env!r} is not an integer") from None
-
-    if len(points) == 1:
-        results = [job(points[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(job, points))
-
     written = []
-    for point, (files, summary) in zip(points, results):
+    for point in points:
+        params = scn.params
+        if point is not None:
+            params = replace(params, **dict.fromkeys(SWEEPABLE[point[0]], point[1]))
+        files, summary = _run_point(scn, params, out, point)
         written.extend(files)
         if not quiet:
             tag = f" [{point[0]}={point[1]:g}]" if point is not None else ""

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import ConfigInvalid
 from .model import (
+    BARE_MODES,
+    NORMAL_MODES,
     BareState,
     NormalState,
     SystemParams,
@@ -32,10 +34,7 @@ __all__ = [
     "occupations",
 ]
 
-CHANNELS = ("atom1", "atom2", "cavity1", "cavity2", "fiber")
-
-_BARE_KEYS = ("atom1", "atom2", "cavity1", "cavity2", "fiber")
-_NORMAL_KEYS = ("bs_plus", "bs_minus", "fd_plus", "fd_minus", "cd")
+CHANNELS = BARE_MODES
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,11 @@ class IntegratorConfig:
     dt           : step size (conjugate unit of 2*pi*MHz)
     t_max        : integration horizon
     record_every : keep every n-th step in the output (plus the final one)
-    method       : only the classical 4th-order scheme is implemented
     """
 
     dt: float = 1e-4
     t_max: float = 1.0
     record_every: int = 1
-    method: str = "rk4"
 
     def validate(self) -> None:
         if not (self.dt > 0):
@@ -60,8 +57,6 @@ class IntegratorConfig:
             raise ConfigInvalid(f"t_max must be > 0, got {self.t_max}")
         if self.record_every < 1:
             raise ConfigInvalid(f"record_every must be >= 1, got {self.record_every}")
-        if self.method != "rk4":
-            raise ConfigInvalid(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -243,8 +238,8 @@ def occupations(traj: Trajectory) -> dict:
     """Per-mode |amplitude|^2 series for a trajectory.
 
     Always returns the five physical occupations; for symmetric parameters
-    the five normal-mode occupations are included as well (keys bs_plus,
-    bs_minus, fd_plus, fd_minus, cd).
+    the five normal-mode occupations are included as well (keys
+    NORMAL_MODES).
     """
     if traj.basis == "bare":
         bare = traj.states
@@ -260,10 +255,7 @@ def occupations(traj: Trajectory) -> dict:
     else:
         raise ValueError(f"unknown trajectory basis {traj.basis!r}")
 
-    result = {k: np.abs(bare[:, i]) ** 2 for i, k in enumerate(_BARE_KEYS)}
+    result = {k: np.abs(bare[:, i]) ** 2 for i, k in enumerate(BARE_MODES)}
     if normal is not None:
-        # normal columns are (S+, S-, A+, A-, D)
-        for key, col in zip(("bs_plus", "bs_minus", "fd_plus", "fd_minus", "cd"),
-                            range(5)):
-            result[key] = np.abs(normal[:, col]) ** 2
+        result.update({k: np.abs(normal[:, i]) ** 2 for i, k in enumerate(NORMAL_MODES)})
     return result

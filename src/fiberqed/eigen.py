@@ -15,8 +15,16 @@ from itertools import permutations
 
 import numpy as np
 
+from .dynamics import bare_generator, normal_generator
 from .errors import DegenerateBlock, LabelAmbiguous
-from .model import BareState, SystemParams, derive_rates, normal_mode_matrix, single_excitation
+from .model import (
+    BARE_MODES,
+    BareState,
+    SystemParams,
+    derive_rates,
+    normal_mode_matrix,
+    single_excitation,
+)
 
 __all__ = [
     "MODE_LABELS",
@@ -33,9 +41,12 @@ __all__ = [
 MODE_LABELS = ("QBS+", "QBS-", "QCD", "QFD+", "QFD-")
 
 # bare amplitude row for each decay channel
-CHANNEL_ROWS = {"atom1": 0, "atom2": 1, "cavity1": 2, "cavity2": 3, "fiber": 4}
+CHANNEL_ROWS = {mode: row for row, mode in enumerate(BARE_MODES)}
 
 _DEGENERACY_TOL = 1e-12
+
+# normal coordinates (S+, S-, A+, A-, D) of the symmetric and anti-symmetric blocks
+_SYM_ROWS, _ANTI_ROWS = [0, 1, 4], [2, 3]
 
 
 @dataclass
@@ -103,19 +114,6 @@ def fiber_dark_amplitudes(params: SystemParams, t) -> tuple:
     a_plus = (em * (1j * (p + g) + gm / 2) + ep * (1j * (p - g) - gm / 2)) / (4j * p)
     a_minus = (em * (1j * (p - g) + gm / 2) + ep * (1j * (p + g) - gm / 2)) / (4j * p)
     return a_plus, a_minus
-
-
-def _symmetric_generator(params: SystemParams) -> np.ndarray:
-    """3x3 generator of (S+, S-, D)."""
-    r = derive_rates(params)
-    return np.array(
-        [
-            [-r.gamma_s_plus / 2 - 1j * r.zeta, -r.gamma_s_minus / 2, r.gamma_sd],
-            [-r.gamma_s_minus / 2, -r.gamma_s_plus / 2 + 1j * r.zeta, r.gamma_sd],
-            [r.gamma_sd, r.gamma_sd, -r.gamma_d],
-        ],
-        dtype=complex,
-    )
 
 
 def _cubic_roots(c2, c1, c0):
@@ -197,7 +195,7 @@ def symmetric_block(params: SystemParams) -> EigenBlock:
         tracked = cand[list(_match(tracked, cand))]
     eigenvalues = tracked
 
-    gen = _symmetric_generator(params)
+    gen = normal_generator(params)[np.ix_(_SYM_ROWS, _SYM_ROWS)]
     gaps = [abs(eigenvalues[i] - eigenvalues[j]) for i in range(3) for j in range(i + 1, 3)]
     if min(gaps) < _DEGENERACY_TOL:
         warnings.warn(
@@ -288,12 +286,11 @@ def full_decomposition(
 
         right = np.zeros((5, 5), dtype=complex)
         left = np.zeros((5, 5), dtype=complex)
-        # normal coordinate order (S+, S-, A+, A-, D); mode order MODE_LABELS
-        sym_rows, anti_rows = [0, 1, 4], [2, 3]
-        right[np.ix_(sym_rows, [0, 1, 2])] = sym.right_vectors
-        right[np.ix_(anti_rows, [3, 4])] = anti.right_vectors
-        left[np.ix_([0, 1, 2], sym_rows)] = sym.left_vectors
-        left[np.ix_([3, 4], anti_rows)] = anti.left_vectors
+        # columns of right (rows of left) follow MODE_LABELS
+        right[np.ix_(_SYM_ROWS, [0, 1, 2])] = sym.right_vectors
+        right[np.ix_(_ANTI_ROWS, [3, 4])] = anti.right_vectors
+        left[np.ix_([0, 1, 2], _SYM_ROWS)] = sym.left_vectors
+        left[np.ix_([3, 4], _ANTI_ROWS)] = anti.left_vectors
 
         eigenvalues = np.concatenate([sym.eigenvalues, anti.eigenvalues])
         labels = None if sym.labels is None else MODE_LABELS
@@ -306,8 +303,6 @@ def full_decomposition(
         )
 
     # asymmetric (or fully decoupled) parameters: dense solve in the bare basis
-    from .dynamics import bare_generator
-
     eigenvalues, right = np.linalg.eig(bare_generator(params))
     left = np.linalg.inv(right)
     weights = left @ bare0

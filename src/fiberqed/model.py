@@ -9,13 +9,15 @@ that ``exp(-rate * t)`` uses the stored values directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NonSymmetric
 
 __all__ = [
+    "BARE_MODES",
+    "NORMAL_MODES",
     "SystemParams",
     "BareState",
     "NormalState",
@@ -27,6 +29,11 @@ __all__ = [
     "bare_to_normal",
     "normal_to_bare",
 ]
+
+# physical modes in amplitude order; each is also the name of its decay channel
+BARE_MODES = ("atom1", "atom2", "cavity1", "cavity2", "fiber")
+# normal modes in amplitude order (S+, S-, A+, A-, D)
+NORMAL_MODES = ("bs_plus", "bs_minus", "fd_plus", "fd_minus", "cd")
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,22 @@ def symmetric_params(g, v, kappa, kappa_b, gamma, detuning=0.0) -> SystemParams:
     return SystemParams(g, g, v, v, kappa, kappa, kappa_b, gamma, detuning)
 
 
+class _Amplitudes:
+    """Five complex amplitudes stored as dataclass fields in basis order."""
+
+    def to_array(self) -> np.ndarray:
+        return np.array([getattr(self, f.name) for f in fields(self)], dtype=complex)
+
+    @classmethod
+    def from_array(cls, arr):
+        return cls(*(complex(x) for x in np.asarray(arr, dtype=complex)))
+
+    def norm_sq(self) -> float:
+        return float(np.sum(np.abs(self.to_array()) ** 2))
+
+
 @dataclass(frozen=True)
-class BareState:
+class BareState(_Amplitudes):
     """Probability amplitudes of the physical modes.
 
     xi1, xi2     : atom amplitudes
@@ -108,21 +129,9 @@ class BareState:
     alpha2: complex
     beta: complex
 
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [self.xi1, self.xi2, self.alpha1, self.alpha2, self.beta], dtype=complex
-        )
-
-    @classmethod
-    def from_array(cls, arr) -> "BareState":
-        return cls(*(complex(x) for x in np.asarray(arr, dtype=complex)))
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.to_array()) ** 2))
-
 
 @dataclass(frozen=True)
-class NormalState:
+class NormalState(_Amplitudes):
     """Probability amplitudes of the normal modes (symmetric case).
 
     s_plus, s_minus : bright-state amplitudes
@@ -136,35 +145,12 @@ class NormalState:
     a_minus: complex
     d: complex
 
-    def to_array(self) -> np.ndarray:
-        return np.array(
-            [self.s_plus, self.s_minus, self.a_plus, self.a_minus, self.d],
-            dtype=complex,
-        )
-
-    @classmethod
-    def from_array(cls, arr) -> "NormalState":
-        return cls(*(complex(x) for x in np.asarray(arr, dtype=complex)))
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.to_array()) ** 2))
-
-
-_SINGLE = {
-    "atom1": (1, 0, 0, 0, 0),
-    "atom2": (0, 1, 0, 0, 0),
-    "cavity1": (0, 0, 1, 0, 0),
-    "cavity2": (0, 0, 0, 1, 0),
-    "fiber": (0, 0, 0, 0, 1),
-}
-
 
 def single_excitation(mode: str) -> BareState:
     """Bare state with one excitation in the named mode."""
-    try:
-        return BareState(*_SINGLE[mode])
-    except KeyError:
-        raise ValueError(f"unknown mode {mode!r}; choose from {sorted(_SINGLE)}") from None
+    if mode not in BARE_MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from {sorted(BARE_MODES)}")
+    return BareState.from_array(np.eye(5)[BARE_MODES.index(mode)])
 
 
 @dataclass(frozen=True)
@@ -222,12 +208,8 @@ def normal_mode_matrix(params: SystemParams) -> np.ndarray:
     Rows are (S+, S-, A+, A-, D) expressed over columns
     (xi1, xi2, alpha1, alpha2, beta); the inverse map is the transpose.
     """
-    params.require_symmetric()
     g, v = params.g, params.v
-    zeta_sq = g * g + 2 * v * v
-    if zeta_sq == 0.0:
-        raise ValueError("normal modes are undefined when g = v = 0")
-    zeta = np.sqrt(zeta_sq)
+    zeta = derive_rates(params).zeta
     gz = g / (2 * zeta)
     vz = v / zeta
     return np.array(

@@ -29,37 +29,17 @@ __all__ = [
 VARIANTS = ("standard", "appendix_alternative", "appendix_refined")
 
 
-def _damped_cos(gp, gm, p, t):
-    # exp(-gp t/2) * [cos(p t) - (gm / 2p) sin(p t)], exponents combined so
-    # overdamped (imaginary p) cases cannot overflow
-    if p == 0:
-        return np.exp(-gp * t / 2) * (1 - gm * t / 2)
-    up = np.exp((-gp / 2 + 1j * p) * t)
-    dn = np.exp((-gp / 2 - 1j * p) * t)
-    return up * (0.5 + 1j * gm / (4 * p)) + dn * (0.5 - 1j * gm / (4 * p))
-
-
-def _damped_sinc(gp, p, t):
-    # exp(-gp t/2) * sin(p t) / p, with the p -> 0 limit t * exp(-gp t/2)
-    if p == 0:
-        return t * np.exp(-gp * t / 2)
-    up = np.exp((-gp / 2 + 1j * p) * t)
-    dn = np.exp((-gp / 2 - 1j * p) * t)
-    return (up - dn) / (2j * p)
-
-
 def atom_dominated_solution(params: SystemParams, t) -> tuple:
     """(xi1, alpha1) when the atom-cavity coupling dominates (g >> v).
 
     The excitation stays in the atom-1 / cavity-1 pair, undergoing damped
     vacuum Rabi oscillation at the rate p.  Validity is not enforced; the
-    small parameter is v/g.
+    small parameter is v/g.  That oscillation has the closed form of the
+    fiber-dark pair: xi1 = A+ + A- and alpha1 = A+ - A-, with A+- from
+    fiber_dark_amplitudes (critical point included).
     """
-    r = derive_rates(params)
-    t = np.asarray(t, dtype=float)
-    xi1 = _damped_cos(r.gamma_a_plus, r.gamma_a_minus, r.p, t)
-    alpha1 = -1j * params.g * _damped_sinc(r.gamma_a_plus, r.p, t)
-    return xi1, alpha1
+    a_plus, a_minus = fiber_dark_amplitudes(params, t)
+    return a_plus + a_minus, a_plus - a_minus
 
 
 def fiber_dominated_solution(params: SystemParams, t) -> tuple:
@@ -70,12 +50,11 @@ def fiber_dominated_solution(params: SystemParams, t) -> tuple:
     oscillates; the cavities carry equal and opposite amplitudes,
     alpha2 = -alpha1, at all times.
     """
-    r = derive_rates(params)
-    gam = params.gamma
     t = np.asarray(t, dtype=float)
-    half_dark = 0.5 * np.exp(-gam * t / 2)
-    osc = 0.5 * _damped_cos(r.gamma_a_plus, r.gamma_a_minus, r.p, t)
-    alpha1 = -0.5j * params.g * _damped_sinc(r.gamma_a_plus, r.p, t)
+    half_dark = 0.5 * np.exp(-params.gamma * t / 2)
+    a_plus, a_minus = fiber_dark_amplitudes(params, t)
+    osc = 0.5 * (a_plus + a_minus)
+    alpha1 = 0.5 * (a_plus - a_minus)
     return half_dark + osc, half_dark - osc, alpha1, -alpha1
 
 

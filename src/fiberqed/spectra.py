@@ -9,7 +9,9 @@ positivity of the total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -95,6 +97,11 @@ def _check_grid(omega_grid) -> np.ndarray:
     return grid
 
 
+def _cross(response_j, response_k) -> np.ndarray:
+    """Interference W_jk = 2 Re(r_j r_k^*) of two one-pole responses."""
+    return 2 * np.real(response_j * np.conj(response_k))
+
+
 @dataclass
 class SpectrumDecomposition:
     """A channel spectrum split into Lorentzians and interference terms.
@@ -102,17 +109,35 @@ class SpectrumDecomposition:
     amplitude is the closed-form Laplace transform of the channel amplitude
     on the grid; the physical spectrum is prefactor * |amplitude|^2.  The
     identity sum(lorentzians) + sum(interferences) = |amplitude|^2 holds
-    pointwise up to rounding.
+    pointwise up to rounding.  The grid arrays are evaluated on first use,
+    so a spectrum needed only for its integral never touches the grid.
     """
 
     channel: str
     prefactor: float
     terms: list
     omega_grid: np.ndarray
-    amplitude: np.ndarray = field(repr=False)
-    lorentzians: np.ndarray = field(repr=False)
-    pairs: tuple = ()
-    interferences: np.ndarray = field(repr=False, default=None)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        return tuple(combinations(range(len(self.terms)), 2))
+
+    @cached_property
+    def _responses(self) -> np.ndarray:
+        return np.array([t.response(self.omega_grid) for t in self.terms])
+
+    @cached_property
+    def amplitude(self) -> np.ndarray:
+        return self._responses.sum(axis=0)
+
+    @cached_property
+    def lorentzians(self) -> np.ndarray:
+        return np.abs(self._responses) ** 2
+
+    @cached_property
+    def interferences(self) -> np.ndarray:
+        r = self._responses
+        return np.array([_cross(r[j], r[k]) for j, k in self.pairs])
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -155,16 +180,7 @@ def channel_spectrum(
         SpectralTerm(labels[j], complex(row[j]), complex(decomp.eigenvalues[j]))
         for j in range(5)
     ]
-    responses = np.array([t.response(grid) for t in terms])
-    amplitude = responses.sum(axis=0)
-    lorentzians = np.abs(responses) ** 2
-    pairs = tuple((j, k) for j in range(5) for k in range(j + 1, 5))
-    interferences = np.array(
-        [2 * np.real(responses[j] * np.conj(responses[k])) for j, k in pairs]
-    )
-    return SpectrumDecomposition(
-        channel, prefactor, terms, grid, amplitude, lorentzians, pairs, interferences
-    )
+    return SpectrumDecomposition(channel, prefactor, terms, grid)
 
 
 def interference_term(term_j: SpectralTerm, term_k: SpectralTerm, omega_grid) -> np.ndarray:
@@ -174,8 +190,7 @@ def interference_term(term_j: SpectralTerm, term_k: SpectralTerm, omega_grid) ->
     fixed sign, it moves spectral weight between output ports.
     """
     grid = _check_grid(omega_grid)
-    cross = term_j.response(grid) * np.conj(term_k.response(grid))
-    return 2 * np.real(cross)
+    return _cross(term_j.response(grid), term_k.response(grid))
 
 
 def interference_integral(term_j: SpectralTerm, term_k: SpectralTerm) -> float:

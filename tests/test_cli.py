@@ -1,5 +1,7 @@
 """Scenario runner: parsing, exit codes, output format and determinism."""
 
+import hashlib
+import json
 import subprocess
 import sys
 import time
@@ -10,7 +12,10 @@ import pytest
 
 from fiberqed.cli import main, parse_scenario, run_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+# sha256 of every CSV the shipped scenarios write
+DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text())
 
 BASE = """\
 [params]
@@ -85,16 +90,45 @@ def test_byte_identical_reruns(tmp_path):
     assert first == second
 
 
-def test_sweep_writes_one_file_per_value(tmp_path, monkeypatch):
+def test_sweep_writes_one_file_per_value(tmp_path):
     text = BASE.format(kind="spectrum") + "\n[sweep]\nparameter = g\nvalues = 2, 10\n"
     cfg = write_cfg(tmp_path, text, "sweep.cfg")
-    files = run_scenario(cfg, out_dir=tmp_path / "par", quiet=True)
+    files = run_scenario(cfg, out_dir=tmp_path, quiet=True)
     assert [f.name for f in files] == ["sweep_g2_spectrum.csv", "sweep_g10_spectrum.csv"]
-    # capping the thread pool must not change the output bytes
-    monkeypatch.setenv("FIBERQED_THREADS", "1")
-    serial = run_scenario(cfg, out_dir=tmp_path / "ser", quiet=True)
-    for a, b in zip(files, serial):
-        assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_file_suffix_collision_exits_2(tmp_path, capsys):
+    text = (BASE.format(kind="spectrum")
+            + "\n[sweep]\nparameter = g\nvalues = 7.0000001, 7.0000002, 7\n")
+    cfg = write_cfg(tmp_path, text, "dup.cfg")
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "7.0000001" in err and "7.0000002" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [(5, -5, 101), (5, 5, 101), (-5, 5, 0), (-5, 5, 1), (-5, 5, 2.7)],
+    ids=["reversed", "equal", "points0", "points1", "points2.7"],
+)
+def test_bad_omega_grid_exits_2(tmp_path, capsys, omega):
+    text = BASE.format(kind="spectrum") + (
+        "omega_min = {}\nomega_max = {}\nomega_points = {}\n".format(*omega)
+    )
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    assert "[run] omega_" in capsys.readouterr().err
+
+
+def test_critical_point_trajectory_runs(tmp_path, capsys):
+    # g = (gamma/2 - kappa)/2 = 0.8 puts the fiber-dark block at p = 0
+    cfg = write_cfg(tmp_path, BASE.format(kind="trajectory").replace("g = 7", "g = 0.8"))
+    assert main([str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "case_trajectory.csv").exists()
+    text = capsys.readouterr().out
+    residual = float(text.split("conservation residual:")[1].split()[0])
+    assert abs(residual) < 1e-9
 
 
 def test_empty_config_exits_2(tmp_path, capsys):
@@ -155,3 +189,5 @@ def test_shipped_scenarios_run_quickly(name, tmp_path):
     files = run_scenario(SCENARIO_DIR / name, out_dir=tmp_path, quiet=True)
     assert time.perf_counter() - start < 10.0
     assert files and all(f.exists() for f in files)
+    for f in files:  # outputs are byte-identical to the recorded ones
+        assert hashlib.sha256(f.read_bytes()).hexdigest() == DIGESTS[f.name], f.name

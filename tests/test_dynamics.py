@@ -155,7 +155,6 @@ def test_evolve_normal_requires_symmetry():
         IntegratorConfig(dt=0.0, t_max=1.0),
         IntegratorConfig(dt=1e-4, t_max=0.0),
         IntegratorConfig(dt=1e-4, t_max=1.0, record_every=0),
-        IntegratorConfig(dt=1e-4, t_max=1.0, method="euler"),
     ],
 )
 def test_invalid_config_rejected(cfg):
