@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics, eigen, spectra
 from .errors import ConfigInvalid, DegenerateBlock
-from .model import BARE_MODES, NORMAL_MODES, SystemParams, single_excitation
+from .model import BARE_MODES, NORMAL_MODES, SystemParams, derive_rates, single_excitation
 
 __all__ = ["Scenario", "parse_scenario", "run_scenario", "main"]
 
@@ -243,7 +243,8 @@ def _omega_grid(scn: Scenario, params: SystemParams) -> np.ndarray:
 
 def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point=None):
     """Execute one parameter point; returns (files, summary lines)."""
-    params.require_symmetric()  # every run type needs the normal-mode picture
+    # every run type needs the normal-mode picture: symmetric, and g or v nonzero
+    derive_rates(params)
     suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
     initial = single_excitation(scn.initial)
     try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -120,7 +119,9 @@ def _cubic_roots(c2, c1, c0):
     """Roots of x^3 + c2 x^2 + c1 x + c0 (real coefficients, complex roots).
 
     Cardano closed form, followed by two Newton polish steps to remove the
-    branch-cancellation error of the radicals.
+    branch-cancellation error of the radicals.  Also returns the Cardano
+    discriminant: positive for a conjugate pair plus a real root, otherwise
+    all three roots are real.
     """
     a = c2 / 3.0
     p = c1 - c2 * c2 / 3.0
@@ -142,17 +143,7 @@ def _cubic_roots(c2, c1, c0):
         df = (3.0 * roots + 2.0 * c2) * roots + c1
         step = np.where(df != 0, f / np.where(df != 0, df, 1.0), 0.0)
         roots = roots - step
-    return roots
-
-
-def _match(reference, candidates):
-    """Permutation of candidates minimizing total distance to reference."""
-    best, best_cost = None, np.inf
-    for perm in permutations(range(len(candidates))):
-        cost = sum(abs(reference[i] - candidates[j]) for i, j in enumerate(perm))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    return best
+    return roots, disc
 
 
 def _null_vector(b):
@@ -168,9 +159,12 @@ def _null_vector(b):
 def symmetric_block(params: SystemParams) -> EigenBlock:
     """Quasi bright + cavity-dark modes of the symmetric 3x3 block.
 
-    Eigenvalues come from the closed-form cubic; labels are assigned by
-    tracking each root along a homotopy from the decoupled generator
-    (Gamma_S- = Gamma_SD = 0), whose labels are unambiguous.  If two
+    Eigenvalues come from the closed-form cubic, whose real coefficients
+    give either a conjugate pair plus a real root or three real roots.  A
+    pair is the bright QBS+- (QBS+ oscillates at +zeta, Im lambda < 0) and
+    the real root is QCD.  With three real roots the bright pair, split at
+    its exceptional point, is the two closest roots, and QBS+ is the slower
+    one, continuing Im lambda < 0 as QFD+ does for imaginary p.  If two
     eigenvalues coincide within 1e-12 a LabelAmbiguous warning is emitted
     and the block is returned unlabeled.
     """
@@ -178,22 +172,22 @@ def symmetric_block(params: SystemParams) -> EigenBlock:
     gsp, gsm, gsd, gd, zeta = (
         r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d, r.zeta,
     )
-
-    def roots_at(tau):
-        # characteristic polynomial of the generator with off-diagonal
-        # couplings scaled by tau
-        sm, sd = tau * gsm / 2, tau * gsd
-        c2 = gsp + gd
-        c1 = gsp**2 / 4 + zeta**2 - sm**2 + gd * gsp - 2 * sd**2
-        c0 = gd * (gsp**2 / 4 + zeta**2 - sm**2) - sd**2 * (gsp - 2 * sm)
-        return _cubic_roots(c2, c1, c0)
-
-    # ordering at tau=0: (QBS+, QBS-, QCD)
-    tracked = np.array([-gsp / 2 - 1j * zeta, -gsp / 2 + 1j * zeta, -gd + 0j])
-    for tau in np.linspace(0.0, 1.0, 33)[1:]:
-        cand = roots_at(tau)
-        tracked = cand[list(_match(tracked, cand))]
-    eigenvalues = tracked
+    # characteristic polynomial of the 3x3 generator
+    sm = gsm / 2
+    c2 = gsp + gd
+    c1 = gsp**2 / 4 + zeta**2 - sm**2 + gd * gsp - 2 * gsd**2
+    c0 = gd * (gsp**2 / 4 + zeta**2 - sm**2) - gsd**2 * (gsp - 2 * sm)
+    roots, disc = _cubic_roots(c2, c1, c0)
+    if disc > 0:
+        qcd, *pair = np.argsort(np.abs(roots.imag))
+        plus, minus = sorted(pair, key=lambda j: roots[j].imag)
+    else:
+        lo, mid, hi = np.argsort(roots.real)
+        if roots[hi].real - roots[mid].real <= roots[mid].real - roots[lo].real:
+            plus, minus, qcd = hi, mid, lo
+        else:
+            plus, minus, qcd = mid, lo, hi
+    eigenvalues = roots[[plus, minus, qcd]]
 
     gen = normal_generator(params)[np.ix_(_SYM_ROWS, _SYM_ROWS)]
     gaps = [abs(eigenvalues[i] - eigenvalues[j]) for i in range(3) for j in range(i + 1, 3)]

@@ -167,6 +167,15 @@ def test_asymmetric_normal_mode_run_exits_3(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["trajectory", "spectrum", "decomposition"])
+def test_uncoupled_run_exits_3(tmp_path, capsys, kind):
+    text = BASE.format(kind=kind).replace("g = 7", "g = 0").replace("v = 4", "v = 0")
+    cfg = write_cfg(tmp_path, text + "omega_min = -5\nomega_max = 5\nomega_points = 11\n")
+    assert main([str(cfg), "--out", str(tmp_path)]) == 3
+    assert "normal modes are undefined when g = v = 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, BASE.format(kind="spectrum"))
     proc = subprocess.run(

@@ -11,6 +11,7 @@ from fiberqed import (
     derive_rates,
     fiber_dark_amplitudes,
     full_decomposition,
+    normal_generator,
     normal_mode_matrix,
     symmetric_block,
     symmetric_params,
@@ -180,6 +181,39 @@ class TestSymmetricBlock:
         # QBS+ has frequency near +zeta (delta = -Im lambda), QCD near zero
         assert -block.eigenvalues[0].imag == pytest.approx(r.zeta, abs=0.1)
         assert abs(block.eigenvalues[2].imag) < 0.1
+
+    def test_three_real_roots_labels(self):
+        # g = v = 0.01 overdamps the bright pair: the two closest roots are
+        # QBS+- and QBS+ is the slower one
+        params = symmetric_params(g=0.01, v=0.01, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        block = symmetric_block(params)
+        assert block.labels == ("QBS+", "QBS-", "QCD")
+        assert np.abs(block.eigenvalues.real - [-0.01020, -0.99986, -2.59994]).max() < 1e-5
+        eye = block.left_vectors @ block.right_vectors
+        assert np.abs(eye - np.eye(3)).max() < 1e-10
+        traj = atom1_oracle(params, t_max=3.0, record_every=100)
+        recon = full_decomposition(params).bare_amplitudes(traj.times).T
+        assert np.abs(recon - traj.states).max() < 1e-8
+
+    def test_conjugate_pair_labels(self, rng):
+        pairs = 0
+        for _ in range(400):
+            g, v, kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 5))
+            params = symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
+            sym = normal_generator(params)[np.ix_([0, 1, 4], [0, 1, 4])]
+            roots = np.linalg.eigvals(sym)
+            if np.abs(roots.imag).max() <= 1e-8 * np.abs(roots).max():
+                continue  # three real roots
+            pairs += 1
+            lam = symmetric_block(params).eigenvalues
+            scale = np.abs(lam).max()
+            assert lam[0].imag < 0  # QBS+ oscillates at +zeta
+            assert abs(lam[1] - np.conj(lam[0])) <= 1e-12 * scale
+            assert abs(lam[2].imag) == np.abs(lam.imag).min()
+            dense = np.linalg.eigvals(bare_generator(params))
+            for x in lam:
+                assert np.abs(dense - x).min() <= 1e-10 * max(1.0, abs(x))
+        assert pairs > 200
 
 
 class TestFullDecomposition:
