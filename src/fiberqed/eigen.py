@@ -162,11 +162,11 @@ def symmetric_block(params: SystemParams) -> EigenBlock:
     Eigenvalues come from the closed-form cubic, whose real coefficients
     give either a conjugate pair plus a real root or three real roots.  A
     pair is the bright QBS+- (QBS+ oscillates at +zeta, Im lambda < 0) and
-    the real root is QCD.  With three real roots the bright pair, split at
-    its exceptional point, is the two closest roots, and QBS+ is the slower
-    one, continuing Im lambda < 0 as QFD+ does for imaginary p.  If two
-    eigenvalues coincide within 1e-12 a LabelAmbiguous warning is emitted
-    and the block is returned unlabeled.
+    the real root is QCD.  With three real roots (the bright pair is
+    overdamped) QCD is the root whose vector has the largest D component,
+    and QBS+ is the slower of the other two, continuing Im lambda < 0 as
+    QFD+ does for imaginary p.  If two eigenvalues coincide within 1e-12 a
+    LabelAmbiguous warning is emitted and the block is returned unlabeled.
     """
     r = derive_rates(params)
     gsp, gsm, gsd, gd, zeta = (
@@ -178,19 +178,9 @@ def symmetric_block(params: SystemParams) -> EigenBlock:
     c1 = gsp**2 / 4 + zeta**2 - sm**2 + gd * gsp - 2 * gsd**2
     c0 = gd * (gsp**2 / 4 + zeta**2 - sm**2) - gsd**2 * (gsp - 2 * sm)
     roots, disc = _cubic_roots(c2, c1, c0)
-    if disc > 0:
-        qcd, *pair = np.argsort(np.abs(roots.imag))
-        plus, minus = sorted(pair, key=lambda j: roots[j].imag)
-    else:
-        lo, mid, hi = np.argsort(roots.real)
-        if roots[hi].real - roots[mid].real <= roots[mid].real - roots[lo].real:
-            plus, minus, qcd = hi, mid, lo
-        else:
-            plus, minus, qcd = mid, lo, hi
-    eigenvalues = roots[[plus, minus, qcd]]
 
     gen = normal_generator(params)[np.ix_(_SYM_ROWS, _SYM_ROWS)]
-    gaps = [abs(eigenvalues[i] - eigenvalues[j]) for i in range(3) for j in range(i + 1, 3)]
+    gaps = [abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)]
     if min(gaps) < _DEGENERACY_TOL:
         warnings.warn(
             "coincident eigenvalues in the symmetric block; labels dropped",
@@ -199,9 +189,16 @@ def symmetric_block(params: SystemParams) -> EigenBlock:
         lam, right = np.linalg.eig(gen)
         return EigenBlock(None, lam, right, np.linalg.inv(right))
 
-    right = np.column_stack(
-        [_null_vector(gen - lam * np.eye(3)) for lam in eigenvalues]
-    )
+    vectors = [_null_vector(gen - lam * np.eye(3)) for lam in roots]
+    if disc > 0:
+        qcd, *pair = np.argsort(np.abs(roots.imag))
+        plus, minus = sorted(pair, key=lambda j: roots[j].imag)
+    else:
+        qcd = max(range(3), key=lambda j: abs(vectors[j][2]))
+        minus, plus = sorted({0, 1, 2} - {qcd}, key=lambda j: roots[j].real)
+    order = [plus, minus, qcd]
+    eigenvalues = roots[order]
+    right = np.column_stack([vectors[j] for j in order])
     left = np.linalg.inv(right)
     return EigenBlock(("QBS+", "QBS-", "QCD"), eigenvalues, right, left)
 

@@ -183,17 +183,31 @@ class TestSymmetricBlock:
         assert abs(block.eigenvalues[2].imag) < 0.1
 
     def test_three_real_roots_labels(self):
-        # g = v = 0.01 overdamps the bright pair: the two closest roots are
-        # QBS+- and QBS+ is the slower one
+        # g = v = 0.01 overdamps the bright pair: QCD is the root whose vector
+        # is richest in D (2/3 at weak coupling) and QBS+ the slower of the rest
         params = symmetric_params(g=0.01, v=0.01, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         block = symmetric_block(params)
         assert block.labels == ("QBS+", "QBS-", "QCD")
         assert np.abs(block.eigenvalues.real - [-0.01020, -0.99986, -2.59994]).max() < 1e-5
+        assert np.argmax(np.abs(block.right_vectors[2])) == 2
         eye = block.left_vectors @ block.right_vectors
         assert np.abs(eye - np.eye(3)).max() < 1e-10
         traj = atom1_oracle(params, t_max=3.0, record_every=100)
         recon = full_decomposition(params).bare_amplitudes(traj.times).T
         assert np.abs(recon - traj.states).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "kappa, expected",
+        [(1.0, [-1.00006, -2.59994, -0.01000]), (0.1, [-0.10004, -2.59996, -0.01000])],
+    )
+    def test_weak_coupling_labels(self, kappa, expected):
+        # g >> v far past the exceptional point: the bright pair sits near
+        # -kappa and -gamma/2, and the root near -kappa_b is almost pure D
+        params = symmetric_params(g=0.01, v=1e-4, kappa=kappa, kappa_b=0.01, gamma=GAMMA)
+        block = symmetric_block(params)
+        assert block.labels[2] == "QCD"
+        assert abs(block.right_vectors[2, 2]) > 0.99
+        assert np.abs(block.eigenvalues.real - expected).max() < 1e-5
 
     def test_conjugate_pair_labels(self, rng):
         pairs = 0
