@@ -227,11 +227,101 @@ def _header(scn: Scenario, params: SystemParams, columns, point=None) -> list:
     return lines
 
 
+# Rows formatted per block: bounds the byte slots to ~220 kB at 18 columns.
+_BLOCK_ROWS = 512
+# A cell is formatted into a 24-byte slot of native-order words: (pad, sign,
+# leading digit, "."), three 4-digit groups, then ("e", exponent sign,
+# hundreds digit, tens, ones, delimiter, pad, pad); pads are 0 and dropped.
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS4 = np.empty((10, 10, 10, 10, 4), np.uint8)  # "0000" ... "9999"
+_DIGITS4[..., 0] = _DIGIT[:, None, None, None]
+_DIGITS4[..., 1] = _DIGIT[:, None, None]
+_DIGITS4[..., 2] = _DIGIT[:, None]
+_DIGITS4[..., 3] = _DIGIT
+_DIGITS4 = _DIGITS4.reshape(10_000, 4)
+_HEAD = np.zeros((20, 4), np.uint8)  # row 10 * signbit(x) + leading digit
+_HEAD[10:, 1] = ord("-")
+_HEAD[:, 2] = np.arange(20) % 10 + ord("0")
+_HEAD[:, 3] = ord(".")
+_EXPONENT = np.zeros((601, 8), np.uint8)  # row e + 300
+_EXPONENT[:, 0] = ord("e")
+_EXPONENT[:, 1] = np.where(np.arange(601) < 300, ord("-"), ord("+"))
+_EXPONENT[:, 2:5] = _DIGITS4[np.abs(np.arange(-300, 301)), 1:]
+_EXPONENT[201:400, 2] = 0  # |e| < 100 prints two digits
+_EXPONENT[:, 5] = ord(",")
+_HEAD = _HEAD.view(np.uint32).ravel()
+_GROUP = _DIGITS4.view(np.uint32).ravel()
+_EXPONENT = _EXPONENT.view(np.uint64).ravel()
+# 10**k correctly rounded (the float parser rounds correctly), row k + 300
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
+# s - floor(s) must be this far from 1/2 for rint(s) to be the correct mantissa
+_TIE_GUARD = 2.0 ** -8
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """Return exactly the bytes of np.savetxt(rows, fmt=_FMT, delimiter=",").
+
+    For 1e-280 <= |x| <= 1e280 the decimal exponent e comes from
+    floor(log10|x|), corrected once where the scaled value
+    s = |x| * 10**(12 - e) falls outside [1e12, 1e13): next to a power of
+    ten, log10 can round across the integer. The 13-digit mantissa is
+    m = rint(s), carried into the next decade when it reaches 1e13. The
+    power of ten is correctly rounded and the product is rounded once, so
+    |s - s_exact| <= (2u + u**2) s < 2.3e-3 for s <= 1e13 (u = 2**-53), and
+    rint(s) is the correctly rounded mantissa unless s lies that close to a
+    half-integer. A signed zero is exact: mantissa 0, exponent +00. Cells
+    with s within _TIE_GUARD = 2**-8 of a half-integer, non-finite values
+    and nonzero magnitudes outside the range are formatted by `_FMT % x`.
+    """
+    n_rows, n_cols = rows.shape
+    x = rows.ravel()
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= 1e-280) & (a <= 1e280)  # False for 0, nan and inf
+    a = np.where(fast, a, 1.0)  # zeros go through as 1.0: e = 0, then m = 0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = a * _POW10[312 - e]
+    e += (s >= 1e13).astype(np.int64) - (s < 1e12)
+    s = a * _POW10[312 - e]
+    m = np.rint(s)
+    fast &= np.abs(s - np.floor(s) - 0.5) > _TIE_GUARD
+    fast |= zero
+    carry = m == 1e13
+    m = np.where(carry, 1e12, m)
+    m[zero] = 0
+    m = m.astype(np.int64)
+    e += carry
+
+    # digit groups: m = lead * 10**12 + g1 * 10**8 + g2 * 10**4 + g3
+    # (np.divmod on int64 is several times slower than // and a product)
+    head = m // 10**8
+    low = m - head * 10**8
+    lead = head // 10**4
+    g1 = head - lead * 10**4
+    g2 = low // 10**4
+    g3 = low - g2 * 10**4
+    slots = np.empty((x.size, 24), np.uint8)
+    words = slots.view(np.uint32)
+    words[:, 0] = _HEAD[10 * np.signbit(x) + lead]
+    words[:, 1] = _GROUP[g1]
+    words[:, 2] = _GROUP[g2]
+    words[:, 3] = _GROUP[g3]
+    slots.view(np.uint64)[:, 2] = _EXPONENT[e + 300]
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # at most 20 characters, then 0 up to the delimiter
+        text = np.array([_FMT % v for v in x[slow].tolist()], dtype="S21")
+        slots[slow, :21] = text.view(np.uint8).reshape(-1, 21)
+    slots.reshape(n_rows, n_cols, 24)[:, -1, 21] = ord("\n")
+    return slots.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: Path, header, columns_data) -> None:
+    """Write the header lines, then one `_FMT` row per sample, in row blocks."""
     data = np.column_stack(columns_data)
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        np.savetxt(fh, data, fmt=_FMT, delimiter=",")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        for start in range(0, len(data), _BLOCK_ROWS):
+            fh.write(_format_rows(data[start:start + _BLOCK_ROWS]))
 
 
 def _omega_grid(scn: Scenario, params: SystemParams) -> np.ndarray:

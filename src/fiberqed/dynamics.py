@@ -51,10 +51,10 @@ class IntegratorConfig:
     record_every: int = 1
 
     def validate(self) -> None:
-        if not (self.dt > 0):
-            raise ConfigInvalid(f"dt must be > 0, got {self.dt}")
-        if not (self.t_max > 0):
-            raise ConfigInvalid(f"t_max must be > 0, got {self.t_max}")
+        if not (0 < self.dt < np.inf):
+            raise ConfigInvalid(f"dt must be finite and > 0, got {self.dt}")
+        if not (0 < self.t_max < np.inf):
+            raise ConfigInvalid(f"t_max must be finite and > 0, got {self.t_max}")
         if self.record_every < 1:
             raise ConfigInvalid(f"record_every must be >= 1, got {self.record_every}")
 

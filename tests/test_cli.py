@@ -1,6 +1,7 @@
 """Scenario runner: parsing, exit codes, output format and determinism."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fiberqed.cli import main, parse_scenario, run_scenario
+from fiberqed.cli import _write_csv, main, parse_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -58,21 +60,23 @@ def test_trajectory_run_and_columns(tmp_path, capsys):
 def test_spectrum_and_decomposition_runs(tmp_path):
     cfg = write_cfg(tmp_path, BASE.format(kind="spectrum"))
     files = run_scenario(cfg, out_dir=tmp_path, quiet=True)
+    assert [f.name for f in files] == ["case_spectrum.csv"]
+    assert all(f.exists() for f in files)
     data = np.loadtxt(files[0], delimiter=",")
     assert data.shape[1] == 3  # omega + two channels
     assert np.all(data[:, 1] >= 0)
 
-    cfg = write_cfg(tmp_path, BASE.format(kind="decomposition"), "decomp.cfg")
-    files = run_scenario(cfg, out_dir=tmp_path, quiet=True)
-    assert {f.name for f in files} == {
-        "decomp_decomposition_cavity1.csv",
-        "decomp_decomposition_cavity2.csv",
-    }
-    data = np.loadtxt(files[0], delimiter=",")
-    # omega, total, 5 lorentzians, 10 interference terms, lorentzian sum
-    assert data.shape[1] == 18
-    recon = data[:, 2:17].sum(axis=1)
-    assert np.abs(recon - data[:, 1]).max() < 1e-12 * data[:, 1].max()
+    cfg = write_cfg(tmp_path, BASE.format(kind="decomposition"))
+    assert main([str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    for channel in ("cavity1", "cavity2"):
+        out = tmp_path / f"case_decomposition_{channel}.csv"
+        columns = next(l for l in out.read_text().splitlines() if l.startswith("# columns:"))
+        assert "lorentzian_QBS+" in columns.split(": ")[1].split(",")
+        data = np.loadtxt(out, delimiter=",")
+        # omega, total, 5 lorentzians, 10 interference terms, lorentzian sum
+        assert data.shape[1] == 18
+        recon = data[:, 2:17].sum(axis=1)
+        assert np.abs(recon - data[:, 1]).max() < 1e-12 * data[:, 1].max()
 
 
 def test_quiet_suppresses_summary(tmp_path, capsys):
@@ -129,6 +133,16 @@ def test_critical_point_trajectory_runs(tmp_path, capsys):
     text = capsys.readouterr().out
     residual = float(text.split("conservation residual:")[1].split()[0])
     assert abs(residual) < 1e-9
+
+
+@pytest.mark.parametrize("setting", ["dt = inf", "t_max = inf", "dt = nan"])
+def test_non_finite_integrator_setting_exits_2(tmp_path, capsys, setting):
+    key = setting.split()[0]
+    text = BASE.format(kind="trajectory").replace(f"{key} = ", f"{setting}\n# was ")
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_empty_config_exits_2(tmp_path, capsys):
@@ -200,3 +214,61 @@ def test_shipped_scenarios_run_quickly(name, tmp_path):
     assert files and all(f.exists() for f in files)
     for f in files:  # outputs are byte-identical to the recorded ones
         assert hashlib.sha256(f.read_bytes()).hexdigest() == DIGESTS[f.name], f.name
+
+
+# --- CSV writer: the bytes of np.savetxt(fmt="%.12e", delimiter=",") --------
+
+def savetxt_bytes(data):
+    buf = io.StringIO()
+    np.savetxt(buf, data, fmt="%.12e", delimiter=",")
+    return buf.getvalue().encode()
+
+
+def written_rows(directory, data):
+    path = directory / "rows.csv"
+    _write_csv(path, ["# header"], list(data.T))
+    return path.read_bytes()
+
+
+# signed zeros, non-finite values, subnormals, the largest float, 3-digit exponents, a tie
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e-300,
+           1.7976931348623157e308, -1e300, 1234567890123.5, 0.5, 2.5e-5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(st.floats(width=64), min_size=1, max_size=40),
+    shape=st.sampled_from([(1, 1), (7, 1), (511, 3), (512, 2), (513, 1), (1025, 2), (40, 18)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_writer_matches_savetxt(tmp_path_factory, pool, shape, seed):
+    rng = np.random.default_rng(seed)
+    drawn = rng.choice(np.array(pool + SPECIAL), size=shape)
+    # magnitudes across the range, including 3-digit exponents
+    spread = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    # next to powers of ten, where log10 can round across the integer
+    near = 10.0 ** rng.integers(-300, 300, size=shape) * (1 + 1e-15 * rng.integers(-99, 99, size=shape))
+    data = np.choose(rng.integers(0, 3, size=shape), [drawn, spread, near])
+    directory = tmp_path_factory.getbasetemp()
+    assert written_rows(directory, data) == b"# header\n" + savetxt_bytes(data)
+
+
+@pytest.mark.parametrize("value, text", [
+    (1234567890123.5, "1.234567890124e+12"),  # exact tie: round half to even
+    (1234567890122.5, "1.234567890122e+12"),
+    (-2.5, "-2.500000000000e+00"),
+    (9.99999999999996e5, "1.000000000000e+06"),  # rounds up into the next decade
+    (0.9999999999999999, "1.000000000000e+00"),
+    (9.99999999999949e274, "9.999999999999e+274"),  # log10 rounds up to 275
+    (9.99999999999951e274, "1.000000000000e+275"),
+    (-9.999999999999996e99, "-1.000000000000e+100"),  # the exponent gains a digit
+    (9.99999999999999e-100, "1.000000000000e-99"),  # the exponent loses one
+    (5e-324, "4.940656458412e-324"),
+    (1.7976931348623157e308, "1.797693134862e+308"),
+    (-0.0, "-0.000000000000e+00"),
+])
+def test_csv_writer_pinned_cells(tmp_path, value, text):
+    data = np.array([[value, 1.0], [0.0, value]])
+    expected = f"# header\n{text},1.000000000000e+00\n0.000000000000e+00,{text}\n"
+    assert written_rows(tmp_path, data) == expected.encode()
+    assert savetxt_bytes(data) == expected.encode()[len("# header\n"):]
