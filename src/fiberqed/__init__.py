@@ -17,6 +17,7 @@ from .errors import (
     LabelAmbiguous,
     NonSymmetric,
     RegimeWarning,
+    UnlabeledModes,
 )
 from .model import (
     BareState,
@@ -46,6 +47,7 @@ from .eigen import (
     antisymmetric_block,
     fiber_dark_amplitudes,
     full_decomposition,
+    full_decompositions,
     symmetric_block,
 )
 from .perturb import (
@@ -60,6 +62,7 @@ from .spectra import (
     SpectrumDecomposition,
     cavity_coefficients,
     channel_spectrum,
+    channel_totals,
     default_omega_grid,
     integrated_spectrum,
     interference_integral,

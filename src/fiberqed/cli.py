@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, eigen, spectra
-from .errors import ConfigInvalid, DegenerateBlock
+from .errors import ConfigInvalid, DegenerateBlock, UnlabeledModes
 from .model import BARE_MODES, NORMAL_MODES, SystemParams, derive_rates, single_excitation
 
 __all__ = ["Scenario", "parse_scenario", "run_scenario", "main"]
@@ -331,21 +331,21 @@ def _omega_grid(scn: Scenario, params: SystemParams) -> np.ndarray:
     return spectra.default_omega_grid(params)
 
 
-def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point=None):
-    """Execute one parameter point; returns (files, summary lines)."""
+def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point=None):
+    """Execute one parameter point; returns (files, summary lines).
+
+    decomp is the point's entry of eigen.full_decompositions: the
+    decomposition, or the error its computation raised.
+    """
     # every run type needs the normal-mode picture: symmetric, and g or v nonzero
     derive_rates(params)
     suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
-    initial = single_excitation(scn.initial)
-    try:
-        decomp = eigen.full_decomposition(params, initial)
-    except DegenerateBlock:
+    if isinstance(decomp, Exception):
         # at the critical point p = 0 there is no eigenbasis; a trajectory
         # uses the decomposition only for this summary line
-        if scn.run != "trajectory":
-            raise
-        decomp, labels = None, None
-        eigenvalues = np.linalg.eigvals(dynamics.bare_generator(params))
+        if not (isinstance(decomp, DegenerateBlock) and scn.run == "trajectory"):
+            raise decomp
+        eigenvalues, labels = np.linalg.eigvals(dynamics.bare_generator(params)), None
     else:
         eigenvalues, labels = decomp.eigenvalues, decomp.labels
     if labels is not None:
@@ -359,7 +359,7 @@ def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point=None):
         cfg = dynamics.IntegratorConfig(
             dt=scn.dt, t_max=scn.t_max, record_every=scn.record_every
         )
-        traj = dynamics.evolve_bare(params, initial, cfg)
+        traj = dynamics.evolve_bare(params, single_excitation(scn.initial), cfg)
         occ = dynamics.occupations(traj)
         modes = (*BARE_MODES, *NORMAL_MODES)
         cols = ["t", *modes, "survival"] + [f"p_{c}" for c in dynamics.CHANNELS]
@@ -371,8 +371,13 @@ def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point=None):
         totals = {c: traj.channel_probs[c][-1] for c in dynamics.CHANNELS}
         residual = traj.survival[-1] + sum(totals.values()) - 1.0
     else:
+        if scn.run == "decomposition" and labels is None:
+            raise UnlabeledModes(
+                "coincident eigenvalues in the symmetric block leave the quasi modes "
+                "unlabeled; a decomposition run needs the labels"
+            )
         grid = _omega_grid(scn, params)
-        specs = {c: spectra.channel_spectrum(decomp, c, grid) for c in dynamics.CHANNELS}
+        specs = {c: spectra.channel_spectrum(decomp, c, grid) for c in scn.channels}
         if scn.run == "spectrum":
             cols = ["omega"] + list(scn.channels)
             data = [grid] + [specs[c].spectrum for c in scn.channels]
@@ -394,7 +399,7 @@ def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point=None):
                 path = out_dir / f"{scn.out_base}{suffix}_decomposition_{c}.csv"
                 _write_csv(path, _header(scn, params, cols, point), data)
                 files.append(path)
-        totals = {c: spectra.integrated_spectrum(specs[c]) for c in dynamics.CHANNELS}
+        totals = spectra.channel_totals(decomp)
         residual = sum(totals.values()) - 1.0
     summary.append(
         "channel totals: "
@@ -405,7 +410,12 @@ def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point=None):
 
 
 def run_scenario(config_path, out_dir=None, quiet=False) -> list:
-    """Run one scenario file; returns the list of files written."""
+    """Run one scenario file; returns the list of files written.
+
+    Every point of a sweep is decomposed in one stacked call before the
+    first point runs; a point whose decomposition failed raises when its
+    turn comes, after the files of the points before it.
+    """
     scn = parse_scenario(config_path)
     out = Path(out_dir) if out_dir is not None else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
@@ -413,13 +423,16 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
     points = [None]
     if scn.sweep is not None:
         points = [(scn.sweep[0], value) for value in scn.sweep[1]]
+    params = [
+        scn.params if point is None
+        else replace(scn.params, **dict.fromkeys(SWEEPABLE[point[0]], point[1]))
+        for point in points
+    ]
+    decomps = eigen.full_decompositions(params, single_excitation(scn.initial))
 
     written = []
-    for point in points:
-        params = scn.params
-        if point is not None:
-            params = replace(params, **dict.fromkeys(SWEEPABLE[point[0]], point[1]))
-        files, summary = _run_point(scn, params, out, point)
+    for point, point_params, decomp in zip(points, params, decomps):
+        files, summary = _run_point(scn, point_params, decomp, out, point)
         written.extend(files)
         if not quiet:
             tag = f" [{point[0]}={point[1]:g}]" if point is not None else ""

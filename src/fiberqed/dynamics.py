@@ -29,12 +29,15 @@ __all__ = [
     "Trajectory",
     "bare_generator",
     "normal_generator",
+    "symmetric_generator",
     "evolve_bare",
     "evolve_normal",
     "occupations",
 ]
 
 CHANNELS = BARE_MODES
+# normal coordinates (S+, S-, A+, A-, D) of the symmetric and anti-symmetric blocks
+SYM_ROWS, ANTI_ROWS = [0, 1, 4], [2, 3]
 
 
 @dataclass(frozen=True)
@@ -110,16 +113,42 @@ def normal_generator(params: SystemParams) -> np.ndarray:
     """
     r = derive_rates(params)
     g = params.g
-    return np.array(
+    gen = np.array(
         [
-            [-(1j * r.zeta + r.gamma_s_plus / 2), -r.gamma_s_minus / 2, 0, 0, r.gamma_sd],
-            [-r.gamma_s_minus / 2, 1j * r.zeta - r.gamma_s_plus / 2, 0, 0, r.gamma_sd],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0],
             [0, 0, -(1j * g + r.gamma_a_plus / 2), -r.gamma_a_minus / 2, 0],
             [0, 0, -r.gamma_a_minus / 2, 1j * g - r.gamma_a_plus / 2, 0],
-            [r.gamma_sd, r.gamma_sd, 0, 0, -r.gamma_d],
+            [0, 0, 0, 0, 0],
         ],
         dtype=complex,
     )
+    gen[np.ix_(SYM_ROWS, SYM_ROWS)] = symmetric_generator(
+        r.zeta, r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d
+    )
+    return gen
+
+
+def symmetric_generator(zeta, gamma_s_plus, gamma_s_minus, gamma_sd, gamma_d) -> np.ndarray:
+    """The (S+, S-, D) block of :func:`normal_generator` from the derived rates.
+
+    Array arguments give a stack of blocks, shape (..., 3, 3).  The entries
+    are the bits of the complex scalar expressions
+    -(i zeta + Gamma_S+/2), i zeta - Gamma_S+/2 and the real rates.
+    """
+    zeta, gsp, gsm, gsd, gd = np.broadcast_arrays(
+        zeta, gamma_s_plus, gamma_s_minus, gamma_sd, gamma_d
+    )
+    gen = np.zeros(zeta.shape + (3, 3), dtype=complex)
+    re, im = gen.real, gen.imag
+    re[..., 0, 0] = -(gsp / 2)
+    im[..., 0, 0] = -zeta
+    re[..., 1, 1] = 0.0 - gsp / 2
+    im[..., 1, 1] = zeta
+    re[..., 0, 1] = re[..., 1, 0] = -gsm / 2
+    re[..., 0, 2] = re[..., 1, 2] = re[..., 2, 0] = re[..., 2, 1] = gsd
+    re[..., 2, 2] = -gd
+    return gen
 
 
 def _flux_weights(params: SystemParams) -> np.ndarray:

@@ -5,6 +5,10 @@ The symmetric configuration splits into an anti-symmetric 2x2 block
 (bright + cavity-dark modes, solved through the closed-form cubic).  A
 dense 5x5 solve covers asymmetric parameters.  Left and right
 eigenvectors are kept as a bi-orthogonal pair, V^-1 V = I.
+
+All of it is one kernel stacked over a leading axis of parameter points
+(:func:`full_decompositions`); a single point is the case N = 1, and N
+points give the bits of N single calls.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import bare_generator, normal_generator
+from .dynamics import ANTI_ROWS, SYM_ROWS, bare_generator, symmetric_generator
 from .errors import DegenerateBlock, LabelAmbiguous
 from .model import (
     BARE_MODES,
     BareState,
     SystemParams,
     derive_rates,
-    normal_mode_matrix,
+    mode_matrices,
     single_excitation,
 )
 
@@ -34,6 +38,7 @@ __all__ = [
     "symmetric_block",
     "fiber_dark_amplitudes",
     "full_decomposition",
+    "full_decompositions",
 ]
 
 # canonical ordering of the labeled quasi modes
@@ -42,10 +47,14 @@ MODE_LABELS = ("QBS+", "QBS-", "QCD", "QFD+", "QFD-")
 # bare amplitude row for each decay channel
 CHANNEL_ROWS = {mode: row for row, mode in enumerate(BARE_MODES)}
 
-_DEGENERACY_TOL = 1e-12
+# Symmetric-block roots closer than this fraction of the largest |root|
+# count as coincident.  Rounding splits a double root of the cubic into a
+# spurious pair about sqrt(eps) ~ 1e-8 (relative) apart, a triple root
+# about eps^(1/3) ~ 6e-6 apart; genuine pairs this close sit within
+# ~1e-10 (relative) of an exceptional point.
+_COINCIDENT_RTOL = 1e-5
 
-# normal coordinates (S+, S-, A+, A-, D) of the symmetric and anti-symmetric blocks
-_SYM_ROWS, _ANTI_ROWS = [0, 1, 4], [2, 3]
+_CUBE_ROOT_OF_UNITY = np.exp(2j * np.pi / 3.0)
 
 
 @dataclass
@@ -67,28 +76,43 @@ def antisymmetric_block(params: SystemParams) -> EigenBlock:
     limit, QFD+ (the continuation of FD+, which oscillates at +g) carries
     the eigenvalue -Gamma_A+/2 - i p.
     """
-    r = derive_rates(params)
-    g = params.g
-    gp, gm, p = r.gamma_a_plus, r.gamma_a_minus, r.p
-    if p == 0:
-        raise DegenerateBlock(
-            "p = 0: the anti-symmetric block is critically damped and defective"
-        )
-    eigenvalues = np.array([-gp / 2 - 1j * p, -gp / 2 + 1j * p])
-    if gm == 0.0:
-        # block is already diagonal; quasi modes reduce to FD+-
-        right = np.eye(2, dtype=complex)
-        left = np.eye(2, dtype=complex)
-    else:
-        right = np.array(
-            [[2j * (g + p) / gm, 2j * (g - p) / gm], [1.0, 1.0]], dtype=complex
-        )
-        left = np.array(
-            [[-1j * gm / (4 * p), (p - g) / (2 * p)],
-             [1j * gm / (4 * p), (p + g) / (2 * p)]],
-            dtype=complex,
-        )
-    return EigenBlock(("QFD+", "QFD-"), eigenvalues, right, left)
+    lam, right, left, failed = _antisymmetric_blocks([params], [derive_rates(params)])
+    if failed:
+        raise failed[0]
+    return EigenBlock(("QFD+", "QFD-"), lam[0], right[0], left[0])
+
+
+def _antisymmetric_blocks(points, rates) -> tuple:
+    """Stacked fiber-dark blocks: eigenvalues (N, 2), right and left (N, 2, 2).
+
+    The closed forms are evaluated per point in Python complex arithmetic,
+    which divides by a real Gamma_A- where numpy would multiply by its
+    reciprocal.  Points at p = 0 get NaN entries and a DegenerateBlock in
+    the returned {index: error} map.
+    """
+    rows, failed = [], {}
+    for i, (params, r) in enumerate(zip(points, rates)):
+        g = params.g
+        gp, gm, p = r.gamma_a_plus, r.gamma_a_minus, r.p
+        if p == 0:
+            failed[i] = DegenerateBlock(
+                "p = 0: the anti-symmetric block is critically damped and defective"
+            )
+            rows.append((np.nan,) * 10)
+            continue
+        if gm == 0.0:
+            # block is already diagonal; quasi modes reduce to FD+-
+            vectors = (1, 0, 0, 1, 1, 0, 0, 1)
+        else:
+            vectors = (
+                2j * (g + p) / gm, 2j * (g - p) / gm, 1.0, 1.0,
+                -1j * gm / (4 * p), (p - g) / (2 * p),
+                1j * gm / (4 * p), (p + g) / (2 * p),
+            )
+        rows.append((-gp / 2 - 1j * p, -gp / 2 + 1j * p, *vectors))
+    table = np.array(rows, dtype=complex).reshape(len(rows), 10)
+    n = len(rows)
+    return table[:, :2], table[:, 2:6].reshape(n, 2, 2), table[:, 6:].reshape(n, 2, 2), failed
 
 
 def fiber_dark_amplitudes(params: SystemParams, t) -> tuple:
@@ -115,45 +139,99 @@ def fiber_dark_amplitudes(params: SystemParams, t) -> tuple:
     return a_plus, a_minus
 
 
-def _cubic_roots(c2, c1, c0):
-    """Roots of x^3 + c2 x^2 + c1 x + c0 (real coefficients, complex roots).
-
-    Cardano closed form, followed by two Newton polish steps to remove the
-    branch-cancellation error of the radicals.  Also returns the Cardano
-    discriminant: positive for a conjugate pair plus a real root, otherwise
-    all three roots are real.
-    """
-    a = c2 / 3.0
+def _cubic_coefficients(r) -> tuple:
+    """Characteristic polynomial x^3 + c2 x^2 + c1 x + c0 of the symmetric
+    block, with Cardano's shift a, depressed coefficients p, q and
+    discriminant, as (c2, c1, c0, a, p, q, disc) in Python floats."""
+    gsp, gsm, gsd, gd, zeta = (
+        r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d, r.zeta,
+    )
+    sm = gsm / 2
+    c2 = gsp + gd
+    c1 = gsp**2 / 4 + zeta**2 - sm**2 + gd * gsp - 2 * gsd**2
+    c0 = gd * (gsp**2 / 4 + zeta**2 - sm**2) - gsd**2 * (gsp - 2 * sm)
     p = c1 - c2 * c2 / 3.0
     q = c0 - c1 * c2 / 3.0 + 2.0 * c2**3 / 27.0
     disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    s = np.sqrt(complex(disc))
+    return c2, c1, c0, c2 / 3.0, p, q, disc
+
+
+def _cubic_roots(c2, c1, c0, a, p, q, disc) -> np.ndarray:
+    """Roots (N, 3) of x^3 + c2 x^2 + c1 x + c0 from the arrays (N,) of
+    :func:`_cubic_coefficients`.
+
+    Cardano closed form, followed by two Newton polish steps to remove the
+    branch-cancellation error of the radicals.  A positive discriminant
+    gives a conjugate pair plus a real root, otherwise all three roots are
+    real.
+    """
+    s = np.sqrt(disc.astype(complex))
     u3 = -q / 2.0 + s
-    if abs(u3) < abs(-q / 2.0 - s):
-        u3 = -q / 2.0 - s
-    if u3 == 0:
-        roots = np.full(3, -a, dtype=complex)
-    else:
+    other = -q / 2.0 - s
+    u3 = np.where(_modulus(u3) < _modulus(other), other, u3)
+    with np.errstate(divide="ignore", invalid="ignore"):  # u3 = 0 is replaced below
         u = u3 ** (1.0 / 3.0)
-        w = np.exp(2j * np.pi / 3.0)
-        us = np.array([u, u * w, u * np.conj(w)])
-        roots = us - p / (3.0 * us) - a
+        # u * w and u * conj(w) spelled out: an array product may fuse multiply-add
+        wr, wi = _CUBE_ROOT_OF_UNITY.real, _CUBE_ROOT_OF_UNITY.imag
+        us = np.empty(u.shape + (3,), dtype=complex)
+        us[:, 0] = u
+        us.real[:, 1] = u.real * wr - u.imag * wi
+        us.imag[:, 1] = u.real * wi + u.imag * wr
+        us.real[:, 2] = u.real * wr - u.imag * -wi
+        us.imag[:, 2] = u.real * -wi + u.imag * wr
+        roots = us - p[:, None] / (3.0 * us) - a[:, None]
+    zero = u3 == 0
+    roots[zero] = -a[zero, None]
+    c2, c1, c0 = c2[:, None], c1[:, None], c0[:, None]
     for _ in range(2):
         f = ((roots + c2) * roots + c1) * roots + c0
         df = (3.0 * roots + 2.0 * c2) * roots + c1
         step = np.where(df != 0, f / np.where(df != 0, df, 1.0), 0.0)
         roots = roots - step
-    return roots, disc
+    return roots
 
 
-def _null_vector(b):
-    """Unit null vector of a rank-2 3x3 matrix via row cross products."""
-    best = np.zeros(3, dtype=complex)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        cand = np.cross(b[i], b[j])
-        if np.linalg.norm(cand) > np.linalg.norm(best):
-            best = cand
-    return best / np.linalg.norm(best)
+def _modulus(z) -> np.ndarray:
+    """|z| through hypot, the bits of abs() on a numpy complex scalar."""
+    return np.hypot(z.real, z.imag)
+
+
+def _norm(x) -> np.ndarray:
+    """2-norm over the last axis, the bits of np.linalg.norm on each 1-d vector.
+
+    norm sums the squares of the real and imaginary parts with a BLAS dot
+    each; a stacked (1, 3) @ (3, 1) product calls the same dot.
+    """
+    re, im = x.real[..., None, :], x.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def _null_vectors(b) -> np.ndarray:
+    """Unit null vectors of rank-2 3x3 matrices (..., 3, 3) via row cross products.
+
+    Of the three cross products the first of largest norm is used.
+    """
+    cands = np.cross(b[..., [0, 0, 1], :], b[..., [1, 2, 2], :])  # rows 01, 02, 12
+    pick = np.argmax(_norm(cands), axis=-1)
+    best = np.take_along_axis(cands, pick[..., None, None], axis=-2)[..., 0, :]
+    with np.errstate(invalid="ignore"):  # rank < 2 only at coincident roots
+        return best / _norm(best)[..., None]
+
+
+def _inverse(mats) -> tuple:
+    """Stacked inverse plus {index: LinAlgError} for the singular matrices.
+
+    A singular matrix gets NaN entries instead of failing the whole stack.
+    """
+    try:
+        return np.linalg.inv(mats), {}
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(mats) == 0  # the same LU pivots as inv
+    inv = np.full_like(mats, np.nan)
+    inv[~singular] = np.linalg.inv(mats[~singular])
+    failed = {int(i): np.linalg.LinAlgError("Singular matrix") for i in np.flatnonzero(singular)}
+    return inv, failed
 
 
 def symmetric_block(params: SystemParams) -> EigenBlock:
@@ -165,42 +243,65 @@ def symmetric_block(params: SystemParams) -> EigenBlock:
     the real root is QCD.  With three real roots (the bright pair is
     overdamped) QCD is the root whose vector has the largest D component,
     and QBS+ is the slower of the other two, continuing Im lambda < 0 as
-    QFD+ does for imaginary p.  If two eigenvalues coincide within 1e-12 a
-    LabelAmbiguous warning is emitted and the block is returned unlabeled.
+    QFD+ does for imaginary p.  If two eigenvalues coincide within 1e-5 of
+    the largest |lambda| a LabelAmbiguous warning is emitted and the block
+    is returned unlabeled, from a dense eigensolve.
     """
-    r = derive_rates(params)
-    gsp, gsm, gsd, gd, zeta = (
-        r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d, r.zeta,
-    )
-    # characteristic polynomial of the 3x3 generator
-    sm = gsm / 2
-    c2 = gsp + gd
-    c1 = gsp**2 / 4 + zeta**2 - sm**2 + gd * gsp - 2 * gsd**2
-    c0 = gd * (gsp**2 / 4 + zeta**2 - sm**2) - gsd**2 * (gsp - 2 * sm)
-    roots, disc = _cubic_roots(c2, c1, c0)
+    lam, right, left, labeled, failed = _symmetric_blocks([derive_rates(params)])
+    if failed:
+        raise failed[0]
+    labels = ("QBS+", "QBS-", "QCD") if labeled[0] else None
+    return EigenBlock(labels, lam[0], right[0], left[0])
 
-    gen = normal_generator(params)[np.ix_(_SYM_ROWS, _SYM_ROWS)]
-    gaps = [abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)]
-    if min(gaps) < _DEGENERACY_TOL:
+
+def _symmetric_blocks(rates) -> tuple:
+    """Stacked symmetric blocks: eigenvalues (N, 3), right and left (N, 3, 3),
+    a labeled mask (N,) and an {index: error} map (see :func:`symmetric_block`).
+    """
+    n = len(rates)
+    coeffs = np.array([_cubic_coefficients(r) for r in rates]).reshape(n, 7)
+    roots = _cubic_roots(*coeffs.T)
+    conj_pair = coeffs[:, 6] > 0
+    gen = symmetric_generator(*np.array(
+        [(r.zeta, r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d) for r in rates]
+    ).reshape(n, 5).T)
+    # vectors[:, j] spans the null space of gen - roots[:, j] I
+    vectors = _null_vectors(gen[:, None] - roots[:, :, None, None] * np.eye(3))
+
+    idx = np.arange(n)
+    # a conjugate pair: QCD is the real root, QBS+ the member with Im < 0
+    by_imag = np.argsort(np.abs(roots.imag), axis=1)
+    first, second = by_imag[:, 1], by_imag[:, 2]
+    swap = roots.imag[idx, second] < roots.imag[idx, first]
+    pair_order = np.stack(
+        [np.where(swap, second, first), np.where(swap, first, second), by_imag[:, 0]], axis=1
+    )
+    # three real roots: QCD has the largest D component, QBS+ is the slower rest
+    qcd = np.argmax(_modulus(vectors[:, :, 2]), axis=1)
+    rest = np.array([[1, 2], [0, 2], [0, 1]])[qcd]
+    swap = roots.real[idx, rest[:, 1]] < roots.real[idx, rest[:, 0]]
+    real_order = np.stack(
+        [np.where(swap, rest[:, 0], rest[:, 1]), np.where(swap, rest[:, 1], rest[:, 0]), qcd],
+        axis=1,
+    )
+    order = np.where(conj_pair[:, None], pair_order, real_order)
+    eigenvalues = np.take_along_axis(roots, order, axis=1)
+    right = np.ascontiguousarray(
+        np.swapaxes(np.take_along_axis(vectors, order[:, :, None], axis=1), 1, 2)
+    )
+
+    gaps = _modulus(roots[:, [0, 0, 1]] - roots[:, [1, 2, 2]]).min(axis=1)
+    labeled = ~(gaps <= _COINCIDENT_RTOL * _modulus(roots).max(axis=1))
+    coincident = np.flatnonzero(~labeled)
+    for _ in coincident:
         warnings.warn(
             "coincident eigenvalues in the symmetric block; labels dropped",
             LabelAmbiguous,
         )
-        lam, right = np.linalg.eig(gen)
-        return EigenBlock(None, lam, right, np.linalg.inv(right))
-
-    vectors = [_null_vector(gen - lam * np.eye(3)) for lam in roots]
-    if disc > 0:
-        qcd, *pair = np.argsort(np.abs(roots.imag))
-        plus, minus = sorted(pair, key=lambda j: roots[j].imag)
-    else:
-        qcd = max(range(3), key=lambda j: abs(vectors[j][2]))
-        minus, plus = sorted({0, 1, 2} - {qcd}, key=lambda j: roots[j].real)
-    order = [plus, minus, qcd]
-    eigenvalues = roots[order]
-    right = np.column_stack([vectors[j] for j in order])
-    left = np.linalg.inv(right)
-    return EigenBlock(("QBS+", "QBS-", "QCD"), eigenvalues, right, left)
+    if coincident.size:
+        eigenvalues[coincident], right[coincident] = np.linalg.eig(gen[coincident])
+    left, failed = _inverse(right)
+    return eigenvalues, right, left, labeled, failed
 
 
 @dataclass
@@ -266,38 +367,83 @@ def full_decomposition(
     bare generator is performed and vectors stay in the bare basis.  The
     default initial state is the excited atom 1.
     """
+    (result,) = full_decompositions([params], initial)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def full_decompositions(points, initial: BareState | None = None) -> list:
+    """:func:`full_decomposition` of many parameter sets in one stacked call.
+
+    Entry i is the decomposition of points[i], or the error that
+    full_decomposition(points[i], initial) raises, so one bad point does
+    not stop the others.  Each entry has the bits of the single call; the
+    stacked arithmetic keeps them by four rules:
+
+    - the rates and the cubic's coefficients stay per-point Python floats,
+      because Python's ``x**2`` and ``x**3`` call libm pow where numpy's
+      array power can differ in the last bit;
+    - the complex products u * w of the Cardano step are spelled out in
+      real and imaginary parts, since numpy's scalar product does not fuse
+      multiply-add and its array product may;
+    - vector norms are stacked (1, 3) @ (3, 1) products, the BLAS dot that
+      np.linalg.norm uses on a 1-d vector, not a sum of squares;
+    - the fiber-dark closed forms stay in Python complex arithmetic, which
+      divides by a real number where numpy multiplies by its reciprocal.
+    """
     if initial is None:
         initial = single_excitation("atom1")
     bare0 = initial.to_array()
+    normal = [i for i, p in enumerate(points) if p.symmetric() and (p.g > 0 or p.v > 0)]
+    dense = sorted(set(range(len(points))) - set(normal))
+    results = [None] * len(points)
+    for indices, solve in ((normal, _normal_decompositions), (dense, _dense_decompositions)):
+        if indices:
+            for i, result in zip(indices, solve([points[i] for i in indices], bare0)):
+                results[i] = result
+    return results
 
-    if params.symmetric() and (params.g > 0 or params.v > 0):
-        trans = normal_mode_matrix(params)  # bare -> normal
-        sym = symmetric_block(params)
-        anti = antisymmetric_block(params)
 
-        right = np.zeros((5, 5), dtype=complex)
-        left = np.zeros((5, 5), dtype=complex)
-        # columns of right (rows of left) follow MODE_LABELS
-        right[np.ix_(_SYM_ROWS, [0, 1, 2])] = sym.right_vectors
-        right[np.ix_(_ANTI_ROWS, [3, 4])] = anti.right_vectors
-        left[np.ix_([0, 1, 2], _SYM_ROWS)] = sym.left_vectors
-        left[np.ix_([3, 4], _ANTI_ROWS)] = anti.left_vectors
+def _normal_decompositions(points, bare0) -> list:
+    """Symmetric points: the two analytic blocks, vectors in the normal basis."""
+    rates = [derive_rates(p) for p in points]
+    sym_lam, sym_right, sym_left, labeled, sym_failed = _symmetric_blocks(rates)
+    anti_lam, anti_right, anti_left, anti_failed = _antisymmetric_blocks(points, rates)
+    n = len(points)
+    right = np.zeros((n, 5, 5), dtype=complex)
+    left = np.zeros((n, 5, 5), dtype=complex)
+    # columns of right (rows of left) follow MODE_LABELS
+    sym_rows, anti_rows = np.array(SYM_ROWS)[:, None], np.array(ANTI_ROWS)[:, None]
+    right[:, sym_rows, [0, 1, 2]] = sym_right
+    right[:, anti_rows, [3, 4]] = anti_right
+    left[:, [[0], [1], [2]], SYM_ROWS] = sym_left
+    left[:, [[3], [4]], ANTI_ROWS] = anti_left
 
-        eigenvalues = np.concatenate([sym.eigenvalues, anti.eigenvalues])
-        labels = None if sym.labels is None else MODE_LABELS
-        weights = left @ (trans @ bare0)
-        lambda_coeffs = right * weights[None, :]
-        chi_coeffs = trans.T @ lambda_coeffs
-        return QuasiModeDecomposition(
-            params, eigenvalues, labels, right, left, weights,
-            lambda_coeffs, chi_coeffs, "normal",
+    eigenvalues = np.concatenate([sym_lam, anti_lam], axis=1)
+    trans = mode_matrices(*np.array([(p.g, p.v, r.zeta) for p, r in zip(points, rates)]).T)
+    weights = (left @ (trans @ bare0)[..., None])[..., 0]
+    lambda_coeffs = right * weights[:, None, :]
+    chi_coeffs = np.swapaxes(trans, 1, 2) @ lambda_coeffs
+    return [
+        sym_failed.get(i) or anti_failed.get(i) or QuasiModeDecomposition(
+            params, eigenvalues[i], MODE_LABELS if labeled[i] else None, right[i],
+            left[i], weights[i], lambda_coeffs[i], chi_coeffs[i], "normal",
         )
+        for i, params in enumerate(points)
+    ]
 
-    # asymmetric (or fully decoupled) parameters: dense solve in the bare basis
-    eigenvalues, right = np.linalg.eig(bare_generator(params))
-    left = np.linalg.inv(right)
+
+def _dense_decompositions(points, bare0) -> list:
+    """Asymmetric (or fully decoupled) points: dense solve in the bare basis."""
+    eigenvalues, right = np.linalg.eig(np.array([bare_generator(p) for p in points]))
+    left, failed = _inverse(right)
     weights = left @ bare0
-    chi_coeffs = right * weights[None, :]
-    return QuasiModeDecomposition(
-        params, eigenvalues, None, right, left, weights, None, chi_coeffs, "bare",
-    )
+    chi_coeffs = right * weights[:, None, :]
+    return [
+        failed.get(i) or QuasiModeDecomposition(
+            params, eigenvalues[i], None, right[i], left[i], weights[i], None,
+            chi_coeffs[i], "bare",
+        )
+        for i, params in enumerate(points)
+    ]

@@ -21,6 +21,10 @@ class DivergentIntegral(ValueError):
     """Requested frequency integral does not converge (eta_j + eta_k <= 0)."""
 
 
+class UnlabeledModes(ValueError):
+    """Output named by quasi-mode labels was asked of an unlabeled decomposition."""
+
+
 class LabelAmbiguous(UserWarning):
     """Two eigenvalues coincide; quasi-mode labels cannot be assigned."""
 

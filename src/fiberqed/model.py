@@ -26,6 +26,7 @@ __all__ = [
     "single_excitation",
     "derive_rates",
     "normal_mode_matrix",
+    "mode_matrices",
     "bare_to_normal",
     "normal_to_bare",
 ]
@@ -65,6 +66,9 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.detuning != 0.0:
             raise ValueError("only the resonant case detuning = 0 is supported")
+        # Python floats, so numpy scalar inputs give the same arithmetic bits
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
     def symmetric(self) -> bool:
         """True iff g1=g2, v1=v2 and kappa1=kappa2 (exact comparison)."""
@@ -208,19 +212,26 @@ def normal_mode_matrix(params: SystemParams) -> np.ndarray:
     Rows are (S+, S-, A+, A-, D) expressed over columns
     (xi1, xi2, alpha1, alpha2, beta); the inverse map is the transpose.
     """
-    g, v = params.g, params.v
-    zeta = derive_rates(params).zeta
+    return mode_matrices(params.g, params.v, derive_rates(params).zeta)
+
+
+def mode_matrices(g, v, zeta) -> np.ndarray:
+    """:func:`normal_mode_matrix` from g, v and zeta; arrays give a stack (..., 5, 5)."""
+    g, v, zeta = np.broadcast_arrays(g, v, zeta)
     gz = g / (2 * zeta)
     vz = v / zeta
-    return np.array(
+    half = np.full(g.shape, 0.5)
+    zero = np.zeros(g.shape)
+    return np.stack(
         [
-            [gz, gz, 0.5, 0.5, vz],
-            [gz, gz, -0.5, -0.5, vz],
-            [0.5, -0.5, 0.5, -0.5, 0.0],
-            [0.5, -0.5, -0.5, 0.5, 0.0],
-            [-vz, -vz, 0.0, 0.0, g / zeta],
-        ]
-    )
+            gz, gz, half, half, vz,
+            gz, gz, -half, -half, vz,
+            half, -half, half, -half, zero,
+            half, -half, -half, half, zero,
+            -vz, -vz, zero, zero, g / zeta,
+        ],
+        axis=-1,
+    ).reshape(g.shape + (5, 5))
 
 
 def bare_to_normal(state: BareState, params: SystemParams) -> NormalState:

@@ -30,6 +30,7 @@ __all__ = [
     "interference_integral",
     "lorentzian_integral",
     "integrated_spectrum",
+    "channel_totals",
     "lorentzian_approximation",
     "cavity_coefficients",
 ]
@@ -214,13 +215,44 @@ def lorentzian_integral(term: SpectralTerm) -> float:
     return float(abs(term.chi) ** 2 * np.pi / term.eta)
 
 
+def _pair_integrals(chi, lam) -> np.ndarray:
+    """Frequency integrals of |sum_j chi_cj L(omega, lam_j)|^2 for each row c of chi.
+
+    One pair kernel, -2 pi Re sum_jk chi_cj chi_ck^* / (lam_j + lam_k^*),
+    over the modes with chi_cj != 0: its diagonal is lorentzian_integral
+    and each off-diagonal pair sums to interference_integral.  Like those
+    functions it raises DivergentIntegral when such a mode has eta <= 0
+    (a pair can have eta_j + eta_k <= 0 only then), naming the first one.
+    """
+    active = chi != 0
+    eta = -lam.real
+    diverging = np.argwhere(active & (eta <= 0))
+    if diverging.size:
+        raise DivergentIntegral(f"eta = {eta[diverging[0, 1]]} <= 0")
+    both = active[:, :, None] & active[:, None, :]
+    den = np.where(both, lam[:, None] + lam.conj(), 1.0)  # lam_j + lam_k^* != 0 on both
+    pairs = chi[:, :, None] * chi.conj()[:, None, :] / den
+    return -2 * np.pi * pairs.real.sum(axis=(1, 2))
+
+
 def integrated_spectrum(spec: SpectrumDecomposition) -> float:
     """Closed-form frequency integral of the full channel spectrum."""
-    total = sum(lorentzian_integral(t) for t in spec.terms if t.chi != 0)
-    for j, k in spec.pairs:
-        if spec.terms[j].chi != 0 and spec.terms[k].chi != 0:
-            total += interference_integral(spec.terms[j], spec.terms[k])
-    return spec.prefactor * total
+    chi = np.array([[t.chi for t in spec.terms]])
+    lam = np.array([t.lam for t in spec.terms])
+    return spec.prefactor * float(_pair_integrals(chi, lam)[0])
+
+
+def channel_totals(decomp: QuasiModeDecomposition) -> dict:
+    """Integrated spectrum of every decay channel, from one pair kernel.
+
+    Equals integrated_spectrum(channel_spectrum(decomp, c)) for each
+    channel c up to rounding, without building the spectra.
+    """
+    totals = _pair_integrals(decomp.chi_coeffs, decomp.eigenvalues)
+    return {
+        c: _channel_prefactor(decomp.params, c) * float(totals[row])
+        for c, row in CHANNEL_ROWS.items()
+    }
 
 
 def lorentzian_approximation(spec: SpectrumDecomposition) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fiberqed import LabelAmbiguous
 from fiberqed.cli import _write_csv, main, parse_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,6 +134,46 @@ def test_critical_point_trajectory_runs(tmp_path, capsys):
     text = capsys.readouterr().out
     residual = float(text.split("conservation residual:")[1].split()[0])
     assert abs(residual) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "decomposition"])
+def test_sweep_later_point_failure_keeps_exit_code_and_message(tmp_path, capsys, kind):
+    # all points are decomposed before the first runs; the failing g = 0.8
+    # (p = 0) still fails at its turn, as the same point run alone does
+    single = write_cfg(tmp_path, BASE.format(kind=kind).replace("g = 7", "g = 0.8"), "one.cfg")
+    assert main([str(single), "--out", str(tmp_path / "one")]) == 3
+    alone = capsys.readouterr().err
+    assert alone.startswith("domain error: p = 0")
+    text = BASE.format(kind=kind) + "\n[sweep]\nparameter = g\nvalues = 7, 0.8, 2\n"
+    cfg = write_cfg(tmp_path, text, "sweep.cfg")
+    assert main([str(cfg), "--out", str(tmp_path / "sweep")]) == 3
+    assert capsys.readouterr().err == alone
+    written = sorted(p.name for p in (tmp_path / "sweep").glob("*.csv"))
+    assert written and all(name.startswith("sweep_g7_") for name in written)
+
+
+# g = 0.6, v = 0: the decoupled D root -kappa_b sits on an overdamped bright root
+COINCIDENT = (BASE.replace("g = 7", "g = 0.6").replace("v = 4", "v = 0")
+              .replace("kappa_b = 0.01", "kappa_b = 1.2708497377870814"))
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "spectrum"])
+def test_coincident_symmetric_roots_run(tmp_path, capsys, kind):
+    cfg = write_cfg(tmp_path, COINCIDENT.format(kind=kind))
+    with pytest.warns(LabelAmbiguous):
+        assert main([str(cfg), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    residual = float(out.split("conservation residual:")[1].split()[0])
+    assert abs(residual) < 1e-6
+    assert (tmp_path / f"case_{kind}.csv").exists()
+
+
+def test_coincident_symmetric_roots_decomposition_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, COINCIDENT.format(kind="decomposition"))
+    with pytest.warns(LabelAmbiguous):
+        assert main([str(cfg), "--out", str(tmp_path)]) == 3
+    assert "unlabeled" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("setting", ["dt = inf", "t_max = inf", "dt = nan"])

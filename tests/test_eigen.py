@@ -1,10 +1,14 @@
 """Quasi-mode diagonalization: blocks, labels, weights and reconstruction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fiberqed import (
+    MODE_LABELS,
     DegenerateBlock,
+    LabelAmbiguous,
     SystemParams,
     antisymmetric_block,
     bare_generator,
@@ -329,3 +333,171 @@ class TestFullDecomposition:
         critical = symmetric_params(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         with pytest.raises(DegenerateBlock):
             full_decomposition(critical)
+
+
+# g = 0.6, v = 0: the decoupled D root -kappa_b sits on an overdamped bright root
+COINCIDENT = symmetric_params(g=0.6, v=0.0, kappa=1.0, kappa_b=1.2708497377870814, gamma=GAMMA)
+
+
+def _draw_families(rng, n):
+    """Python-float parameter sets: the sweep range, random_symmetric, all
+    five rates log-uniform over 1e-2..1e2 (three-real-root points included),
+    the figure sets and the edge cases of the kernel."""
+    from conftest import ALL_FIGURE_SETS
+
+    points = []
+    for _ in range(n):
+        g = float(f"{np.exp(rng.uniform(np.log(0.05), np.log(100))):.6g}")
+        points.append(symmetric_params(g=g, v=float(f"{rng.uniform(2, 10):.6g}"),
+                                       kappa=1.0, kappa_b=0.01, gamma=GAMMA))
+        points.append(random_symmetric(rng))
+        g, v, kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 5))
+        points.append(symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
+    points += list(ALL_FIGURE_SETS.values())
+    points += [
+        COINCIDENT,
+        symmetric_params(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA),  # p = 0
+        symmetric_params(g=4.0, v=1.0, kappa=GAMMA / 2, kappa_b=0.01, gamma=GAMMA),
+        symmetric_params(g=0.0, v=0.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA),
+        SystemParams(2.0, 3.0, 1.0, 1.5, 0.5, 0.7, 0.05, GAMMA),  # asymmetric
+    ]
+    return points
+
+
+def _bits(decomp):
+    arrays = (decomp.eigenvalues, decomp.right_vectors, decomp.left_vectors,
+              decomp.weights, decomp.lambda_coeffs, decomp.chi_coeffs)
+    return decomp.labels, decomp.basis, [None if a is None else a.tobytes() for a in arrays]
+
+
+def _reference_decomposition(params):
+    """Per-point scalar form of the symmetric-parameter decomposition.
+
+    The oracle for the stacked kernel's bits: numpy scalar complex
+    arithmetic for the Cardano step, np.linalg.norm and np.cross on single
+    vectors, Python sorting for the labels.
+    """
+    r = derive_rates(params)
+    gsp, gsm, gsd, gd, zeta = r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d, r.zeta
+    sm = gsm / 2
+    c2 = gsp + gd
+    c1 = gsp**2 / 4 + zeta**2 - sm**2 + gd * gsp - 2 * gsd**2
+    c0 = gd * (gsp**2 / 4 + zeta**2 - sm**2) - gsd**2 * (gsp - 2 * sm)
+    a = c2 / 3.0
+    p = c1 - c2 * c2 / 3.0
+    q = c0 - c1 * c2 / 3.0 + 2.0 * c2**3 / 27.0
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    s = np.sqrt(complex(disc))
+    u3 = -q / 2.0 + s
+    if abs(u3) < abs(-q / 2.0 - s):
+        u3 = -q / 2.0 - s
+    u = u3 ** (1.0 / 3.0)
+    w = np.exp(2j * np.pi / 3.0)
+    us = np.array([u, u * w, u * np.conj(w)])
+    roots = us - p / (3.0 * us) - a
+    for _ in range(2):
+        f = ((roots + c2) * roots + c1) * roots + c0
+        df = (3.0 * roots + 2.0 * c2) * roots + c1
+        roots = roots - np.where(df != 0, f / np.where(df != 0, df, 1.0), 0.0)
+
+    gen = normal_generator(params)[np.ix_([0, 1, 4], [0, 1, 4])]
+    vectors = []
+    for lam in roots:
+        b = gen - lam * np.eye(3)
+        best = np.zeros(3, dtype=complex)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            cand = np.cross(b[i], b[j])
+            if np.linalg.norm(cand) > np.linalg.norm(best):
+                best = cand
+        vectors.append(best / np.linalg.norm(best))
+    if disc > 0:
+        qcd, *pair = np.argsort(np.abs(roots.imag))
+        plus, minus = sorted(pair, key=lambda j: roots[j].imag)
+    else:
+        qcd = max(range(3), key=lambda j: abs(vectors[j][2]))
+        minus, plus = sorted({0, 1, 2} - {qcd}, key=lambda j: roots[j].real)
+    order = [plus, minus, qcd]
+    sym_right = np.column_stack([vectors[j] for j in order])
+    anti = antisymmetric_block(params)
+
+    right = np.zeros((5, 5), dtype=complex)
+    left = np.zeros((5, 5), dtype=complex)
+    right[np.ix_([0, 1, 4], [0, 1, 2])] = sym_right
+    right[np.ix_([2, 3], [3, 4])] = anti.right_vectors
+    left[np.ix_([0, 1, 2], [0, 1, 4])] = np.linalg.inv(sym_right)
+    left[np.ix_([3, 4], [2, 3])] = anti.left_vectors
+    trans = normal_mode_matrix(params)
+    weights = left @ (trans @ np.array([1, 0, 0, 0, 0], dtype=complex))
+    lambda_coeffs = right * weights[None, :]
+    eigenvalues = np.concatenate([roots[order], anti.eigenvalues])
+    return MODE_LABELS, "normal", [x.tobytes() for x in (
+        eigenvalues, right, left, weights, lambda_coeffs, trans.T @ lambda_coeffs)]
+
+
+class TestBatchedKernel:
+    def test_batch_equals_single_calls_bit_for_bit(self, rng):
+        # and both equal the per-point scalar reference wherever labels exist
+        from fiberqed import full_decompositions
+
+        points = _draw_families(rng, 300)
+        with pytest.warns(LabelAmbiguous):
+            batch = full_decompositions(points)
+        assert len(batch) == len(points)
+        for params, got in zip(points, batch):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", LabelAmbiguous)
+                    single = full_decomposition(params)
+            except ValueError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert _bits(got) == _bits(single)
+            if single.labels is not None:
+                assert _bits(single) == _reference_decomposition(params)
+        labeled = [d.labels is not None for d in batch if not isinstance(d, Exception)]
+        # unlabeled: the coincident point and the two dense ones (g = v = 0, asymmetric)
+        assert labeled.count(False) == 3
+
+    def test_float_type_does_not_change_bits(self, rng):
+        # np.float64 fields are stored as Python floats, so both give the same arithmetic
+        names = ("g1", "g2", "v1", "v2", "kappa1", "kappa2", "kappa_b", "gamma")
+        for params in [FIG5] + [random_symmetric(rng) for _ in range(50)]:
+            values = [getattr(params, name) for name in names]
+            as_numpy = SystemParams(*map(np.float64, values))
+            as_float = SystemParams(*map(float, values))
+            assert all(type(getattr(as_numpy, name)) is float for name in names)
+            assert _bits(full_decomposition(as_numpy)) == _bits(full_decomposition(as_float))
+
+    def test_coincident_roots_fall_back_unlabeled(self):
+        with pytest.warns(LabelAmbiguous):
+            block = symmetric_block(COINCIDENT)
+        assert block.labels is None
+        assert np.abs(block.left_vectors @ block.right_vectors - np.eye(3)).max() < 1e-10
+        sym = normal_generator(COINCIDENT)[np.ix_([0, 1, 4], [0, 1, 4])]
+        recon = block.right_vectors @ np.diag(block.eigenvalues) @ block.left_vectors
+        assert np.abs(recon - sym).max() < 1e-12
+        with pytest.warns(LabelAmbiguous):
+            decomp = full_decomposition(COINCIDENT)
+        assert decomp.labels is None
+        traj = atom1_oracle(COINCIDENT, t_max=3.0, record_every=100)
+        recon = decomp.bare_amplitudes(traj.times).T
+        assert np.abs(recon - traj.states).max() < 1e-8
+
+    def test_one_failing_point_does_not_fail_the_batch(self):
+        from fiberqed import full_decompositions
+
+        critical = symmetric_params(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        first, second, third = full_decompositions([FIG8, critical, FIG3])
+        assert isinstance(second, DegenerateBlock)
+        assert _bits(first) == _bits(full_decomposition(FIG8))
+        assert _bits(third) == _bits(full_decomposition(FIG3))
+
+    def test_singular_matrix_fails_only_its_point(self):
+        from fiberqed.eigen import _inverse
+
+        mats = np.array([np.eye(3), np.ones((3, 3)), 2 * np.eye(3)], dtype=complex)
+        inv, failed = _inverse(mats)
+        assert list(failed) == [1] and str(failed[1]) == "Singular matrix"
+        assert np.isnan(inv[1]).all()
+        for i in (0, 2):
+            assert inv[i].tobytes() == np.linalg.inv(mats[i]).tobytes()

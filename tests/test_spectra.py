@@ -9,8 +9,10 @@ from fiberqed import (
     GridInvalid,
     RegimeWarning,
     SpectralTerm,
+    SpectrumDecomposition,
     cavity_coefficients,
     channel_spectrum,
+    channel_totals,
     default_omega_grid,
     derive_rates,
     full_decomposition,
@@ -208,6 +210,60 @@ class TestIntegrals:
                 for c in ("atom1", "atom2", "cavity1", "cavity2", "fiber")
             )
             assert abs(total - 1.0) < 1e-4
+
+
+class TestPairKernel:
+    @staticmethod
+    def per_term_total(spec):
+        active = [t for t in spec.terms if t.chi != 0]
+        total = sum(lorentzian_integral(t) for t in active)
+        total += sum(interference_integral(tj, tk)
+                     for j, tj in enumerate(active) for tk in active[j + 1:])
+        return spec.prefactor * total
+
+    def test_channel_totals_match_per_term_integrals(self, rng):
+        draws = [FIG6[2.0], FIG7, FIG8, FIG10,
+                 symmetric_params(g=0.01, v=0.01, kappa=1.0, kappa_b=0.01, gamma=GAMMA)]
+        for _ in range(40):
+            g, v, kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 5))
+            draws.append(symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
+        grid = np.linspace(-1.0, 1.0, 3)
+        for params in draws:
+            decomp = full_decomposition(params)
+            totals = channel_totals(decomp)
+            assert list(totals) == ["atom1", "atom2", "cavity1", "cavity2", "fiber"]
+            for channel, total in totals.items():
+                spec = channel_spectrum(decomp, channel, grid)
+                expected = self.per_term_total(spec)
+                # relative to the Lorentzian sum: |W_jk| <= L_j + L_k bounds every
+                # term, and a dark channel's total can cancel to rounding size
+                scale = spec.prefactor * sum(lorentzian_integral(t) for t in spec.terms
+                                             if t.chi != 0)
+                assert abs(total - expected) <= 1e-12 * scale
+                assert abs(integrated_spectrum(spec) - expected) <= 1e-12 * scale
+            assert abs(sum(totals.values()) - 1.0) < 1e-9
+
+    def test_divergence_raised_where_per_term_functions_raise(self):
+        # lossless: every eta is 0, so the first Lorentzian already diverges
+        lossless = full_decomposition(
+            symmetric_params(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0)
+        )
+        spec = channel_spectrum(lossless, "cavity1", np.linspace(-1.0, 1.0, 3))
+        with pytest.raises(DivergentIntegral) as per_term:
+            self.per_term_total(spec)
+        with pytest.raises(DivergentIntegral) as kernel:
+            channel_totals(lossless)
+        assert str(kernel.value) == str(per_term.value)
+        # a growing mode with chi = 0 takes no part in the integral
+        terms = [SpectralTerm(None, 1.0 + 0j, complex(-0.5, -1.0)),
+                 SpectralTerm(None, 0j, complex(0.2, 1.0))]
+        quiet = SpectrumDecomposition("atom1", 1.0, terms, np.zeros(1))
+        assert integrated_spectrum(quiet) == pytest.approx(np.pi / 0.5, rel=1e-15)
+        # with chi != 0 the growing mode's Lorentzian diverges first
+        terms = [SpectralTerm(None, 1.0 + 0j, complex(-0.5, -1.0)),
+                 SpectralTerm(None, 1.0 + 0j, complex(0.2, 1.0))]
+        with pytest.raises(DivergentIntegral, match="eta = -0.2 <= 0"):
+            integrated_spectrum(SpectrumDecomposition("atom1", 1.0, terms, np.zeros(1)))
 
 
 class TestLorentzianApproximation:
