@@ -9,6 +9,7 @@ self-documenting and byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from configparser import ConfigParser, Error as ConfigParserError
@@ -315,13 +316,24 @@ def _format_rows(rows: np.ndarray) -> bytes:
     return slots.tobytes().translate(None, b"\0")
 
 
+def _open_untruncated(path, flags):
+    # ext4 flushes a file truncated to zero length when it is closed, which
+    # makes a rerun into the same directory wait on the disk once per file
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_csv(path: Path, header, columns_data) -> None:
-    """Write the header lines, then one `_FMT` row per sample, in row blocks."""
+    """Write the header lines, then one `_FMT` row per sample, in row blocks.
+
+    An existing file is overwritten in place and then cut to the new length,
+    so it ends up with the same bytes as one opened with truncation.
+    """
     data = np.column_stack(columns_data)
-    with open(path, "wb") as fh:
+    with open(path, "wb", opener=_open_untruncated) as fh:
         fh.write(("\n".join(header) + "\n").encode())
         for start in range(0, len(data), _BLOCK_ROWS):
             fh.write(_format_rows(data[start:start + _BLOCK_ROWS]))
+        fh.truncate()
 
 
 def _omega_grid(scn: Scenario, params: SystemParams) -> np.ndarray:

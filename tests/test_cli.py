@@ -313,3 +313,13 @@ def test_csv_writer_pinned_cells(tmp_path, value, text):
     expected = f"# header\n{text},1.000000000000e+00\n0.000000000000e+00,{text}\n"
     assert written_rows(tmp_path, data) == expected.encode()
     assert savetxt_bytes(data) == expected.encode()[len("# header\n"):]
+
+
+def test_csv_writer_rewrites_in_place(tmp_path):
+    long, short = np.arange(600.0).reshape(200, 3), np.array([[1.5, -2.0]])
+    before = written_rows(tmp_path, long)
+    inode = (tmp_path / "rows.csv").stat().st_ino
+    # a shorter rewrite leaves nothing of the longer file behind
+    assert written_rows(tmp_path, short) == b"# header\n" + savetxt_bytes(short)
+    assert (tmp_path / "rows.csv").stat().st_ino == inode
+    assert written_rows(tmp_path, long) == before
