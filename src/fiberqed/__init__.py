@@ -37,7 +37,6 @@ from .dynamics import (
     Trajectory,
     bare_generator,
     evolve_bare,
-    evolve_normal,
     normal_generator,
     occupations,
 )

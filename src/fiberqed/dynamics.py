@@ -17,9 +17,9 @@ from .model import (
     BARE_MODES,
     NORMAL_MODES,
     BareState,
-    NormalState,
     SystemParams,
     derive_rates,
+    flux_weights,
     normal_mode_matrix,
 )
 
@@ -31,13 +31,16 @@ __all__ = [
     "normal_generator",
     "symmetric_generator",
     "evolve_bare",
-    "evolve_normal",
     "occupations",
 ]
 
 CHANNELS = BARE_MODES
 # normal coordinates (S+, S-, A+, A-, D) of the symmetric and anti-symmetric blocks
 SYM_ROWS, ANTI_ROWS = [0, 1, 4], [2, 3]
+# RK4 steps evaluated per dense matrix-power block
+_BLOCK = 4096
+# allowed excess of the RK4 step's spectral radius over 1 (see _integrate)
+_RADIUS_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,8 @@ class IntegratorConfig:
             raise ConfigInvalid(f"dt must be finite and > 0, got {self.dt}")
         if not (0 < self.t_max < np.inf):
             raise ConfigInvalid(f"t_max must be finite and > 0, got {self.t_max}")
+        if self.dt > self.t_max:
+            raise ConfigInvalid(f"dt = {self.dt} exceeds the horizon t_max = {self.t_max}")
         if self.record_every < 1:
             raise ConfigInvalid(f"record_every must be >= 1, got {self.record_every}")
 
@@ -66,20 +71,19 @@ class IntegratorConfig:
 class Trajectory:
     """Time grid, amplitude history and per-channel detection probabilities.
 
-    states holds one amplitude row per time point; in the 'bare' basis the
-    columns are (xi1, xi2, alpha1, alpha2, beta), in the 'normal' basis
-    (S+, S-, A+, A-, D).  channel_probs maps each decay channel to the
-    cumulative probability that the photon was detected there by time t;
-    survival is the remaining norm^2.  At every grid point
-    survival + sum(channel_probs) = 1 up to integration error.
+    states holds one row of bare amplitudes (xi1, xi2, alpha1, alpha2, beta)
+    per time point; :func:`occupations` projects them onto the normal modes.
+    channel_probs maps each decay channel to the cumulative probability
+    that the photon was detected there by time t; survival is the remaining
+    norm^2.  At every grid point survival + sum(channel_probs) = 1 up to
+    integration error.  params is the parameter set that was evolved.
     """
 
     times: np.ndarray
     states: np.ndarray
     channel_probs: dict
     survival: np.ndarray
-    basis: str
-    params: SystemParams = field(repr=False, default=None)
+    params: SystemParams = field(repr=False)
 
     def detected_total(self) -> np.ndarray:
         return sum(self.channel_probs[c] for c in CHANNELS)
@@ -151,27 +155,22 @@ def symmetric_generator(zeta, gamma_s_plus, gamma_s_minus, gamma_sd, gamma_d) ->
     return gen
 
 
-def _flux_weights(params: SystemParams) -> np.ndarray:
-    # photon flux per channel: gamma*|xi|^2 for atoms, 2*kappa*|alpha|^2 for
-    # fields (amplitude decay kappa implies energy flux 2*kappa*|alpha|^2)
-    return np.array(
-        [
-            params.gamma,
-            params.gamma,
-            2 * params.kappa1,
-            2 * params.kappa2,
-            2 * params.kappa_b,
-        ]
-    )
-
-
-def _integrate(gen, y0, cfg, weights, to_bare, block=4096):
+def _integrate(gen, y0, cfg, weights):
     """Blocked classical RK4 for dy/dt = gen @ y with flux accumulation.
 
     For a linear autonomous system the RK4 stage amplitudes are fixed
     polynomials of the generator, so whole blocks of steps can be evaluated
     with dense matrix products; the scheme is deterministic and
-    algebraically identical to the scalar step loop.
+    algebraically identical to the scalar step loop.  The photon flux
+    weights[c] * |y_c|^2 is integrated with the same stages.
+
+    A step is rejected (ConfigInvalid) when the spectral radius of the step
+    matrix phi exceeds 1 by more than _RADIUS_MARGIN = 1e-12: outside its
+    stability region RK4 amplifies every step, and fig3 at dt = 0.5 ends in
+    overflow.  The margin is for rounding, which moves the eigenvalues of
+    phi by about n * eps * |phi| ~ 1e-15 (6.7e-16 on a lossless set, whose
+    exact radius is at most 1).  It lets the norm grow by a factor of at
+    most (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.
     """
     cfg.validate()
     dt = cfg.dt
@@ -181,43 +180,43 @@ def _integrate(gen, y0, cfg, weights, to_bare, block=4096):
     b3 = eye + 0.5 * dt * (gen @ b2)
     b4 = eye + dt * (gen @ b3)
     phi = eye + (dt / 6.0) * (gen @ (eye + 2 * b2 + 2 * b3 + b4))
-    # flux is evaluated on the physical (bare) amplitudes at each RK4 stage
-    stage_maps = [to_bare, to_bare @ b2, to_bare @ b3, to_bare @ b4]
-    stage_w = (1.0, 2.0, 2.0, 1.0)
+    radius = np.abs(np.linalg.eigvals(phi)).max()
+    if not radius <= 1.0 + _RADIUS_MARGIN:
+        raise ConfigInvalid(
+            f"dt = {dt} is outside the RK4 stability region: the step matrix "
+            f"has spectral radius 1 + {radius - 1.0:.3g}"
+        )
 
-    block = min(block, n_steps)
+    block = min(_BLOCK, n_steps)
     powers = np.empty((block, 5, 5), dtype=complex)
     powers[0] = eye
     for j in range(1, block):
         powers[j] = powers[j - 1] @ phi
     flat_powers = powers.reshape(block * 5, 5)
 
-    rec_idx = list(range(0, n_steps + 1, cfg.record_every))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
-    rec_set = np.array(rec_idx)
+    rec_set = np.arange(0, n_steps + 1, cfg.record_every)
+    if rec_set[-1] != n_steps:
+        rec_set = np.append(rec_set, n_steps)
 
-    states = np.empty((len(rec_idx), 5), dtype=complex)
-    probs = np.empty((len(rec_idx), 5))
+    states = np.empty((len(rec_set), 5), dtype=complex)
+    probs = np.empty((len(rec_set), 5))
     y = y0.astype(complex)
     acc = np.zeros(5)
     start = 0
     while start <= n_steps:
         length = min(block, n_steps + 1 - start)
         amps = (flat_powers[: length * 5] @ y).reshape(length, 5)
-        # flux quadrature for steps start .. start+length-1
-        q = np.zeros((length, 5))
-        for w, smap in zip(stage_w, stage_maps):
-            q += w * np.abs(amps @ smap.T) ** 2
-        incr = (dt / 6.0) * q * weights[None, :]
-        cum = np.cumsum(incr, axis=0)
-        # record any requested indices inside this window
-        lo = np.searchsorted(rec_set, start)
-        hi = np.searchsorted(rec_set, start + length)
-        for k in range(lo, hi):
-            j = rec_set[k] - start
-            states[k] = amps[j]
-            probs[k] = acc + (cum[j - 1] if j > 0 else 0.0)
+        # flux quadrature over the four RK4 stages of steps start .. start+length-1
+        stages = (amps, amps @ b2.T, amps @ b3.T, amps @ b4.T)
+        q = sum(w * np.abs(s) ** 2 for w, s in zip((1.0, 2.0, 2.0, 1.0), stages))
+        # cum[j]: flux detected from step start to step start + j
+        cum = np.zeros((length + 1, 5))
+        np.cumsum((dt / 6.0) * q * weights[None, :], axis=0, out=cum[1:])
+        # record the requested indices inside this window
+        lo, hi = np.searchsorted(rec_set, (start, start + length))
+        rows = rec_set[lo:hi] - start
+        states[lo:hi] = amps[rows]
+        probs[lo:hi] = acc + cum[rows]
         acc += cum[-1]
         y = phi @ amps[-1]
         start += length
@@ -238,29 +237,9 @@ def evolve_bare(
     dP_atom,i/dt = gamma*|xi_i|^2, so survival + detected stays at 1.
     """
     times, states, probs, surv = _integrate(
-        bare_generator(params),
-        initial.to_array(),
-        cfg,
-        _flux_weights(params),
-        np.eye(5),
+        bare_generator(params), initial.to_array(), cfg, flux_weights(params)
     )
-    return Trajectory(times, states, probs, surv, "bare", params)
-
-
-def evolve_normal(
-    params: SystemParams, initial: NormalState, cfg: IntegratorConfig
-) -> Trajectory:
-    """Integrate the normal-mode equations directly (symmetric case only)."""
-    params.require_symmetric()
-    to_bare = normal_mode_matrix(params).T
-    times, states, probs, surv = _integrate(
-        normal_generator(params),
-        initial.to_array(),
-        cfg,
-        _flux_weights(params),
-        to_bare,
-    )
-    return Trajectory(times, states, probs, surv, "normal", params)
+    return Trajectory(times, states, probs, surv, params)
 
 
 def occupations(traj: Trajectory) -> dict:
@@ -268,23 +247,13 @@ def occupations(traj: Trajectory) -> dict:
 
     Always returns the five physical occupations; for symmetric parameters
     the five normal-mode occupations are included as well (keys
-    NORMAL_MODES).
+    NORMAL_MODES), projected with :func:`normal_mode_matrix`.
     """
-    if traj.basis == "bare":
-        bare = traj.states
-        normal = None
-        if traj.params is not None and traj.params.symmetric():
-            try:
-                normal = traj.states @ normal_mode_matrix(traj.params).T
-            except ValueError:  # g = v = 0: no normal basis
-                normal = None
-    elif traj.basis == "normal":
-        normal = traj.states
-        bare = traj.states @ normal_mode_matrix(traj.params)
-    else:
-        raise ValueError(f"unknown trajectory basis {traj.basis!r}")
-
-    result = {k: np.abs(bare[:, i]) ** 2 for i, k in enumerate(BARE_MODES)}
-    if normal is not None:
+    result = {k: np.abs(traj.states[:, i]) ** 2 for i, k in enumerate(BARE_MODES)}
+    if traj.params.symmetric():
+        try:
+            normal = traj.states @ normal_mode_matrix(traj.params).T
+        except ValueError:  # g = v = 0: no normal basis
+            return result
         result.update({k: np.abs(normal[:, i]) ** 2 for i, k in enumerate(NORMAL_MODES)})
     return result

@@ -25,6 +25,7 @@ __all__ = [
     "symmetric_params",
     "single_excitation",
     "derive_rates",
+    "flux_weights",
     "normal_mode_matrix",
     "mode_matrices",
     "bare_to_normal",
@@ -203,6 +204,23 @@ def derive_rates(params: SystemParams) -> DerivedRates:
         gamma_a_minus=gamma_a_minus,
         gamma_sd=(gamma / 2 - kappa_b) * v * g / zeta_sq,
         gamma_d=(gamma * v * v + g * g * kappa_b) / zeta_sq,
+    )
+
+
+def flux_weights(params: SystemParams) -> np.ndarray:
+    """Photon flux per unit |amplitude|^2 of each channel, in BARE_MODES order.
+
+    gamma*|xi|^2 for the atoms and 2*kappa*|alpha|^2 for the fields: an
+    amplitude decay rate kappa implies an energy flux 2*kappa*|alpha|^2.
+    """
+    return np.array(
+        [
+            params.gamma,
+            params.gamma,
+            2 * params.kappa1,
+            2 * params.kappa2,
+            2 * params.kappa_b,
+        ]
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .eigen import CHANNEL_ROWS, QuasiModeDecomposition
 from .errors import DivergentIntegral, GridInvalid
-from .model import SystemParams, derive_rates
+from .model import SystemParams, derive_rates, flux_weights
 from .perturb import perturbative_symmetric
 
 __all__ = [
@@ -66,16 +66,9 @@ class SpectralTerm:
         return self.chi * spectral_function(omega, self.lam)
 
 
-def _channel_prefactor(params: SystemParams, channel: str) -> float:
-    if channel in ("atom1", "atom2"):
-        return params.gamma / (2 * np.pi)
-    if channel == "cavity1":
-        return params.kappa1 / np.pi
-    if channel == "cavity2":
-        return params.kappa2 / np.pi
-    if channel == "fiber":
-        return params.kappa_b / np.pi
-    raise ValueError(f"unknown channel {channel!r}; choose from {sorted(CHANNEL_ROWS)}")
+def _channel_prefactors(params: SystemParams) -> np.ndarray:
+    # spectral density per unit angular frequency: the channel's flux weight / 2 pi
+    return flux_weights(params) / (2 * np.pi)
 
 
 def default_omega_grid(params: SystemParams, n: int = 4001) -> np.ndarray:
@@ -170,12 +163,15 @@ def channel_spectrum(
     the fiber kappa_b/pi; the squared Laplace transform is evaluated in
     closed form from the chi coefficients and eigenvalues.
     """
-    prefactor = _channel_prefactor(decomp.params, channel)
+    if channel not in CHANNEL_ROWS:
+        raise ValueError(f"unknown channel {channel!r}; choose from {sorted(CHANNEL_ROWS)}")
+    index = CHANNEL_ROWS[channel]
+    prefactor = float(_channel_prefactors(decomp.params)[index])
     if omega_grid is None:
         omega_grid = default_omega_grid(decomp.params)
     grid = _check_grid(omega_grid)
 
-    row = decomp.chi_coeffs[CHANNEL_ROWS[channel]]
+    row = decomp.chi_coeffs[index]
     labels = decomp.labels if decomp.labels is not None else (None,) * 5
     terms = [
         SpectralTerm(labels[j], complex(row[j]), complex(decomp.eigenvalues[j]))
@@ -249,9 +245,9 @@ def channel_totals(decomp: QuasiModeDecomposition) -> dict:
     channel c up to rounding, without building the spectra.
     """
     totals = _pair_integrals(decomp.chi_coeffs, decomp.eigenvalues)
+    prefactors = _channel_prefactors(decomp.params)
     return {
-        c: _channel_prefactor(decomp.params, c) * float(totals[row])
-        for c, row in CHANNEL_ROWS.items()
+        c: float(prefactors[row]) * float(totals[row]) for c, row in CHANNEL_ROWS.items()
     }
 
 

@@ -186,6 +186,34 @@ def test_non_finite_integrator_setting_exits_2(tmp_path, capsys, setting):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "dt, t_max, message",
+    [
+        ("1.0", "0.1", "exceeds the horizon"),  # one step would run past t_max
+        ("0.06", "20", "stability region"),  # RK4 step radius 1 + 0.344
+    ],
+)
+def test_bad_time_step_exits_2(tmp_path, capsys, dt, t_max, message):
+    text = (SCENARIO_DIR / "fig3.cfg").read_text()
+    text = text.replace("t_max = 2.0", f"t_max = {t_max}").replace("dt = 1e-4", f"dt = {dt}")
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_stable_coarse_time_step_runs(tmp_path, capsys):
+    # dt = 0.05 keeps fig3's RK4 step radius at 1 - 6.0e-4
+    text = (SCENARIO_DIR / "fig3.cfg").read_text()
+    text = text.replace("t_max = 2.0", "t_max = 20").replace("dt = 1e-4", "dt = 0.05")
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 0
+    residual = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
+    # stable, not accurate: g * dt = 2.5 leaves a residual of -0.53
+    assert abs(residual) < 1.0
+    assert (tmp_path / "case_trajectory.csv").exists()
+
+
 def test_empty_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "")
     assert main([str(cfg)]) == 2

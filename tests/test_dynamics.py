@@ -7,21 +7,20 @@ from scipy.integrate import solve_ivp
 from fiberqed import (
     ConfigInvalid,
     IntegratorConfig,
-    NonSymmetric,
     NormalState,
     SystemParams,
     bare_generator,
-    bare_to_normal,
     derive_rates,
     evolve_bare,
-    evolve_normal,
+    normal_generator,
     normal_mode_matrix,
+    normal_to_bare,
     occupations,
     single_excitation,
     symmetric_params,
 )
 
-from conftest import FIG3, FIG4, FIG5, GAMMA, atom1_oracle
+from conftest import ALL_FIGURE_SETS, FIG3, FIG4, FIG5, GAMMA, atom1_oracle
 
 ATOM1 = single_excitation("atom1")
 
@@ -85,16 +84,29 @@ def test_against_scipy_reference():
     assert np.abs(traj.states - sol.y.T).max() < 1e-6
 
 
-def test_normal_and_bare_pictures_agree():
-    cfg = IntegratorConfig(dt=1e-4, t_max=3.0, record_every=50)
-    bare = evolve_bare(FIG4, ATOM1, cfg)
-    normal = evolve_normal(FIG4, bare_to_normal(ATOM1, FIG4), cfg)
-    mapped = bare.states @ normal_mode_matrix(FIG4).T
-    assert np.abs(mapped - normal.states).max() < 1e-9
-    for channel in bare.channel_probs:
-        assert np.abs(
-            bare.channel_probs[channel] - normal.channel_probs[channel]
-        ).max() < 1e-9
+def _random_symmetric(rng, n):
+    # log-uniform couplings over 0.1-100 and rates over 0.01-10
+    for _ in range(n):
+        g, v = 10 ** rng.uniform(-1, 2, size=2)
+        kappa, kappa_b, gamma = 10 ** rng.uniform(-2, 1, size=3)
+        yield symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
+
+
+def test_normal_generator_is_bare_generator_in_normal_basis(rng):
+    # The normal picture is the orthogonal change of basis T: N = T G T^T.
+    # Each entry of T G T^T sums 25 products of entries with |T| <= 1, so
+    # rounding stays below 25 eps max|G|; the rates inside N add a few eps.
+    # Bound: 32 eps = 7.1e-15 relative to max|G|; these sets measure 4.4e-16.
+    bound = 32 * np.finfo(float).eps
+    sets = [*ALL_FIGURE_SETS.values(), *_random_symmetric(rng, 200)]
+    worst = 0.0
+    for params in sets:
+        gen = bare_generator(params)
+        t = normal_mode_matrix(params)
+        err = np.abs(t @ gen @ t.T - normal_generator(params)).max() / np.abs(gen).max()
+        worst = max(worst, err)
+    print(f"max relative |T G T^T - N| = {worst:.2e} (bound {bound:.2e})")
+    assert worst <= bound
 
 
 def test_decoupled_dark_mode():
@@ -103,9 +115,22 @@ def test_decoupled_dark_mode():
     rates = derive_rates(params)
     assert rates.gamma_sd == 0.0
     cfg = IntegratorConfig(dt=1e-4, t_max=2.0, record_every=20)
-    traj = evolve_normal(params, NormalState(0, 0, 0, 0, 1), cfg)
-    assert np.abs(traj.states[:, 4] - np.exp(-rates.gamma_d * traj.times)).max() < 1e-10
-    assert np.abs(traj.states[:, :2]).max() < 1e-14
+    traj = evolve_bare(params, normal_to_bare(NormalState(0, 0, 0, 0, 1), params), cfg)
+    normal = traj.states @ normal_mode_matrix(params).T
+    assert np.abs(normal[:, 4] - np.exp(-rates.gamma_d * traj.times)).max() < 1e-10
+    assert np.abs(normal[:, :2]).max() < 1e-14
+
+
+def test_recorded_rows_are_the_full_run_at_those_steps():
+    # 10 000 steps span three 4096-step blocks; the final step is appended
+    every = atom1_oracle(FIG4, t_max=1.0)
+    sparse = atom1_oracle(FIG4, t_max=1.0, record_every=7)
+    rows = np.append(np.arange(0, 10001, 7), 10000)
+    assert rows[-2:].tolist() == [9996, 10000]
+    assert np.array_equal(sparse.times, every.times[rows])
+    assert np.array_equal(sparse.states, every.states[rows])
+    for channel, series in every.channel_probs.items():
+        assert np.array_equal(sparse.channel_probs[channel], series[rows])
 
 
 def test_fig4_bright_states_stay_dark():
@@ -143,20 +168,17 @@ def test_asymmetric_parameters_supported():
     assert "bs_plus" not in occ  # no normal picture without symmetry
 
 
-def test_evolve_normal_requires_symmetry():
-    params = SystemParams(3.0, 5.0, 2.0, 1.0, 0.7, 1.3, 0.05, GAMMA)
-    with pytest.raises(NonSymmetric):
-        evolve_normal(params, NormalState(0, 0, 0, 0, 1), IntegratorConfig(t_max=1.0))
-
-
 @pytest.mark.parametrize(
     "cfg",
     [
         IntegratorConfig(dt=0.0, t_max=1.0),
         IntegratorConfig(dt=1e-4, t_max=0.0),
         IntegratorConfig(dt=1e-4, t_max=1.0, record_every=0),
+        IntegratorConfig(dt=1.0, t_max=0.1),  # would step past the horizon
+        IntegratorConfig(dt=0.06, t_max=20.0),  # RK4 step radius 1 + 0.344 on FIG3
     ],
 )
 def test_invalid_config_rejected(cfg):
     with pytest.raises(ConfigInvalid):
         evolve_bare(FIG3, ATOM1, cfg)
+
