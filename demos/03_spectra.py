@@ -12,7 +12,6 @@ from fiberqed import (
     derive_rates,
     full_decomposition,
     integrated_spectrum,
-    interference_integral,
     lorentzian_approximation,
     symmetric_params,
 )
@@ -50,8 +49,8 @@ print(" the two ports together at omega = 0)")
 print("\nnet interference contributions to cavity 1 vs cavity 2:")
 for a, b in (("QCD", "QFD-"), ("QCD", "QBS-"), ("QBS+", "QFD+")):
     ja, jb = decomp.index(a), decomp.index(b)
-    w1 = interference_integral(s1.terms[ja], s1.terms[jb])
-    w2 = interference_integral(s2.terms[ja], s2.terms[jb])
+    # pair matrix: [j, k] + [k, j] is the net interference integral of poles j, k
+    w1, w2 = (s.pair_integrals[ja, jb] + s.pair_integrals[jb, ja] for s in (s1, s2))
     kind = "opposite" if w1 * w2 < 0 else "same sign"
     print(f"  {a:4s} x {b:4s}: {w1:+.5f} vs {w2:+.5f}  ({kind})")
 

@@ -57,17 +57,13 @@ from .perturb import (
     perturbative_symmetric,
 )
 from .spectra import (
-    SpectralTerm,
     SpectrumDecomposition,
     cavity_coefficients,
     channel_spectrum,
     channel_totals,
     default_omega_grid,
     integrated_spectrum,
-    interference_integral,
-    interference_term,
     lorentzian_approximation,
-    lorentzian_integral,
     spectral_function,
 )
 

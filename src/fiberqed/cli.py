@@ -47,7 +47,7 @@ class Scenario:
     dt: float
     record_every: int
     omega_spec: tuple | None  # (min, max, points) or None for the default grid
-    sweep: tuple | None       # (parameter, values) or None
+    points: tuple             # ((parameter, value) or None, SystemParams) per point
     out_base: str
 
 
@@ -170,7 +170,7 @@ def parse_scenario(path) -> Scenario:
                                 "is not an integer >= 2")
         omega_spec = (lo, hi, int(n))
 
-    sweep = None
+    points = ((None, params),)
     if cp.has_section("sweep"):
         raw_sweep = dict(cp.items("sweep"))
         for key in raw_sweep:
@@ -191,13 +191,18 @@ def parse_scenario(path) -> Scenario:
         if not values or not all(np.isfinite(values)):
             raise ConfigInvalid("[sweep] values must be a non-empty list of finite numbers")
         suffixes = {}  # each value names its output files through f"{value:g}"
+        points = []
         for value in values:
             tag = f"{value:g}"
             if tag in suffixes:
                 raise ConfigInvalid(f"[sweep] values {suffixes[tag]!r} and {value!r} "
                                     f"both give the file suffix {parameter}{tag}")
             suffixes[tag] = value
-        sweep = (parameter, values)
+            try:
+                point_params = replace(params, **dict.fromkeys(SWEEPABLE[parameter], value))
+            except ValueError as exc:
+                raise ConfigInvalid(f"[sweep] {parameter} = {value!r}: {exc}") from None
+            points.append(((parameter, value), point_params))
 
     return Scenario(
         name=path.stem,
@@ -209,7 +214,7 @@ def parse_scenario(path) -> Scenario:
         dt=dt,
         record_every=record_every,
         omega_spec=omega_spec,
-        sweep=sweep,
+        points=tuple(points),
         out_base=raw_run.get("out", path.stem),
     )
 
@@ -388,6 +393,8 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
                 "coincident eigenvalues in the symmetric block leave the quasi modes "
                 "unlabeled; a decomposition run needs the labels"
             )
+        # a non-decaying excited mode fails here, before any file of this point
+        totals = spectra.channel_totals(decomp)
         grid = _omega_grid(scn, params)
         specs = {c: spectra.channel_spectrum(decomp, c, grid) for c in scn.channels}
         if scn.run == "spectrum":
@@ -399,7 +406,7 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         else:  # decomposition
             for c in scn.channels:
                 spec = specs[c]
-                names = [t.label for t in spec.terms]
+                names = spec.labels
                 cols = (["omega", "total"]
                         + [f"lorentzian_{n}" for n in names]
                         + [f"w_{names[j]}_{names[k]}" for j, k in spec.pairs]
@@ -411,7 +418,6 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
                 path = out_dir / f"{scn.out_base}{suffix}_decomposition_{c}.csv"
                 _write_csv(path, _header(scn, params, cols, point), data)
                 files.append(path)
-        totals = spectra.channel_totals(decomp)
         residual = sum(totals.values()) - 1.0
     summary.append(
         "channel totals: "
@@ -432,18 +438,12 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
     out = Path(out_dir) if out_dir is not None else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
 
-    points = [None]
-    if scn.sweep is not None:
-        points = [(scn.sweep[0], value) for value in scn.sweep[1]]
-    params = [
-        scn.params if point is None
-        else replace(scn.params, **dict.fromkeys(SWEEPABLE[point[0]], point[1]))
-        for point in points
-    ]
-    decomps = eigen.full_decompositions(params, single_excitation(scn.initial))
+    decomps = eigen.full_decompositions(
+        [params for _, params in scn.points], single_excitation(scn.initial)
+    )
 
     written = []
-    for point, point_params, decomp in zip(points, params, decomps):
+    for (point, point_params), decomp in zip(scn.points, decomps):
         files, summary = _run_point(scn, point_params, decomp, out, point)
         written.extend(files)
         if not quiet:

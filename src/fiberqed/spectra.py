@@ -4,7 +4,10 @@ Because every amplitude is a finite sum of decaying exponentials, the
 spectrum of each channel is the squared modulus of a closed-form Laplace
 transform: a sum of at most five Lorentzians plus pairwise interference
 terms that redistribute weight between output ports without changing
-positivity of the total.
+positivity of the total.  A channel is held as arrays: its labels, its
+row of chi coefficients and the five eigenvalues.  Its grid arrays come
+from one broadcast pole kernel, and every frequency integral is read from
+one (5, 5) pair matrix of closed forms.
 """
 
 from __future__ import annotations
@@ -21,49 +24,28 @@ from .model import SystemParams, derive_rates, flux_weights
 from .perturb import perturbative_symmetric
 
 __all__ = [
-    "SpectralTerm",
     "SpectrumDecomposition",
     "spectral_function",
     "default_omega_grid",
     "channel_spectrum",
-    "interference_term",
-    "interference_integral",
-    "lorentzian_integral",
     "integrated_spectrum",
     "channel_totals",
     "lorentzian_approximation",
     "cavity_coefficients",
 ]
 
+_GRID_POINTS = 4001  # samples of the default omega grid
+
 
 def spectral_function(omega, lam) -> np.ndarray:
     """One-pole response L(omega, lambda) = 1 / (eta - i(omega - delta)).
 
     eta = -Re(lambda) and delta = -Im(lambda); this equals the Laplace
-    transform kernel 1 / (-i omega - lambda).
+    transform kernel 1 / (-i omega - lambda).  lam may be an array that
+    broadcasts against omega, e.g. shape (n, 1) for n poles on a grid.
     """
     omega = np.asarray(omega, dtype=float)
     return 1.0 / (-lam.real - 1j * (omega + lam.imag))
-
-
-@dataclass(frozen=True)
-class SpectralTerm:
-    """One quasi-mode pole of a channel amplitude: chi * L(omega, lambda)."""
-
-    label: str | None
-    chi: complex
-    lam: complex
-
-    @property
-    def eta(self) -> float:
-        return -self.lam.real
-
-    @property
-    def delta(self) -> float:
-        return -self.lam.imag
-
-    def response(self, omega) -> np.ndarray:
-        return self.chi * spectral_function(omega, self.lam)
 
 
 def _channel_prefactors(params: SystemParams) -> np.ndarray:
@@ -71,7 +53,7 @@ def _channel_prefactors(params: SystemParams) -> np.ndarray:
     return flux_weights(params) / (2 * np.pi)
 
 
-def default_omega_grid(params: SystemParams, n: int = 4001) -> np.ndarray:
+def default_omega_grid(params: SystemParams) -> np.ndarray:
     """Uniform grid spanning [-2 zeta - 5 Gamma_max, +2 zeta + 5 Gamma_max]."""
     r = derive_rates(params)
     gamma_max = max(
@@ -79,7 +61,7 @@ def default_omega_grid(params: SystemParams, n: int = 4001) -> np.ndarray:
         abs(r.gamma_a_minus), r.gamma_sd, r.gamma_d,
     )
     half = 2 * r.zeta + 5 * gamma_max
-    return np.linspace(-half, half, n)
+    return np.linspace(-half, half, _GRID_POINTS)
 
 
 def _check_grid(omega_grid) -> np.ndarray:
@@ -91,34 +73,57 @@ def _check_grid(omega_grid) -> np.ndarray:
     return grid
 
 
-def _cross(response_j, response_k) -> np.ndarray:
-    """Interference W_jk = 2 Re(r_j r_k^*) of two one-pole responses."""
-    return 2 * np.real(response_j * np.conj(response_k))
+def _pair_integrals(chi, lam) -> np.ndarray:
+    """Pair matrices of the frequency integral of |sum_j chi_cj L(omega, lam_j)|^2.
+
+    For each row c of chi, entry [c, j, k] is
+    -2 pi Re chi_cj chi_ck^* / (lam_j + lam_k^*) over the modes with
+    chi_cj != 0 and 0 elsewhere.  The diagonal holds the Lorentzian
+    integrals |chi_j|^2 pi / eta_j, [j, k] + [k, j] is the net
+    interference integral of the pair, and the sum of the matrix is the
+    integral of the whole spectrum.  Raises DivergentIntegral when a mode
+    with chi_cj != 0 has eta <= 0 (a pair can have eta_j + eta_k <= 0
+    only then), naming the first one.
+    """
+    active = chi != 0
+    eta = -lam.real
+    diverging = np.argwhere(active & (eta <= 0))
+    if diverging.size:
+        raise DivergentIntegral(f"eta = {eta[diverging[0, 1]]} <= 0")
+    both = active[:, :, None] & active[:, None, :]
+    den = np.where(both, lam[:, None] + lam.conj(), 1.0)  # lam_j + lam_k^* != 0 on both
+    pairs = chi[:, :, None] * chi.conj()[:, None, :] / den
+    return -2 * np.pi * pairs.real
 
 
 @dataclass
 class SpectrumDecomposition:
     """A channel spectrum split into Lorentzians and interference terms.
 
+    Pole j of the channel amplitude is chi[j] L(omega, eigenvalues[j]).
     amplitude is the closed-form Laplace transform of the channel amplitude
     on the grid; the physical spectrum is prefactor * |amplitude|^2.  The
     identity sum(lorentzians) + sum(interferences) = |amplitude|^2 holds
-    pointwise up to rounding.  The grid arrays are evaluated on first use,
-    so a spectrum needed only for its integral never touches the grid.
+    pointwise up to rounding; row i of interferences belongs to pairs[i].
+    The grid arrays are evaluated on first use, so a spectrum needed only
+    for its integrals never touches the grid.
     """
 
     channel: str
     prefactor: float
-    terms: list
+    labels: tuple
+    chi: np.ndarray
+    eigenvalues: np.ndarray
     omega_grid: np.ndarray
 
     @cached_property
     def pairs(self) -> tuple:
-        return tuple(combinations(range(len(self.terms)), 2))
+        return tuple(combinations(range(len(self.chi)), 2))
 
     @cached_property
     def _responses(self) -> np.ndarray:
-        return np.array([t.response(self.omega_grid) for t in self.terms])
+        poles = spectral_function(self.omega_grid, self.eigenvalues[:, None])
+        return self.chi[:, None] * poles
 
     @cached_property
     def amplitude(self) -> np.ndarray:
@@ -131,7 +136,17 @@ class SpectrumDecomposition:
     @cached_property
     def interferences(self) -> np.ndarray:
         r = self._responses
-        return np.array([_cross(r[j], r[k]) for j, k in self.pairs])
+        return np.array([2 * np.real(r[j] * np.conj(r[k])) for j, k in self.pairs])
+
+    @cached_property
+    def pair_integrals(self) -> np.ndarray:
+        """Frequency integrals by pole pair, without the prefactor.
+
+        The diagonal holds the Lorentzian integrals, [j, k] + [k, j] is the
+        net interference integral of poles j and k, and the sum is the
+        integral of |amplitude|^2.
+        """
+        return _pair_integrals(self.chi[None], self.eigenvalues)[0]
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -146,12 +161,9 @@ class SpectrumDecomposition:
         return self.interferences.sum(axis=0)
 
     def interference(self, label_j, label_k) -> np.ndarray:
-        """W term for an unordered pair of mode labels (or indices)."""
-        names = [t.label for t in self.terms]
-        j = names.index(label_j) if isinstance(label_j, str) else label_j
-        k = names.index(label_k) if isinstance(label_k, str) else label_k
-        j, k = min(j, k), max(j, k)
-        return self.interferences[self.pairs.index((j, k))]
+        """W term for an unordered pair of mode labels."""
+        pair = sorted((self.labels.index(label_j), self.labels.index(label_k)))
+        return self.interferences[self.pairs.index(tuple(pair))]
 
 
 def channel_spectrum(
@@ -170,72 +182,15 @@ def channel_spectrum(
     if omega_grid is None:
         omega_grid = default_omega_grid(decomp.params)
     grid = _check_grid(omega_grid)
-
-    row = decomp.chi_coeffs[index]
     labels = decomp.labels if decomp.labels is not None else (None,) * 5
-    terms = [
-        SpectralTerm(labels[j], complex(row[j]), complex(decomp.eigenvalues[j]))
-        for j in range(5)
-    ]
-    return SpectrumDecomposition(channel, prefactor, terms, grid)
-
-
-def interference_term(term_j: SpectralTerm, term_k: SpectralTerm, omega_grid) -> np.ndarray:
-    """Real-valued cross term W_jk between two quasi-mode poles.
-
-    W_jk = chi_j chi_k^* L(omega, lam_j) L^*(omega, lam_k) + c.c.; not of a
-    fixed sign, it moves spectral weight between output ports.
-    """
-    grid = _check_grid(omega_grid)
-    return _cross(term_j.response(grid), term_k.response(grid))
-
-
-def interference_integral(term_j: SpectralTerm, term_k: SpectralTerm) -> float:
-    """Net frequency-integrated contribution of one interference term.
-
-    Closed form 2 pi chi_j chi_k^* / ((eta_j + eta_k) + i(delta_j - delta_k))
-    plus its conjugate; well separated modes (|delta_j - delta_k| large)
-    contribute almost nothing regardless of the chi magnitudes.
-    """
-    eta_sum = term_j.eta + term_k.eta
-    if eta_sum <= 0:
-        raise DivergentIntegral(f"eta_j + eta_k = {eta_sum} <= 0")
-    den = eta_sum + 1j * (term_j.delta - term_k.delta)
-    return float(2 * np.real(2 * np.pi * term_j.chi * np.conj(term_k.chi) / den))
-
-
-def lorentzian_integral(term: SpectralTerm) -> float:
-    """Frequency integral of one Lorentzian component, |chi|^2 pi / eta."""
-    if term.eta <= 0:
-        raise DivergentIntegral(f"eta = {term.eta} <= 0")
-    return float(abs(term.chi) ** 2 * np.pi / term.eta)
-
-
-def _pair_integrals(chi, lam) -> np.ndarray:
-    """Frequency integrals of |sum_j chi_cj L(omega, lam_j)|^2 for each row c of chi.
-
-    One pair kernel, -2 pi Re sum_jk chi_cj chi_ck^* / (lam_j + lam_k^*),
-    over the modes with chi_cj != 0: its diagonal is lorentzian_integral
-    and each off-diagonal pair sums to interference_integral.  Like those
-    functions it raises DivergentIntegral when such a mode has eta <= 0
-    (a pair can have eta_j + eta_k <= 0 only then), naming the first one.
-    """
-    active = chi != 0
-    eta = -lam.real
-    diverging = np.argwhere(active & (eta <= 0))
-    if diverging.size:
-        raise DivergentIntegral(f"eta = {eta[diverging[0, 1]]} <= 0")
-    both = active[:, :, None] & active[:, None, :]
-    den = np.where(both, lam[:, None] + lam.conj(), 1.0)  # lam_j + lam_k^* != 0 on both
-    pairs = chi[:, :, None] * chi.conj()[:, None, :] / den
-    return -2 * np.pi * pairs.real.sum(axis=(1, 2))
+    return SpectrumDecomposition(
+        channel, prefactor, labels, decomp.chi_coeffs[index], decomp.eigenvalues, grid
+    )
 
 
 def integrated_spectrum(spec: SpectrumDecomposition) -> float:
     """Closed-form frequency integral of the full channel spectrum."""
-    chi = np.array([[t.chi for t in spec.terms]])
-    lam = np.array([t.lam for t in spec.terms])
-    return spec.prefactor * float(_pair_integrals(chi, lam)[0])
+    return spec.prefactor * float(spec.pair_integrals.sum())
 
 
 def channel_totals(decomp: QuasiModeDecomposition) -> dict:
@@ -244,7 +199,7 @@ def channel_totals(decomp: QuasiModeDecomposition) -> dict:
     Equals integrated_spectrum(channel_spectrum(decomp, c)) for each
     channel c up to rounding, without building the spectra.
     """
-    totals = _pair_integrals(decomp.chi_coeffs, decomp.eigenvalues)
+    totals = _pair_integrals(decomp.chi_coeffs, decomp.eigenvalues).sum(axis=(1, 2))
     prefactors = _channel_prefactors(decomp.params)
     return {
         c: float(prefactors[row]) * float(totals[row]) for c, row in CHANNEL_ROWS.items()

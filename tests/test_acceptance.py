@@ -25,6 +25,7 @@ from fiberqed import (
     occupations,
     perturbative_cavity_amplitudes,
     perturbative_symmetric,
+    spectral_function,
     symmetric_block,
     symmetric_params,
 )
@@ -48,6 +49,11 @@ def finish(results):
 def local_maxima(values):
     d = np.diff(values)
     return np.where((d[:-1] > 0) & (d[1:] <= 0))[0] + 1
+
+
+def pole(spec, j, omega):
+    """Pole j of a channel amplitude, chi_j L(omega, lambda_j)."""
+    return spec.chi[j] * spectral_function(omega, spec.eigenvalues[j])
 
 
 def full_line_quad(f, breakpoints):
@@ -143,22 +149,19 @@ def test_criterion_4_spectral_reconstruction_identity():
 def test_criterion_5_interference_integrals():
     """Closed-form net interference vs adaptive quadrature, all 10 pairs."""
     results = []
-    from fiberqed import interference_integral
-
     for name, params in (("fig8", FIG8), ("fig10", FIG10)):
         decomp = full_decomposition(params)
         worst = 0.0
         for channel in ("cavity1", "cavity2"):
             spec = channel_spectrum(decomp, channel)
-            deltas = [t.delta for t in spec.terms]
+            deltas = -spec.eigenvalues.imag
             for j, k in spec.pairs:
-                tj, tk = spec.terms[j], spec.terms[k]
-                closed = interference_integral(tj, tk)
+                closed = spec.pair_integrals[j, k] + spec.pair_integrals[k, j]
 
-                def w_of(w, _tj=tj, _tk=tk):
+                def w_of(w, _s=spec, _j=j, _k=k):
                     arr = np.array([w])
-                    return float(2 * np.real(_tj.response(arr)[0]
-                                             * np.conj(_tk.response(arr)[0])))
+                    return float(2 * np.real(pole(_s, _j, arr)[0]
+                                             * np.conj(pole(_s, _k, arr)[0])))
 
                 oracle = full_line_quad(w_of, deltas)
                 worst = max(worst, abs(closed - oracle) / abs(oracle))
@@ -181,12 +184,12 @@ def test_criterion_6_parseval_per_channel():
         worst = 0.0
         for channel in CHANNELS:
             spec = channel_spectrum(decomp, channel)
-            deltas = [t.delta for t in spec.terms]
+            deltas = -spec.eigenvalues.imag
 
             def intensity(w, _s=spec):
                 arr = np.array([w])
                 return _s.prefactor * abs(
-                    sum(t.response(arr)[0] for t in _s.terms)
+                    sum(pole(_s, j, arr)[0] for j in range(5))
                 ) ** 2
 
             freq_total = full_line_quad(intensity, deltas)
@@ -275,7 +278,7 @@ def test_criterion_8_peak_resolution_vs_coupling():
         i_peak = int(np.argmax(spec.lorentzians[j]))
         i_target = int(np.argmin(np.abs(grid - target)))
         gap = abs(i_peak - i_target)
-        offset = (spec.terms[j].delta - nm) / step
+        offset = (-spec.eigenvalues[j].imag - nm) / step
         check(results, f"8 g=10 {label} at {tag}", gap <= 1,
               f"component argmax {gap} grid steps from {target:+.4f} "
               f"(pole {offset:+.2f} steps from {tag} = {nm:+.4f})")

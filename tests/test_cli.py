@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,30 @@ def test_sweep_file_suffix_collision_exits_2(tmp_path, capsys):
     assert main([str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "7.0000001" in err and "7.0000002" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_negative_sweep_value_exits_2(tmp_path, capsys):
+    # the same value under [params] is a config error, so it is one under [sweep]
+    text = BASE.format(kind="spectrum") + "\n[sweep]\nparameter = kappa\nvalues = 1, -1\n"
+    cfg = write_cfg(tmp_path, text, "neg.cfg")
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [sweep] kappa = -1.0")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "decomposition"])
+def test_non_decaying_mode_exits_3_before_writing(tmp_path, capsys, kind):
+    # lossless: every quasi mode has eta = 0 and the spectra have no integral
+    text = (BASE.format(kind=kind).replace("g = 7", "g = 3").replace("v = 4", "v = 7")
+            .replace("kappa = 1", "kappa = 0").replace("kappa_b = 0.01", "kappa_b = 0")
+            .replace("gamma = 5.2", "gamma = 0"))
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([str(cfg), "--out", str(tmp_path)]) == 3
+    assert "domain error: eta = " in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

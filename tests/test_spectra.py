@@ -8,7 +8,6 @@ from fiberqed import (
     DivergentIntegral,
     GridInvalid,
     RegimeWarning,
-    SpectralTerm,
     SpectrumDecomposition,
     cavity_coefficients,
     channel_spectrum,
@@ -17,10 +16,7 @@ from fiberqed import (
     derive_rates,
     full_decomposition,
     integrated_spectrum,
-    interference_integral,
-    interference_term,
     lorentzian_approximation,
-    lorentzian_integral,
     spectral_function,
     symmetric_params,
 )
@@ -38,12 +34,40 @@ def full_line_quad(f, breakpoints):
     return inner + left + right
 
 
+def pole(spec, j, omega):
+    """Pole j of the channel amplitude, chi_j L(omega, lambda_j)."""
+    return spec.chi[j] * spectral_function(omega, spec.eigenvalues[j])
+
+
 def pair_w(spec, j, k):
     """Callable W_jk(omega) for quadrature oracles."""
-    tj, tk = spec.terms[j], spec.terms[k]
     return lambda w: float(
-        2 * np.real(tj.response(np.array([w]))[0] * np.conj(tk.response(np.array([w]))[0]))
+        2 * np.real(pole(spec, j, np.array([w]))[0]
+                    * np.conj(pole(spec, k, np.array([w]))[0]))
     )
+
+
+def lorentzian_integral(chi, lam):
+    """Per-term closed form |chi|^2 pi / eta, the reference for the pair matrix."""
+    eta = -lam.real
+    if eta <= 0:
+        raise DivergentIntegral(f"eta = {eta} <= 0")
+    return float(abs(chi) ** 2 * np.pi / eta)
+
+
+def interference_integral(chi_j, lam_j, chi_k, lam_k):
+    """Per-term closed form 2 Re(2 pi chi_j chi_k^* / ((eta_j + eta_k) + i(delta_j - delta_k)))."""
+    eta_sum = -lam_j.real - lam_k.real
+    if eta_sum <= 0:
+        raise DivergentIntegral(f"eta_j + eta_k = {eta_sum} <= 0")
+    den = eta_sum + 1j * (lam_k.imag - lam_j.imag)
+    return float(2 * np.real(2 * np.pi * chi_j * np.conj(chi_k) / den))
+
+
+def spec_of(chi, lam):
+    """A bare channel spectrum from explicit poles, prefactor 1."""
+    chi, lam = np.asarray(chi, dtype=complex), np.asarray(lam, dtype=complex)
+    return SpectrumDecomposition("atom1", 1.0, (None,) * len(chi), chi, lam, np.zeros(1))
 
 
 class TestSpectralFunction:
@@ -85,13 +109,21 @@ class TestDecomposition:
         spec = channel_spectrum(decomp, "cavity1")
         grid = spec.omega_grid
         for (j, k), w in zip(spec.pairs, spec.interferences):
-            tj, tk = spec.terms[j], spec.terms[k]
-            cross = tj.response(grid) * np.conj(tk.response(grid))
+            cross = pole(spec, j, grid) * np.conj(pole(spec, k, grid))
             explicit = cross + np.conj(cross)
             assert np.abs(explicit.imag).max() < 1e-14
             assert np.abs(explicit.real - w).max() < 1e-14
-            # the standalone operation agrees with the assembled rows
-            assert np.array_equal(interference_term(tj, tk, grid), w)
+            # the broadcast rows equal the per-pole products bit for bit
+            assert np.array_equal(2 * np.real(cross), w)
+
+    def test_broadcast_matches_per_pole_loop(self):
+        # one broadcast pole-kernel call gives the bits of one call per pole
+        decomp = full_decomposition(FIG8)
+        for channel in ("atom1", "cavity1", "cavity2", "fiber"):
+            spec = channel_spectrum(decomp, channel)
+            loop = np.array([pole(spec, j, spec.omega_grid) for j in range(5)])
+            assert np.array_equal(spec.amplitude, loop.sum(axis=0))
+            assert np.array_equal(spec.lorentzians, np.abs(loop) ** 2)
 
     def test_unexcited_mode_kills_its_terms(self):
         # the fiber amplitude has no fiber-dark content at all
@@ -99,7 +131,7 @@ class TestDecomposition:
         spec = channel_spectrum(decomp, "fiber")
         fd = {decomp.index("QFD+"), decomp.index("QFD-")}
         for j in fd:
-            assert abs(spec.terms[j].chi) < 1e-15
+            assert abs(spec.chi[j]) < 1e-15
             assert np.abs(spec.lorentzians[j]).max() < 1e-28
         for (j, k), w in zip(spec.pairs, spec.interferences):
             if j in fd or k in fd:
@@ -146,21 +178,23 @@ class TestDecomposition:
 
 class TestIntegrals:
     def test_lorentzian_integral_closed_form(self):
-        term = SpectralTerm("QCD", complex(0.3, -0.1), complex(-1.3, -2.0))
+        spec = spec_of([complex(0.3, -0.1)], [complex(-1.3, -2.0)])
         oracle = full_line_quad(
-            lambda w: abs(term.response(np.array([w]))[0]) ** 2, [term.delta]
+            lambda w: abs(pole(spec, 0, np.array([w]))[0]) ** 2, [2.0]
         )
-        assert oracle == pytest.approx(lorentzian_integral(term), rel=1e-9)
+        assert oracle == pytest.approx(spec.pair_integrals[0, 0], rel=1e-9)
+        assert spec.pair_integrals[0, 0] == pytest.approx(
+            lorentzian_integral(spec.chi[0], spec.eigenvalues[0]), rel=1e-12)
         # |chi| = 1 reduces to the plain Lorentzian integral pi / eta
-        unit = SpectralTerm(None, 1.0 + 0j, complex(-1.3, -2.0))
-        assert lorentzian_integral(unit) == pytest.approx(np.pi / 1.3, rel=1e-14)
+        unit = spec_of([1.0], [complex(-1.3, -2.0)])
+        assert unit.pair_integrals[0, 0] == pytest.approx(np.pi / 1.3, rel=1e-14)
 
     def test_interference_integral_vs_quadrature(self):
         decomp = full_decomposition(FIG8)
         spec = channel_spectrum(decomp, "cavity1")
-        deltas = [t.delta for t in spec.terms]
+        deltas = -spec.eigenvalues.imag
         for j, k in ((0, 1), (2, 4), (3, 4)):
-            closed = interference_integral(spec.terms[j], spec.terms[k])
+            closed = spec.pair_integrals[j, k] + spec.pair_integrals[k, j]
             oracle = full_line_quad(pair_w(spec, j, k), deltas)
             assert abs(closed - oracle) / abs(oracle) < 1e-6
 
@@ -170,24 +204,24 @@ class TestIntegrals:
         decomp = full_decomposition(FIG7)
         spec = channel_spectrum(decomp, "fiber")
         j, k = decomp.index("QBS+"), decomp.index("QBS-")
-        oracle = full_line_quad(pair_w(spec, j, k), [t.delta for t in spec.terms])
-        bound = 4 * np.pi * abs(spec.terms[j].chi * spec.terms[k].chi)
+        oracle = full_line_quad(pair_w(spec, j, k), -spec.eigenvalues.imag)
+        bound = 4 * np.pi * abs(spec.chi[j] * spec.chi[k])
         assert abs(oracle) < bound / (2 * derive_rates(FIG7).zeta) * 1.01
 
     def test_divergent_integral_rejected(self):
-        growing = SpectralTerm(None, 1.0 + 0j, complex(0.2, -1.0))  # eta < 0
-        decaying = SpectralTerm(None, 1.0 + 0j, complex(-0.1, -1.0))
+        growing = complex(0.2, -1.0)  # eta < 0
+        decaying = complex(-0.1, -1.0)
         with pytest.raises(DivergentIntegral):
-            interference_integral(growing, decaying)
+            spec_of([1.0, 1.0], [decaying, growing]).pair_integrals
         with pytest.raises(DivergentIntegral):
-            lorentzian_integral(growing)
+            spec_of([1.0], [growing]).pair_integrals
 
     def test_integrated_spectrum_closed_form(self):
         decomp = full_decomposition(FIG8)
         spec = channel_spectrum(decomp, "cavity1")
         oracle = spec.prefactor * full_line_quad(
-            lambda w: abs(sum(t.response(np.array([w]))[0] for t in spec.terms)) ** 2,
-            [t.delta for t in spec.terms],
+            lambda w: abs(sum(pole(spec, j, np.array([w]))[0] for j in range(5))) ** 2,
+            -spec.eigenvalues.imag,
         )
         assert integrated_spectrum(spec) == pytest.approx(oracle, rel=1e-9)
 
@@ -214,12 +248,35 @@ class TestIntegrals:
 
 class TestPairKernel:
     @staticmethod
-    def per_term_total(spec):
-        active = [t for t in spec.terms if t.chi != 0]
-        total = sum(lorentzian_integral(t) for t in active)
-        total += sum(interference_integral(tj, tk)
-                     for j, tj in enumerate(active) for tk in active[j + 1:])
-        return spec.prefactor * total
+    def per_term(spec):
+        """Per-term closed forms over the excited poles: Lorentzians, then pairs."""
+        active = [(c, lam) for c, lam in zip(spec.chi, spec.eigenvalues) if c != 0]
+        lorentzians = [lorentzian_integral(c, lam) for c, lam in active]
+        pairs = [interference_integral(*tj, *tk)
+                 for j, tj in enumerate(active) for tk in active[j + 1:]]
+        return lorentzians, pairs
+
+    @classmethod
+    def per_term_total(cls, spec):
+        lorentzians, pairs = cls.per_term(spec)
+        return spec.prefactor * (sum(lorentzians) + sum(pairs))
+
+    def test_pair_matrix_matches_per_term_closed_forms(self):
+        # diagonal = Lorentzian integrals, [j, k] + [k, j] = interference integral
+        for params in (FIG7, FIG8, FIG10):
+            decomp = full_decomposition(params)
+            for channel in ("atom1", "cavity1", "cavity2", "fiber"):
+                spec = channel_spectrum(decomp, channel, np.zeros(1))
+                matrix = spec.pair_integrals
+                for j in range(5):
+                    if spec.chi[j] != 0:
+                        closed = lorentzian_integral(spec.chi[j], spec.eigenvalues[j])
+                        assert abs(matrix[j, j] - closed) <= 1e-12 * abs(closed)
+                for j, k in spec.pairs:
+                    if spec.chi[j] != 0 and spec.chi[k] != 0:
+                        closed = interference_integral(spec.chi[j], spec.eigenvalues[j],
+                                                       spec.chi[k], spec.eigenvalues[k])
+                        assert abs(matrix[j, k] + matrix[k, j] - closed) <= 1e-12 * abs(closed)
 
     def test_channel_totals_match_per_term_integrals(self, rng):
         draws = [FIG6[2.0], FIG7, FIG8, FIG10,
@@ -237,8 +294,7 @@ class TestPairKernel:
                 expected = self.per_term_total(spec)
                 # relative to the Lorentzian sum: |W_jk| <= L_j + L_k bounds every
                 # term, and a dark channel's total can cancel to rounding size
-                scale = spec.prefactor * sum(lorentzian_integral(t) for t in spec.terms
-                                             if t.chi != 0)
+                scale = spec.prefactor * sum(self.per_term(spec)[0])
                 assert abs(total - expected) <= 1e-12 * scale
                 assert abs(integrated_spectrum(spec) - expected) <= 1e-12 * scale
             assert abs(sum(totals.values()) - 1.0) < 1e-9
@@ -255,15 +311,12 @@ class TestPairKernel:
             channel_totals(lossless)
         assert str(kernel.value) == str(per_term.value)
         # a growing mode with chi = 0 takes no part in the integral
-        terms = [SpectralTerm(None, 1.0 + 0j, complex(-0.5, -1.0)),
-                 SpectralTerm(None, 0j, complex(0.2, 1.0))]
-        quiet = SpectrumDecomposition("atom1", 1.0, terms, np.zeros(1))
+        quiet = spec_of([1.0, 0.0], [complex(-0.5, -1.0), complex(0.2, 1.0)])
         assert integrated_spectrum(quiet) == pytest.approx(np.pi / 0.5, rel=1e-15)
         # with chi != 0 the growing mode's Lorentzian diverges first
-        terms = [SpectralTerm(None, 1.0 + 0j, complex(-0.5, -1.0)),
-                 SpectralTerm(None, 1.0 + 0j, complex(0.2, 1.0))]
+        loud = spec_of([1.0, 1.0], [complex(-0.5, -1.0), complex(0.2, 1.0)])
         with pytest.raises(DivergentIntegral, match="eta = -0.2 <= 0"):
-            integrated_spectrum(SpectrumDecomposition("atom1", 1.0, terms, np.zeros(1)))
+            integrated_spectrum(loud)
 
 
 class TestLorentzianApproximation:
