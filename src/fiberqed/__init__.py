@@ -2,11 +2,14 @@
 atom-cavity units.
 
 The package models five coupled oscillators (two atoms, two nanofiber
-cavities and the connecting fiber) sharing one quantum.  It provides the
-exact brute-force time evolution, the normal-mode picture, the quasi-mode
-diagonalization with closed-form fiber-dark amplitudes, limiting and
-perturbative solutions, and the Lorentzian + interference decomposition
-of every emission spectrum.  All rates are in angular units of 2*pi*MHz.
+cavities and the connecting fiber) sharing one quantum.  A state is a
+complex numpy array of five amplitudes in model.BARE_MODES order;
+normal_mode_matrix maps it to the normal modes (model.NORMAL_MODES
+order).  The package provides the exact brute-force time evolution, the
+normal-mode picture, the quasi-mode diagonalization with closed-form
+fiber-dark amplitudes, limiting and perturbative solutions, and the
+Lorentzian + interference decomposition of every emission spectrum.
+All rates are in angular units of 2*pi*MHz.
 """
 
 from .errors import (
@@ -20,14 +23,10 @@ from .errors import (
     UnlabeledModes,
 )
 from .model import (
-    BareState,
     DerivedRates,
-    NormalState,
     SystemParams,
-    bare_to_normal,
     derive_rates,
     normal_mode_matrix,
-    normal_to_bare,
     single_excitation,
     symmetric_params,
 )

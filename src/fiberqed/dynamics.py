@@ -16,8 +16,8 @@ from .errors import ConfigInvalid
 from .model import (
     BARE_MODES,
     NORMAL_MODES,
-    BareState,
     SystemParams,
+    _amplitudes,
     derive_rates,
     flux_weights,
     normal_mode_matrix,
@@ -227,17 +227,17 @@ def _integrate(gen, y0, cfg, weights):
     return times, states, channel_probs, survival
 
 
-def evolve_bare(
-    params: SystemParams, initial: BareState, cfg: IntegratorConfig
-) -> Trajectory:
+def evolve_bare(params: SystemParams, initial, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the bare amplitude equations from the given initial state.
 
-    Works for asymmetric parameters.  Channel probabilities accumulate as
-    dP_cav,i/dt = 2*kappa_i*|alpha_i|^2, dP_fib/dt = 2*kappa_b*|beta|^2 and
-    dP_atom,i/dt = gamma*|xi_i|^2, so survival + detected stays at 1.
+    initial is array-like, 5 finite complex amplitudes in BARE_MODES order
+    (ValueError otherwise).  Works for asymmetric parameters.  Channel
+    probabilities accumulate as dP_cav,i/dt = 2*kappa_i*|alpha_i|^2,
+    dP_fib/dt = 2*kappa_b*|beta|^2 and dP_atom,i/dt = gamma*|xi_i|^2, so
+    survival + detected stays at 1.
     """
     times, states, probs, surv = _integrate(
-        bare_generator(params), initial.to_array(), cfg, flux_weights(params)
+        bare_generator(params), _amplitudes(initial), cfg, flux_weights(params)
     )
     return Trajectory(times, states, probs, surv, params)
 

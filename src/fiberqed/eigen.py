@@ -22,8 +22,8 @@ from .dynamics import ANTI_ROWS, SYM_ROWS, bare_generator, symmetric_generator
 from .errors import DegenerateBlock, LabelAmbiguous
 from .model import (
     BARE_MODES,
-    BareState,
     SystemParams,
+    _amplitudes,
     derive_rates,
     mode_matrices,
     single_excitation,
@@ -55,6 +55,8 @@ CHANNEL_ROWS = {mode: row for row, mode in enumerate(BARE_MODES)}
 _COINCIDENT_RTOL = 1e-5
 
 _CUBE_ROOT_OF_UNITY = np.exp(2j * np.pi / 3.0)
+
+_CRITICAL_POINT = "p = 0: the anti-symmetric block is critically damped and defective"
 
 
 @dataclass
@@ -95,9 +97,7 @@ def _antisymmetric_blocks(points, rates) -> tuple:
         g = params.g
         gp, gm, p = r.gamma_a_plus, r.gamma_a_minus, r.p
         if p == 0:
-            failed[i] = DegenerateBlock(
-                "p = 0: the anti-symmetric block is critically damped and defective"
-            )
+            failed[i] = DegenerateBlock(_CRITICAL_POINT)
             rows.append((np.nan,) * 10)
             continue
         if gm == 0.0:
@@ -357,15 +357,14 @@ class QuasiModeDecomposition:
         return self.lambda_coeffs @ np.exp(np.outer(self.eigenvalues, t))
 
 
-def full_decomposition(
-    params: SystemParams, initial: BareState | None = None
-) -> QuasiModeDecomposition:
+def full_decomposition(params: SystemParams, initial=None) -> QuasiModeDecomposition:
     """Assemble eigenvalues, vectors, weights and propagation coefficients.
 
     For symmetric parameters the two analytic blocks are used and vectors
     are expressed in the normal basis; otherwise a dense eigensolve of the
-    bare generator is performed and vectors stay in the bare basis.  The
-    default initial state is the excited atom 1.
+    bare generator is performed and vectors stay in the bare basis.  initial
+    is array-like, 5 finite complex amplitudes in BARE_MODES order
+    (ValueError otherwise); the default is the excited atom 1.
     """
     (result,) = full_decompositions([params], initial)
     if isinstance(result, Exception):
@@ -373,7 +372,7 @@ def full_decomposition(
     return result
 
 
-def full_decompositions(points, initial: BareState | None = None) -> list:
+def full_decompositions(points, initial=None) -> list:
     """:func:`full_decomposition` of many parameter sets in one stacked call.
 
     Entry i is the decomposition of points[i], or the error that
@@ -392,9 +391,7 @@ def full_decompositions(points, initial: BareState | None = None) -> list:
     - the fiber-dark closed forms stay in Python complex arithmetic, which
       divides by a real number where numpy multiplies by its reciprocal.
     """
-    if initial is None:
-        initial = single_excitation("atom1")
-    bare0 = initial.to_array()
+    bare0 = _amplitudes(single_excitation("atom1") if initial is None else initial)
     normal = [i for i, p in enumerate(points) if p.symmetric() and (p.g > 0 or p.v > 0)]
     dense = sorted(set(range(len(points))) - set(normal))
     results = [None] * len(points)

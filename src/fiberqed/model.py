@@ -1,10 +1,14 @@
-"""Physical parameters, amplitude bases and derived decay rates.
+"""Physical parameters, mode orderings and derived decay rates.
 
 The system is a pair of atom-cavity units linked by a single fiber mode:
-five coupled oscillators carrying at most one excitation.  All rates and
-coupling strengths are stored in angular units of 2*pi*MHz (the numbers
-quoted in the figure captions), and times are in the conjugate unit so
-that ``exp(-rate * t)`` uses the stored values directly.
+five coupled oscillators carrying at most one excitation.  A state is a
+complex array of five amplitudes, in BARE_MODES order over the physical
+modes or NORMAL_MODES order over the normal modes; normal_mode_matrix T
+maps the first to the second (normal = T @ bare, bare = T.T @ normal).
+All rates and coupling strengths are stored in angular units of
+2*pi*MHz (the numbers quoted in the figure captions), and times are in
+the conjugate unit so that ``exp(-rate * t)`` uses the stored values
+directly.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ __all__ = [
     "BARE_MODES",
     "NORMAL_MODES",
     "SystemParams",
-    "BareState",
-    "NormalState",
     "DerivedRates",
     "symmetric_params",
     "single_excitation",
@@ -28,8 +30,6 @@ __all__ = [
     "flux_weights",
     "normal_mode_matrix",
     "mode_matrices",
-    "bare_to_normal",
-    "normal_to_bare",
 ]
 
 # physical modes in amplitude order; each is also the name of its decay channel
@@ -105,57 +105,19 @@ def symmetric_params(g, v, kappa, kappa_b, gamma, detuning=0.0) -> SystemParams:
     return SystemParams(g, g, v, v, kappa, kappa, kappa_b, gamma, detuning)
 
 
-class _Amplitudes:
-    """Five complex amplitudes stored as dataclass fields in basis order."""
-
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=complex)
-
-    @classmethod
-    def from_array(cls, arr):
-        return cls(*(complex(x) for x in np.asarray(arr, dtype=complex)))
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.to_array()) ** 2))
-
-
-@dataclass(frozen=True)
-class BareState(_Amplitudes):
-    """Probability amplitudes of the physical modes.
-
-    xi1, xi2     : atom amplitudes
-    alpha1, alpha2 : cavity amplitudes
-    beta         : fiber amplitude
-    """
-
-    xi1: complex
-    xi2: complex
-    alpha1: complex
-    alpha2: complex
-    beta: complex
-
-
-@dataclass(frozen=True)
-class NormalState(_Amplitudes):
-    """Probability amplitudes of the normal modes (symmetric case).
-
-    s_plus, s_minus : bright-state amplitudes
-    a_plus, a_minus : fiber-dark amplitudes
-    d               : cavity-dark amplitude
-    """
-
-    s_plus: complex
-    s_minus: complex
-    a_plus: complex
-    a_minus: complex
-    d: complex
-
-
-def single_excitation(mode: str) -> BareState:
-    """Bare state with one excitation in the named mode."""
+def single_excitation(mode: str) -> np.ndarray:
+    """Bare amplitudes with one excitation in the named mode."""
     if mode not in BARE_MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {sorted(BARE_MODES)}")
-    return BareState.from_array(np.eye(5)[BARE_MODES.index(mode)])
+    return np.eye(5, dtype=complex)[BARE_MODES.index(mode)]
+
+
+def _amplitudes(initial) -> np.ndarray:
+    """initial as a complex array of 5 finite amplitudes, else ValueError."""
+    amps = np.asarray(initial, dtype=complex)
+    if amps.shape != (5,) or not np.isfinite(amps).all():
+        raise ValueError(f"initial state must be 5 finite amplitudes, got {amps!r}")
+    return amps
 
 
 @dataclass(frozen=True)
@@ -250,13 +212,3 @@ def mode_matrices(g, v, zeta) -> np.ndarray:
         ],
         axis=-1,
     ).reshape(g.shape + (5, 5))
-
-
-def bare_to_normal(state: BareState, params: SystemParams) -> NormalState:
-    """Project a bare state onto the normal-mode amplitudes (norm preserving)."""
-    return NormalState.from_array(normal_mode_matrix(params) @ state.to_array())
-
-
-def normal_to_bare(state: NormalState, params: SystemParams) -> BareState:
-    """Exact inverse of :func:`bare_to_normal`."""
-    return BareState.from_array(normal_mode_matrix(params).T @ state.to_array())

@@ -3,13 +3,15 @@
 Covers the two dominated-coupling limits (atom-cavity coupling far above
 fiber-cavity coupling, and the reverse) plus the perturbative treatment of
 the symmetric manifold when the couplings are comparable, in three
-variants of increasing sophistication.
+variants of increasing sophistication.  Each variant gives three quasi
+modes as arrays: their eigenvalues and t = 0 amplitudes, so every
+quasi-mode time function is the damped exponential a * exp(lambda * t).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +66,7 @@ class PerturbativeModes:
 
     delta_s_plus / delta_s_minus : bright <-> cavity-dark mixing amplitudes
     eigenvalues : estimates per quasi mode {QBS+, QBS-, QCD} for the variant
-    f_plus, f_minus, g_dark : time-coefficient functions of the quasi modes
+    amplitudes : t = 0 values (f+, f-, g) of the quasi-mode time functions
     bs_cross : bright <-> bright first-order cross coefficient (refined only)
     second_order_shifts : eigenvalue corrections (refined only)
     """
@@ -73,15 +75,21 @@ class PerturbativeModes:
     delta_s_plus: complex
     delta_s_minus: complex
     eigenvalues: dict
-    f_plus: object = field(repr=False)
-    f_minus: object = field(repr=False)
-    g_dark: object = field(repr=False)
+    amplitudes: np.ndarray
     bs_cross: complex = 0.0
     second_order_shifts: dict | None = None
 
+    def time_functions(self, t) -> tuple:
+        """(f+, f-, g) at the given times: a * exp(lambda * t) per quasi mode."""
+        t = np.asarray(t, dtype=float)
+        lams = self.eigenvalues.values()
+        # a Python scalar times an array per mode: numpy's array product of a
+        # stacked amplitudes[:, None] * exp(...) may fuse multiply-add
+        return tuple(a * np.exp(lam * t) for a, lam in zip(self.amplitudes.tolist(), lams))
+
     def symmetric_amplitudes(self, t) -> tuple:
         """(S+, S-, D) reconstructed from the quasi-mode time functions."""
-        fp, fm, gd = self.f_plus(t), self.f_minus(t), self.g_dark(t)
+        fp, fm, gd = self.time_functions(t)
         dp, dm = self.delta_s_plus, self.delta_s_minus
         return fp - dp * gd, fm - dm * gd, gd + dp * fp + dm * fm
 
@@ -135,22 +143,10 @@ def perturbative_symmetric(params: SystemParams, variant: str = "standard") -> P
             cross = -1j * gsm / (4 * zeta)
 
     eigenvalues = {"QBS+": lam_bs_plus, "QBS-": lam_bs_minus, "QCD": lam_cd}
-    fp_amp = (g / 2 - v * dp) / zeta
-    fm_amp = (g / 2 - v * dm) / zeta
-    gd_amp = (-(g / 2) * (dp + dm) - v) / zeta
-
-    def f_plus(t, _a=fp_amp, _l=lam_bs_plus):
-        return _a * np.exp(_l * np.asarray(t, dtype=float))
-
-    def f_minus(t, _a=fm_amp, _l=lam_bs_minus):
-        return _a * np.exp(_l * np.asarray(t, dtype=float))
-
-    def g_dark(t, _a=gd_amp, _l=lam_cd):
-        return _a * np.exp(_l * np.asarray(t, dtype=float))
-
-    return PerturbativeModes(
-        variant, dp, dm, eigenvalues, f_plus, f_minus, g_dark, cross, shifts
+    amplitudes = np.array(
+        [(g / 2 - v * dp) / zeta, (g / 2 - v * dm) / zeta, (-(g / 2) * (dp + dm) - v) / zeta]
     )
+    return PerturbativeModes(variant, dp, dm, eigenvalues, amplitudes, cross, shifts)
 
 
 def perturbative_cavity_amplitudes(
@@ -164,7 +160,7 @@ def perturbative_cavity_amplitudes(
     """
     modes = perturbative_symmetric(params, variant)
     t = np.asarray(t, dtype=float)
-    fp, fm, gd = modes.f_plus(t), modes.f_minus(t), modes.g_dark(t)
+    fp, fm, gd = modes.time_functions(t)
     a_plus, a_minus = fiber_dark_amplitudes(params, t)
     sym = 0.5 * (fp - fm) - 0.5 * (modes.delta_s_plus - modes.delta_s_minus) * gd
     anti = 0.5 * (a_plus - a_minus)

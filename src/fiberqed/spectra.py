@@ -18,8 +18,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .eigen import CHANNEL_ROWS, QuasiModeDecomposition
-from .errors import DivergentIntegral, GridInvalid
+from .eigen import CHANNEL_ROWS, _CRITICAL_POINT, QuasiModeDecomposition
+from .errors import DegenerateBlock, DivergentIntegral, GridInvalid
 from .model import SystemParams, derive_rates, flux_weights
 from .perturb import perturbative_symmetric
 
@@ -111,7 +111,7 @@ class SpectrumDecomposition:
 
     channel: str
     prefactor: float
-    labels: tuple
+    labels: tuple | None
     chi: np.ndarray
     eigenvalues: np.ndarray
     omega_grid: np.ndarray
@@ -162,6 +162,8 @@ class SpectrumDecomposition:
 
     def interference(self, label_j, label_k) -> np.ndarray:
         """W term for an unordered pair of mode labels."""
+        if self.labels is None:
+            raise LookupError("decomposition is unlabeled")
         pair = sorted((self.labels.index(label_j), self.labels.index(label_k)))
         return self.interferences[self.pairs.index(tuple(pair))]
 
@@ -182,9 +184,8 @@ def channel_spectrum(
     if omega_grid is None:
         omega_grid = default_omega_grid(decomp.params)
     grid = _check_grid(omega_grid)
-    labels = decomp.labels if decomp.labels is not None else (None,) * 5
     return SpectrumDecomposition(
-        channel, prefactor, labels, decomp.chi_coeffs[index], decomp.eigenvalues, grid
+        channel, prefactor, decomp.labels, decomp.chi_coeffs[index], decomp.eigenvalues, grid
     )
 
 
@@ -217,10 +218,13 @@ def cavity_coefficients(params: SystemParams, variant: str = "standard") -> dict
     The fiber-dark entries +-g/4p are exact; bright and cavity-dark entries
     use the perturbative mixing amplitudes.  The two cavities share the
     bright and cavity-dark coefficients and carry opposite-sign fiber-dark
-    ones, so their Lorentzian decompositions coincide.
+    ones, so their Lorentzian decompositions coincide.  At the critical
+    point p = 0 the fiber-dark entries diverge: DegenerateBlock.
     """
     modes = perturbative_symmetric(params, variant)
     r = derive_rates(params)
+    if r.p == 0:
+        raise DegenerateBlock(_CRITICAL_POINT)
     g, v, zeta = params.g, params.v, r.zeta
     dp, dm = modes.delta_s_plus, modes.delta_s_minus
     chi_bs_plus = (g / 2 - v * dp) / (2 * zeta)

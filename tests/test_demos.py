@@ -1,6 +1,7 @@
-"""The narrative scripts in demos/ run to completion against the package."""
+"""The narrative scripts in demos/ and the README quick start run against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,18 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    quick_start = readme[readme.index("## Quick start"):]
+    code = re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -7,14 +7,12 @@ from scipy.integrate import solve_ivp
 from fiberqed import (
     ConfigInvalid,
     IntegratorConfig,
-    NormalState,
     SystemParams,
     bare_generator,
     derive_rates,
     evolve_bare,
     normal_generator,
     normal_mode_matrix,
-    normal_to_bare,
     occupations,
     single_excitation,
     symmetric_params,
@@ -28,7 +26,7 @@ ATOM1 = single_excitation("atom1")
 def test_generator_matches_amplitude_equations():
     # columns of the generator are the instantaneous derivatives
     gen = bare_generator(FIG3)
-    dxdt = gen @ ATOM1.to_array()
+    dxdt = gen @ ATOM1
     assert dxdt[0] == -GAMMA / 2        # xi1' = -gamma/2 xi1
     assert dxdt[2] == -1j * FIG3.g1     # alpha1' = -i g1 xi1
     assert dxdt[1] == dxdt[3] == dxdt[4] == 0
@@ -60,12 +58,10 @@ def test_richardson_fourth_order():
 
 
 def test_linearity():
-    from fiberqed import BareState
-
     cfg = IntegratorConfig(dt=1e-3, t_max=1.0, record_every=100)
     base = evolve_bare(FIG4, ATOM1, cfg)
     c = complex(0.3 - 0.4j)
-    scaled = evolve_bare(FIG4, BareState.from_array(c * ATOM1.to_array()), cfg)
+    scaled = evolve_bare(FIG4, c * ATOM1, cfg)
     assert np.abs(scaled.states - c * base.states).max() < 1e-12
 
 
@@ -75,7 +71,7 @@ def test_against_scipy_reference():
     sol = solve_ivp(
         lambda t, y: gen @ y,
         (0.0, 2.0),
-        ATOM1.to_array(),
+        ATOM1,
         rtol=1e-11,
         atol=1e-12,
         t_eval=np.linspace(0, 2, 21),
@@ -115,7 +111,8 @@ def test_decoupled_dark_mode():
     rates = derive_rates(params)
     assert rates.gamma_sd == 0.0
     cfg = IntegratorConfig(dt=1e-4, t_max=2.0, record_every=20)
-    traj = evolve_bare(params, normal_to_bare(NormalState(0, 0, 0, 0, 1), params), cfg)
+    dark = normal_mode_matrix(params).T @ np.array([0, 0, 0, 0, 1], dtype=complex)
+    traj = evolve_bare(params, dark, cfg)
     normal = traj.states @ normal_mode_matrix(params).T
     assert np.abs(normal[:, 4] - np.exp(-rates.gamma_d * traj.times)).max() < 1e-10
     assert np.abs(normal[:, :2]).max() < 1e-14

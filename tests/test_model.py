@@ -1,22 +1,25 @@
-"""Parameter validation, derived rates and the bare <-> normal basis maps."""
+"""Parameter validation, derived rates and the bare <-> normal basis map."""
 
 import numpy as np
 import pytest
 
 from fiberqed import (
-    BareState,
+    IntegratorConfig,
     NonSymmetric,
-    NormalState,
     SystemParams,
-    bare_to_normal,
     derive_rates,
+    evolve_bare,
+    full_decomposition,
     normal_mode_matrix,
-    normal_to_bare,
     single_excitation,
     symmetric_params,
 )
 
 from conftest import FIG3, GAMMA, caption_params
+
+# amplitude indices: bare (xi1, xi2, alpha1, alpha2, beta), normal (S+, S-, A+, A-, D)
+XI1, XI2, ALPHA1, ALPHA2, BETA = range(5)
+S_PLUS, S_MINUS, A_PLUS, A_MINUS, D = range(5)
 
 
 def random_params(rng):
@@ -27,7 +30,19 @@ def random_params(rng):
 
 def random_bare(rng):
     z = rng.normal(size=5) + 1j * rng.normal(size=5)
-    return BareState.from_array(z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
+
+
+def to_normal(bare, params):
+    return normal_mode_matrix(params) @ bare
+
+
+def to_bare(normal, params):
+    return normal_mode_matrix(params).T @ np.asarray(normal, dtype=complex)
+
+
+def norm_sq(amps):
+    return float(np.sum(np.abs(amps) ** 2))
 
 
 class TestSystemParams:
@@ -50,8 +65,9 @@ class TestSystemParams:
             _ = lopsided.g
 
     def test_single_excitation_names(self):
-        assert single_excitation("atom1").xi1 == 1
-        assert single_excitation("fiber").beta == 1
+        assert single_excitation("atom1")[XI1] == 1
+        assert single_excitation("fiber")[BETA] == 1
+        assert np.array_equal(single_excitation("cavity2"), np.eye(5, dtype=complex)[ALPHA2])
         with pytest.raises(ValueError):
             single_excitation("laser")
 
@@ -98,55 +114,53 @@ class TestDerivedRates:
 
 class TestBasisMaps:
     def test_atom1_initial_conditions(self):
-        n = bare_to_normal(single_excitation("atom1"), FIG3)
+        n = to_normal(single_excitation("atom1"), FIG3)
         g, v = FIG3.g, FIG3.v
         zeta = derive_rates(FIG3).zeta
-        assert n.s_plus == pytest.approx(g / (2 * zeta))
-        assert n.s_minus == pytest.approx(g / (2 * zeta))
-        assert n.a_plus == pytest.approx(0.5)
-        assert n.a_minus == pytest.approx(0.5)
-        assert n.d == pytest.approx(-v / zeta)
+        assert n[S_PLUS] == pytest.approx(g / (2 * zeta))
+        assert n[S_MINUS] == pytest.approx(g / (2 * zeta))
+        assert n[A_PLUS] == pytest.approx(0.5)
+        assert n[A_MINUS] == pytest.approx(0.5)
+        assert n[D] == pytest.approx(-v / zeta)
 
     def test_fiber_initial_conditions(self):
-        n = bare_to_normal(single_excitation("fiber"), FIG3)
+        n = to_normal(single_excitation("fiber"), FIG3)
         zeta = derive_rates(FIG3).zeta
-        assert n.s_plus == pytest.approx(FIG3.v / zeta)
-        assert n.a_plus == 0 and n.a_minus == 0
-        assert n.d == pytest.approx(FIG3.g / zeta)
+        assert n[S_PLUS] == pytest.approx(FIG3.v / zeta)
+        assert n[A_PLUS] == 0 and n[A_MINUS] == 0
+        assert n[D] == pytest.approx(FIG3.g / zeta)
 
     def test_symmetric_cavity_state(self):
-        state = BareState(0, 0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0)
-        n = bare_to_normal(state, FIG3)
-        assert abs(n.a_plus) < 1e-15 and abs(n.a_minus) < 1e-15 and abs(n.d) < 1e-15
-        assert n.s_plus == pytest.approx(1 / np.sqrt(2))
-        assert n.s_minus == pytest.approx(-1 / np.sqrt(2))
+        state = np.array([0, 0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0], dtype=complex)
+        n = to_normal(state, FIG3)
+        assert abs(n[A_PLUS]) < 1e-15 and abs(n[A_MINUS]) < 1e-15 and abs(n[D]) < 1e-15
+        assert n[S_PLUS] == pytest.approx(1 / np.sqrt(2))
+        assert n[S_MINUS] == pytest.approx(-1 / np.sqrt(2))
 
     def test_cavity_dark_state_in_bare_basis(self):
-        bare = normal_to_bare(NormalState(0, 0, 0, 0, 1), FIG3)
+        bare = to_bare([0, 0, 0, 0, 1], FIG3)
         zeta = derive_rates(FIG3).zeta
-        assert bare.xi1 == pytest.approx(-FIG3.v / zeta)
-        assert bare.xi2 == pytest.approx(-FIG3.v / zeta)
-        assert bare.alpha1 == 0 and bare.alpha2 == 0
-        assert bare.beta == pytest.approx(FIG3.g / zeta)
+        assert bare[XI1] == pytest.approx(-FIG3.v / zeta)
+        assert bare[XI2] == pytest.approx(-FIG3.v / zeta)
+        assert bare[ALPHA1] == 0 and bare[ALPHA2] == 0
+        assert bare[BETA] == pytest.approx(FIG3.g / zeta)
 
     def test_equal_fiber_dark_amplitudes_cancel_in_cavities(self):
-        bare = normal_to_bare(NormalState(0, 0, 0.5, 0.5, 0), FIG3)
-        assert bare.alpha1 == 0 and bare.alpha2 == 0
+        bare = to_bare([0, 0, 0.5, 0.5, 0], FIG3)
+        assert bare[ALPHA1] == 0 and bare[ALPHA2] == 0
 
     def test_round_trip_identity(self, rng):
         for _ in range(100):
             params = random_params(rng)
             state = random_bare(rng)
-            back = normal_to_bare(bare_to_normal(state, params), params)
-            assert np.abs(back.to_array() - state.to_array()).max() < 1e-12
+            back = to_bare(to_normal(state, params), params)
+            assert np.abs(back - state).max() < 1e-12
 
     def test_norm_preserved(self, rng):
         for _ in range(20):
             params = random_params(rng)
             state = random_bare(rng)
-            assert bare_to_normal(state, params).norm_sq() == pytest.approx(
-                state.norm_sq(), abs=1e-13
-            )
+            assert norm_sq(to_normal(state, params)) == pytest.approx(norm_sq(state), abs=1e-13)
 
     def test_transform_is_orthogonal(self, rng):
         for _ in range(20):
@@ -156,4 +170,22 @@ class TestBasisMaps:
     def test_nonsymmetric_rejected(self):
         lopsided = SystemParams(1, 2, 1, 1, 1, 1, 0.1, 1)
         with pytest.raises(NonSymmetric):
-            bare_to_normal(single_excitation("atom1"), lopsided)
+            normal_mode_matrix(lopsided)
+
+
+@pytest.mark.parametrize(
+    "initial",
+    [np.ones(4, dtype=complex), np.array([1, 0, np.nan, 0, 0], dtype=complex)],
+    ids=["shape (4,)", "nan"],
+)
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda initial: evolve_bare(FIG3, initial, IntegratorConfig(dt=1e-3, t_max=0.1)),
+        lambda initial: full_decomposition(FIG3, initial),
+    ],
+    ids=["evolve_bare", "full_decomposition"],
+)
+def test_initial_state_must_be_five_finite_amplitudes(solve, initial):
+    with pytest.raises(ValueError, match="5 finite amplitudes"):
+        solve(initial)

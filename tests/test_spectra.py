@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from fiberqed import (
+    DegenerateBlock,
     DivergentIntegral,
     GridInvalid,
+    LabelAmbiguous,
     RegimeWarning,
     SpectrumDecomposition,
     cavity_coefficients,
@@ -165,6 +167,17 @@ class TestDecomposition:
         assert channel_spectrum(decomp, "atom1", grid).prefactor == GAMMA / (2 * np.pi)
         assert channel_spectrum(decomp, "cavity2", grid).prefactor == FIG8.kappa1 / np.pi
         assert channel_spectrum(decomp, "fiber", grid).prefactor == FIG8.kappa_b / np.pi
+
+    def test_unlabeled_interference_raises_lookup_error(self):
+        # coincident symmetric roots: the decomposition falls back unlabeled
+        coincident = symmetric_params(g=0.6, v=0.0, kappa=1.0,
+                                      kappa_b=1.2708497377870814, gamma=GAMMA)
+        with pytest.warns(LabelAmbiguous):
+            decomp = full_decomposition(coincident)
+        spec = channel_spectrum(decomp, "cavity1", np.linspace(-1, 1, 11))
+        assert spec.labels is None
+        with pytest.raises(LookupError, match="decomposition is unlabeled"):
+            spec.interference("QBS+", "QCD")
 
     def test_default_grid_span(self):
         r = derive_rates(FIG8)
@@ -371,6 +384,14 @@ class TestCavityCoefficients:
         assert abs(coeffs["cavity1"]["QCD"]) < 1e-12
         decomp = full_decomposition(params)
         assert abs(decomp.chi_coeffs[2, decomp.index("QCD")]) < 1e-12
+
+    def test_critical_point_raises_degenerate_block(self):
+        # g = |Gamma_A-|/2 gives p = 0, where the fiber-dark entries +-g/4p diverge
+        params = symmetric_params(g=abs(GAMMA / 2 - 1.0) / 2, v=7.0, kappa=1.0,
+                                  kappa_b=0.01, gamma=GAMMA)
+        assert derive_rates(params).p == 0
+        with pytest.raises(DegenerateBlock, match="p = 0: the anti-symmetric block"):
+            cavity_coefficients(params)
 
     def test_regime_warning_propagates(self):
         with pytest.warns(RegimeWarning):
