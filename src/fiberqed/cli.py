@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dynamics, eigen, spectra
 from .errors import ConfigInvalid, DegenerateBlock, UnlabeledModes
-from .model import BARE_MODES, NORMAL_MODES, SystemParams, derive_rates, single_excitation
+from .model import BARE_MODES, NORMAL_MODES, SystemParams, single_excitation
 
 __all__ = ["Scenario", "parse_scenario", "run_scenario", "main"]
 
@@ -352,10 +352,10 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
     """Execute one parameter point; returns (files, summary lines).
 
     decomp is the point's entry of eigen.full_decompositions: the
-    decomposition, or the error its computation raised.
+    decomposition, or the error its computation raised.  Every run type
+    needs the normal-mode picture, so the derive_rates error of an
+    asymmetric or g = v = 0 point is raised here.
     """
-    # every run type needs the normal-mode picture: symmetric, and g or v nonzero
-    derive_rates(params)
     suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
     if isinstance(decomp, Exception):
         # at the critical point p = 0 there is no eigenbasis; a trajectory

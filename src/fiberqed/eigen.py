@@ -2,8 +2,9 @@
 
 The symmetric configuration splits into an anti-symmetric 2x2 block
 (fiber-dark modes, solved in closed form) and a symmetric 3x3 block
-(bright + cavity-dark modes, solved through the closed-form cubic).  A
-dense 5x5 solve covers asymmetric parameters.  Left and right
+(bright + cavity-dark modes, solved through the closed-form cubic).
+Asymmetric parameters and g = v = 0 have no such split and are refused
+with the error of :func:`fiberqed.model.derive_rates`.  Left and right
 eigenvectors are kept as a bi-orthogonal pair, V^-1 V = I.
 
 All of it is one kernel stacked over a leading axis of parameter points
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ANTI_ROWS, SYM_ROWS, bare_generator, symmetric_generator
+from .dynamics import ANTI_ROWS, SYM_ROWS, symmetric_generator
 from .errors import DegenerateBlock, LabelAmbiguous
 from .model import (
     BARE_MODES,
@@ -118,24 +119,26 @@ def _antisymmetric_blocks(points, rates) -> tuple:
 def fiber_dark_amplitudes(params: SystemParams, t) -> tuple:
     """Closed-form fiber-dark amplitudes A+-(t) for an initial atom-1 excitation.
 
-    Exact for every damping regime; at the critical point p = 0 the
-    defective block is handled by the limiting form
-    A+- = exp(-Gamma_A+ t/2)/2 * (1 - t (Gamma_A-/2 +- i g)).
+    One formula for every damping regime, critical damping p = 0 included.
+    The block is M = mu I + N with mu = -Gamma_A+/2 and N^2 = -p^2 I, so
+    e^(Mt) = e^(mu t) [cos(pt) I + t sinc(pt) N] and
+    A+- = e^(mu t)/2 [cos(pt) - t sinc(pt) (Gamma_A-/2 +- i g)].
+    Both factors are written over the slower exponent e^((mu - ip) t):
+    cos(pt) = e^(-ipt) (1 + E/2) and t sinc(pt) = e^(-ipt) t E/z, with
+    z = 2ipt, E = expm1(z) and E/z = 1 at z = 0.  No factor overflows for
+    imaginary p (overdamped), and nothing cancels as p -> 0.
     """
     r = derive_rates(params)
-    g = params.g
     t = np.asarray(t, dtype=float)
-    gp, gm, p = r.gamma_a_plus, r.gamma_a_minus, r.p
-    if p == 0:
-        env = 0.5 * np.exp(-gp * t / 2)
-        a_plus = env * (1 - t * (gm / 2 + 1j * g))
-        a_minus = env * (1 - t * (gm / 2 - 1j * g))
-        return a_plus, a_minus
-    # exponents combined with the envelope so overdamped cases cannot overflow
-    em = np.exp((-gp / 2 - 1j * p) * t)
-    ep = np.exp((-gp / 2 + 1j * p) * t)
-    a_plus = (em * (1j * (p + g) + gm / 2) + ep * (1j * (p - g) - gm / 2)) / (4j * p)
-    a_minus = (em * (1j * (p - g) + gm / 2) + ep * (1j * (p + g) - gm / 2)) / (4j * p)
+    z = 2j * r.p * t
+    e = np.expm1(z)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 is replaced
+        t_sinc = t * np.where(z == 0, 1.0, e / z)
+    env = 0.5 * np.exp((-r.gamma_a_plus / 2 - 1j * r.p) * t)
+    cos = 1 + e / 2
+    half = r.gamma_a_minus / 2
+    a_plus = env * (cos - t_sinc * (half + 1j * params.g))
+    a_minus = env * (cos - t_sinc * (half - 1j * params.g))
     return a_plus, a_minus
 
 
@@ -309,14 +312,15 @@ class QuasiModeDecomposition:
     """Complete spectral data of the five-mode generator.
 
     eigenvalues   : the five lambda_j (Re <= 0 for physical rates)
-    labels        : quasi-mode names in eigenvalue order, or None
-    right_vectors : columns are right eigenvectors (in `basis` coordinates)
+    labels        : quasi-mode names in eigenvalue order, or None when
+                    symmetric-block roots coincide
+    right_vectors : columns are right eigenvectors in normal-mode coordinates
     left_vectors  : rows are left eigenvectors, left @ right = I
     weights       : overlaps w_j of the left vectors with the initial state
     lambda_coeffs : normal-amplitude coefficients, d_i(t) = sum_j L_ij e^(l_j t)
-                    (None for asymmetric parameters)
+                    (never None)
     chi_coeffs    : bare-amplitude coefficients, c_i(t) = sum_j chi_ij e^(l_j t)
-    basis         : 'normal' or 'bare', coordinates of the stored vectors
+    basis         : always 'normal'; kept only for perfbench's tracing
     """
 
     params: SystemParams = field(repr=False)
@@ -325,7 +329,7 @@ class QuasiModeDecomposition:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     weights: np.ndarray
-    lambda_coeffs: np.ndarray | None
+    lambda_coeffs: np.ndarray
     chi_coeffs: np.ndarray
     basis: str
 
@@ -351,8 +355,6 @@ class QuasiModeDecomposition:
 
     def normal_amplitudes(self, t) -> np.ndarray:
         """Reconstruct (S+, S-, A+, A-, D) at the given times."""
-        if self.lambda_coeffs is None:
-            raise ValueError("normal-mode coefficients need symmetric parameters")
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return self.lambda_coeffs @ np.exp(np.outer(self.eigenvalues, t))
 
@@ -360,9 +362,9 @@ class QuasiModeDecomposition:
 def full_decomposition(params: SystemParams, initial=None) -> QuasiModeDecomposition:
     """Assemble eigenvalues, vectors, weights and propagation coefficients.
 
-    For symmetric parameters the two analytic blocks are used and vectors
-    are expressed in the normal basis; otherwise a dense eigensolve of the
-    bare generator is performed and vectors stay in the bare basis.  initial
+    The two analytic blocks are used and vectors are expressed in the
+    normal basis.  Asymmetric parameters raise NonSymmetric and g = v = 0
+    raises ValueError, as in :func:`fiberqed.model.derive_rates`.  initial
     is array-like, 5 finite complex amplitudes in BARE_MODES order
     (ValueError otherwise); the default is the excited atom 1.
     """
@@ -377,8 +379,10 @@ def full_decompositions(points, initial=None) -> list:
 
     Entry i is the decomposition of points[i], or the error that
     full_decomposition(points[i], initial) raises, so one bad point does
-    not stop the others.  Each entry has the bits of the single call; the
-    stacked arithmetic keeps them by four rules:
+    not stop the others: the derive_rates error of an asymmetric or
+    g = v = 0 point, DegenerateBlock at p = 0, or LinAlgError for a
+    singular set of symmetric-block vectors.  Each entry has the bits of
+    the single call; the stacked arithmetic keeps them by four rules:
 
     - the rates and the cubic's coefficients stay per-point Python floats,
       because Python's ``x**2`` and ``x**3`` call libm pow where numpy's
@@ -392,19 +396,16 @@ def full_decompositions(points, initial=None) -> list:
       divides by a real number where numpy multiplies by its reciprocal.
     """
     bare0 = _amplitudes(single_excitation("atom1") if initial is None else initial)
-    normal = [i for i, p in enumerate(points) if p.symmetric() and (p.g > 0 or p.v > 0)]
-    dense = sorted(set(range(len(points))) - set(normal))
-    results = [None] * len(points)
-    for indices, solve in ((normal, _normal_decompositions), (dense, _dense_decompositions)):
-        if indices:
-            for i, result in zip(indices, solve([points[i] for i in indices], bare0)):
-                results[i] = result
-    return results
-
-
-def _normal_decompositions(points, bare0) -> list:
-    """Symmetric points: the two analytic blocks, vectors in the normal basis."""
-    rates = [derive_rates(p) for p in points]
+    results, ok, rates = [None] * len(points), [], []
+    for i, params in enumerate(points):
+        try:
+            rates.append(derive_rates(params))
+            ok.append(i)
+        except ValueError as exc:  # NonSymmetric, or g = v = 0
+            results[i] = exc
+    if not ok:
+        return results
+    points = [points[i] for i in ok]
     sym_lam, sym_right, sym_left, labeled, sym_failed = _symmetric_blocks(rates)
     anti_lam, anti_right, anti_left, anti_failed = _antisymmetric_blocks(points, rates)
     n = len(points)
@@ -422,25 +423,9 @@ def _normal_decompositions(points, bare0) -> list:
     weights = (left @ (trans @ bare0)[..., None])[..., 0]
     lambda_coeffs = right * weights[:, None, :]
     chi_coeffs = np.swapaxes(trans, 1, 2) @ lambda_coeffs
-    return [
-        sym_failed.get(i) or anti_failed.get(i) or QuasiModeDecomposition(
-            params, eigenvalues[i], MODE_LABELS if labeled[i] else None, right[i],
-            left[i], weights[i], lambda_coeffs[i], chi_coeffs[i], "normal",
+    for k, (i, params) in enumerate(zip(ok, points)):
+        results[i] = sym_failed.get(k) or anti_failed.get(k) or QuasiModeDecomposition(
+            params, eigenvalues[k], MODE_LABELS if labeled[k] else None, right[k],
+            left[k], weights[k], lambda_coeffs[k], chi_coeffs[k], "normal",
         )
-        for i, params in enumerate(points)
-    ]
-
-
-def _dense_decompositions(points, bare0) -> list:
-    """Asymmetric (or fully decoupled) points: dense solve in the bare basis."""
-    eigenvalues, right = np.linalg.eig(np.array([bare_generator(p) for p in points]))
-    left, failed = _inverse(right)
-    weights = left @ bare0
-    chi_coeffs = right * weights[:, None, :]
-    return [
-        failed.get(i) or QuasiModeDecomposition(
-            params, eigenvalues[i], None, right[i], left[i], weights[i], None,
-            chi_coeffs[i], "bare",
-        )
-        for i, params in enumerate(points)
-    ]
+    return results

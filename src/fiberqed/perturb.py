@@ -119,18 +119,17 @@ def perturbative_symmetric(params: SystemParams, variant: str = "standard") -> P
 
     lam_bs_plus = -(gsp / 2 + 1j * zeta)
     lam_bs_minus = -(gsp / 2 - 1j * zeta)
+    # the alternative variant reaches -Gamma_D as zeroth order 0 plus the
+    # first-order shift -Gamma_D; the others keep it in the unperturbed generator
+    lam_cd = -gd
+    shifts = None
+    cross = 0.0
     if variant == "appendix_alternative":
         dp = gsd / (-gsp / 2 - 1j * zeta)
         dm = gsd / (-gsp / 2 + 1j * zeta)
-        lam_cd = -gd  # zeroth order 0 plus the first-order shift -Gamma_D
-        shifts = None
-        cross = 0.0
     else:
         dp = gsd / (gd - gsp / 2 - 1j * zeta)
         dm = gsd / (gd - gsp / 2 + 1j * zeta)
-        lam_cd = -gd
-        shifts = None
-        cross = 0.0
         if variant == "appendix_refined":
             shifts = {
                 "QBS+": 1j * gsm**2 / (8 * zeta) + gsd * dp,

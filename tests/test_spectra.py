@@ -82,18 +82,12 @@ class TestSpectralFunction:
         half = np.abs(spectral_function(np.array([3.0 - 0.7, 3.0 + 0.7]), lam)) ** 2
         assert np.allclose(half, mag.max() / 2, rtol=1e-3)
 
-    def test_single_decoupled_mode_spectrum(self):
-        # g = v = 0: the atom-1 amplitude is a bare exponential, so its
-        # spectrum is one Lorentzian of width gamma (FWHM = 2 eta)
+    def test_decoupled_point_has_no_spectrum(self):
+        # g = v = 0 has no normal modes, so no decomposition and no spectrum;
+        # the one-pole Lorentzian shape is covered by test_pole_shape
         params = symmetric_params(g=0, v=0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
-        decomp = full_decomposition(params)
-        grid = np.linspace(-30, 30, 4001)
-        spec = channel_spectrum(decomp, "atom1", grid)
-        eta = GAMMA / 2
-        expected = (GAMMA / (2 * np.pi)) / (eta**2 + grid**2)
-        assert np.abs(spec.spectrum - expected).max() < 1e-14
-        # only one pole is excited: dropping interferences changes nothing
-        assert np.abs(lorentzian_approximation(spec) - spec.spectrum).max() < 1e-14
+        with pytest.raises(ValueError, match="normal modes are undefined when g = v = 0"):
+            full_decomposition(params)
 
 
 class TestDecomposition:
