@@ -31,7 +31,6 @@ from .model import (
     symmetric_params,
 )
 from .dynamics import (
-    CHANNELS,
     IntegratorConfig,
     Trajectory,
     bare_generator,

@@ -46,7 +46,7 @@ class Scenario:
     t_max: float | None
     dt: float
     record_every: int
-    omega_spec: tuple | None  # (min, max, points) or None for the default grid
+    omega_grid: np.ndarray | None  # None for each point's default grid
     points: tuple             # ((parameter, value) or None, SystemParams) per point
     out_base: str
 
@@ -139,9 +139,13 @@ def parse_scenario(path) -> Scenario:
     channels = tuple(
         c for c in re.split(r"[,\s]+", raw_run.get("channels", "cavity1,cavity2")) if c
     )
-    for c in channels:
-        if c not in dynamics.CHANNELS:
+    if not channels:
+        raise ConfigInvalid("[run] channels must name at least one channel")
+    for i, c in enumerate(channels):
+        if c not in BARE_MODES:
             raise ConfigInvalid(f"[run] channels entry {c!r} is not a channel")
+        if c in channels[:i]:
+            raise ConfigInvalid(f"[run] channels entry {c!r} is repeated")
 
     t_max = None
     if kind == "trajectory":
@@ -155,7 +159,7 @@ def parse_scenario(path) -> Scenario:
         raise ConfigInvalid(f"[run] record_every = {raw_run['record_every']!r} "
                             "is not an integer") from None
 
-    omega_spec = None
+    omega_grid = None
     omega_keys = [k for k in ("omega_min", "omega_max", "omega_points") if k in raw_run]
     if omega_keys:
         if len(omega_keys) != 3:
@@ -168,7 +172,10 @@ def parse_scenario(path) -> Scenario:
         if not (n.is_integer() and n >= 2):
             raise ConfigInvalid(f"[run] omega_points = {raw_run['omega_points']!r} "
                                 "is not an integer >= 2")
-        omega_spec = (lo, hi, int(n))
+        omega_grid = np.linspace(lo, hi, int(n))
+        if not np.all(np.diff(omega_grid) > 0):
+            raise ConfigInvalid(f"[run] omega_points = {int(n)} samples of "
+                                f"[{lo}, {hi}] are not strictly increasing")
 
     points = ((None, params),)
     if cp.has_section("sweep"):
@@ -213,7 +220,7 @@ def parse_scenario(path) -> Scenario:
         t_max=t_max,
         dt=dt,
         record_every=record_every,
-        omega_spec=omega_spec,
+        omega_grid=omega_grid,
         points=tuple(points),
         out_base=raw_run.get("out", path.stem),
     )
@@ -341,13 +348,6 @@ def _write_csv(path: Path, header, columns_data) -> None:
         fh.truncate()
 
 
-def _omega_grid(scn: Scenario, params: SystemParams) -> np.ndarray:
-    if scn.omega_spec is not None:
-        lo, hi, n = scn.omega_spec
-        return np.linspace(lo, hi, n)
-    return spectra.default_omega_grid(params)
-
-
 def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point=None):
     """Execute one parameter point; returns (files, summary lines).
 
@@ -379,13 +379,13 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         traj = dynamics.evolve_bare(params, single_excitation(scn.initial), cfg)
         occ = dynamics.occupations(traj)
         modes = (*BARE_MODES, *NORMAL_MODES)
-        cols = ["t", *modes, "survival"] + [f"p_{c}" for c in dynamics.CHANNELS]
+        cols = ["t", *modes, "survival"] + [f"p_{c}" for c in BARE_MODES]
         data = ([traj.times] + [occ[c] for c in modes] + [traj.survival]
-                + [traj.channel_probs[c] for c in dynamics.CHANNELS])
+                + [traj.channel_probs[c] for c in BARE_MODES])
         path = out_dir / f"{scn.out_base}{suffix}_trajectory.csv"
         _write_csv(path, _header(scn, params, cols, point), data)
         files.append(path)
-        totals = {c: traj.channel_probs[c][-1] for c in dynamics.CHANNELS}
+        totals = {c: traj.channel_probs[c][-1] for c in BARE_MODES}
         residual = traj.survival[-1] + sum(totals.values()) - 1.0
     else:
         if scn.run == "decomposition" and labels is None:
@@ -395,7 +395,9 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
             )
         # a non-decaying excited mode fails here, before any file of this point
         totals = spectra.channel_totals(decomp)
-        grid = _omega_grid(scn, params)
+        grid = scn.omega_grid
+        if grid is None:
+            grid = spectra.default_omega_grid(params)
         specs = {c: spectra.channel_spectrum(decomp, c, grid) for c in scn.channels}
         if scn.run == "spectrum":
             cols = ["omega"] + list(scn.channels)
@@ -421,7 +423,7 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         residual = sum(totals.values()) - 1.0
     summary.append(
         "channel totals: "
-        + " ".join(f"{c}={totals[c]:.6f}" for c in dynamics.CHANNELS)
+        + " ".join(f"{c}={totals[c]:.6f}" for c in BARE_MODES)
     )
     summary.append(f"conservation residual: {residual:+.3e}")
     return files, summary

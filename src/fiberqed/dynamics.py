@@ -4,6 +4,7 @@ This module is the numerical oracle for every closed-form result in the
 package: a fixed-step classical Runge-Kutta (RK4) integrator for the
 linear no-detection evolution, with cumulative photon-detection
 probabilities accumulated per output channel alongside the amplitudes.
+Each decay channel is named after its mode in model.BARE_MODES.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .model import (
 )
 
 __all__ = [
-    "CHANNELS",
     "IntegratorConfig",
     "Trajectory",
     "bare_generator",
@@ -34,7 +34,6 @@ __all__ = [
     "occupations",
 ]
 
-CHANNELS = BARE_MODES
 # normal coordinates (S+, S-, A+, A-, D) of the symmetric and anti-symmetric blocks
 SYM_ROWS, ANTI_ROWS = [0, 1, 4], [2, 3]
 # RK4 steps evaluated per dense matrix-power block
@@ -85,12 +84,10 @@ class Trajectory:
     survival: np.ndarray
     params: SystemParams = field(repr=False)
 
-    def detected_total(self) -> np.ndarray:
-        return sum(self.channel_probs[c] for c in CHANNELS)
-
     def conservation_residual(self) -> float:
         """Max deviation of survival + detected from 1 over the grid."""
-        return float(np.abs(self.survival + self.detected_total() - 1.0).max())
+        detected = sum(self.channel_probs[c] for c in BARE_MODES)
+        return float(np.abs(self.survival + detected - 1.0).max())
 
 
 def bare_generator(params: SystemParams) -> np.ndarray:
@@ -112,24 +109,20 @@ def bare_generator(params: SystemParams) -> np.ndarray:
 def normal_generator(params: SystemParams) -> np.ndarray:
     """Matrix form of the normal-mode amplitude equations, rows (S+,S-,A+,A-,D).
 
-    Sign convention: dS+/dt and dS-/dt gain +Gamma_SD * D, and
-    dD/dt = -Gamma_D * D + Gamma_SD * (S+ + S-).
+    The symmetric block sits on SYM_ROWS and the anti-symmetric (A+, A-)
+    block on ANTI_ROWS.  Sign convention: dS+/dt and dS-/dt gain
+    +Gamma_SD * D, and dD/dt = -Gamma_D * D + Gamma_SD * (S+ + S-).
     """
     r = derive_rates(params)
-    g = params.g
-    gen = np.array(
-        [
-            [0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0],
-            [0, 0, -(1j * g + r.gamma_a_plus / 2), -r.gamma_a_minus / 2, 0],
-            [0, 0, -r.gamma_a_minus / 2, 1j * g - r.gamma_a_plus / 2, 0],
-            [0, 0, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
+    g, gp, gm = params.g, r.gamma_a_plus, r.gamma_a_minus
+    gen = np.zeros((5, 5), dtype=complex)
     gen[np.ix_(SYM_ROWS, SYM_ROWS)] = symmetric_generator(
         r.zeta, r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d
     )
+    gen[np.ix_(ANTI_ROWS, ANTI_ROWS)] = [
+        [-(1j * g + gp / 2), -gm / 2],
+        [-gm / 2, 1j * g - gp / 2],
+    ]
     return gen
 
 
@@ -223,7 +216,7 @@ def _integrate(gen, y0, cfg, weights):
 
     times = rec_set.astype(float) * dt
     survival = np.sum(np.abs(states) ** 2, axis=1)
-    channel_probs = {name: probs[:, i] for i, name in enumerate(CHANNELS)}
+    channel_probs = {name: probs[:, i] for i, name in enumerate(BARE_MODES)}
     return times, states, channel_probs, survival
 
 

@@ -21,18 +21,10 @@ import numpy as np
 
 from .dynamics import ANTI_ROWS, SYM_ROWS, symmetric_generator
 from .errors import DegenerateBlock, LabelAmbiguous
-from .model import (
-    BARE_MODES,
-    SystemParams,
-    _amplitudes,
-    derive_rates,
-    mode_matrices,
-    single_excitation,
-)
+from .model import SystemParams, _amplitudes, derive_rates, mode_matrices, single_excitation
 
 __all__ = [
     "MODE_LABELS",
-    "CHANNEL_ROWS",
     "EigenBlock",
     "QuasiModeDecomposition",
     "antisymmetric_block",
@@ -44,9 +36,6 @@ __all__ = [
 
 # canonical ordering of the labeled quasi modes
 MODE_LABELS = ("QBS+", "QBS-", "QCD", "QFD+", "QFD-")
-
-# bare amplitude row for each decay channel
-CHANNEL_ROWS = {mode: row for row, mode in enumerate(BARE_MODES)}
 
 # Symmetric-block roots closer than this fraction of the largest |root|
 # count as coincident.  Rounding splits a double root of the cubic into a
@@ -317,10 +306,9 @@ class QuasiModeDecomposition:
     right_vectors : columns are right eigenvectors in normal-mode coordinates
     left_vectors  : rows are left eigenvectors, left @ right = I
     weights       : overlaps w_j of the left vectors with the initial state
-    lambda_coeffs : normal-amplitude coefficients, d_i(t) = sum_j L_ij e^(l_j t)
-                    (never None)
     chi_coeffs    : bare-amplitude coefficients, c_i(t) = sum_j chi_ij e^(l_j t)
-    basis         : always 'normal'; kept only for perfbench's tracing
+
+    Normal amplitudes are normal_mode_matrix(params) @ bare_amplitudes(t).
     """
 
     params: SystemParams = field(repr=False)
@@ -329,9 +317,7 @@ class QuasiModeDecomposition:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     weights: np.ndarray
-    lambda_coeffs: np.ndarray
     chi_coeffs: np.ndarray
-    basis: str
 
     @property
     def eta(self) -> np.ndarray:
@@ -352,11 +338,6 @@ class QuasiModeDecomposition:
         """Reconstruct (xi1, xi2, alpha1, alpha2, beta) at the given times."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return self.chi_coeffs @ np.exp(np.outer(self.eigenvalues, t))
-
-    def normal_amplitudes(self, t) -> np.ndarray:
-        """Reconstruct (S+, S-, A+, A-, D) at the given times."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self.lambda_coeffs @ np.exp(np.outer(self.eigenvalues, t))
 
 
 def full_decomposition(params: SystemParams, initial=None) -> QuasiModeDecomposition:
@@ -421,11 +402,11 @@ def full_decompositions(points, initial=None) -> list:
     eigenvalues = np.concatenate([sym_lam, anti_lam], axis=1)
     trans = mode_matrices(*np.array([(p.g, p.v, r.zeta) for p, r in zip(points, rates)]).T)
     weights = (left @ (trans @ bare0)[..., None])[..., 0]
-    lambda_coeffs = right * weights[:, None, :]
-    chi_coeffs = np.swapaxes(trans, 1, 2) @ lambda_coeffs
+    # right * weights holds the normal-amplitude coefficients
+    chi_coeffs = np.swapaxes(trans, 1, 2) @ (right * weights[:, None, :])
     for k, (i, params) in enumerate(zip(ok, points)):
         results[i] = sym_failed.get(k) or anti_failed.get(k) or QuasiModeDecomposition(
             params, eigenvalues[k], MODE_LABELS if labeled[k] else None, right[k],
-            left[k], weights[k], lambda_coeffs[k], chi_coeffs[k], "normal",
+            left[k], weights[k], chi_coeffs[k],
         )
     return results

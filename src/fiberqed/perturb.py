@@ -154,13 +154,13 @@ def perturbative_cavity_amplitudes(
     """(alpha1, alpha2) combining the perturbative symmetric manifold with
     the exact fiber-dark amplitudes.
 
-    The cavity difference alpha1 - alpha2 carries only the anti-symmetric
-    manifold, A+ - A-.
+    Both are cavity projections of the normal amplitudes,
+    alpha1,2 = (S+ - S-)/2 +- (A+ - A-)/2: the cavity difference
+    alpha1 - alpha2 carries only the anti-symmetric manifold.
     """
-    modes = perturbative_symmetric(params, variant)
     t = np.asarray(t, dtype=float)
-    fp, fm, gd = modes.time_functions(t)
+    s_plus, s_minus, _ = perturbative_symmetric(params, variant).symmetric_amplitudes(t)
     a_plus, a_minus = fiber_dark_amplitudes(params, t)
-    sym = 0.5 * (fp - fm) - 0.5 * (modes.delta_s_plus - modes.delta_s_minus) * gd
+    sym = 0.5 * (s_plus - s_minus)
     anti = 0.5 * (a_plus - a_minus)
     return sym + anti, sym - anti

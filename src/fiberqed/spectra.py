@@ -18,9 +18,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .eigen import CHANNEL_ROWS, _CRITICAL_POINT, QuasiModeDecomposition
+from .eigen import _CRITICAL_POINT, QuasiModeDecomposition
 from .errors import DegenerateBlock, DivergentIntegral, GridInvalid
-from .model import SystemParams, derive_rates, flux_weights
+from .model import BARE_MODES, SystemParams, derive_rates, flux_weights
 from .perturb import perturbative_symmetric
 
 __all__ = [
@@ -152,14 +152,6 @@ class SpectrumDecomposition:
     def spectrum(self) -> np.ndarray:
         return self.prefactor * np.abs(self.amplitude) ** 2
 
-    @property
-    def lorentzian_sum(self) -> np.ndarray:
-        return self.lorentzians.sum(axis=0)
-
-    @property
-    def interference_sum(self) -> np.ndarray:
-        return self.interferences.sum(axis=0)
-
     def interference(self, label_j, label_k) -> np.ndarray:
         """W term for an unordered pair of mode labels."""
         if self.labels is None:
@@ -177,9 +169,9 @@ def channel_spectrum(
     the fiber kappa_b/pi; the squared Laplace transform is evaluated in
     closed form from the chi coefficients and eigenvalues.
     """
-    if channel not in CHANNEL_ROWS:
-        raise ValueError(f"unknown channel {channel!r}; choose from {sorted(CHANNEL_ROWS)}")
-    index = CHANNEL_ROWS[channel]
+    if channel not in BARE_MODES:
+        raise ValueError(f"unknown channel {channel!r}; choose from {sorted(BARE_MODES)}")
+    index = BARE_MODES.index(channel)
     prefactor = float(_channel_prefactors(decomp.params)[index])
     if omega_grid is None:
         omega_grid = default_omega_grid(decomp.params)
@@ -202,41 +194,39 @@ def channel_totals(decomp: QuasiModeDecomposition) -> dict:
     """
     totals = _pair_integrals(decomp.chi_coeffs, decomp.eigenvalues).sum(axis=(1, 2))
     prefactors = _channel_prefactors(decomp.params)
-    return {
-        c: float(prefactors[row]) * float(totals[row]) for c, row in CHANNEL_ROWS.items()
-    }
+    return {c: float(prefactors[row]) * float(totals[row]) for row, c in enumerate(BARE_MODES)}
 
 
 def lorentzian_approximation(spec: SpectrumDecomposition) -> np.ndarray:
     """Spectrum with all interference terms dropped (sum of Lorentzians)."""
-    return spec.prefactor * spec.lorentzian_sum
+    return spec.prefactor * spec.lorentzians.sum(axis=0)
 
 
 def cavity_coefficients(params: SystemParams, variant: str = "standard") -> dict:
     """Perturbative chi coefficients of both cavity channels per quasi mode.
 
-    The fiber-dark entries +-g/4p are exact; bright and cavity-dark entries
-    use the perturbative mixing amplitudes.  The two cavities share the
-    bright and cavity-dark coefficients and carry opposite-sign fiber-dark
-    ones, so their Lorentzian decompositions coincide.  At the critical
-    point p = 0 the fiber-dark entries diverge: DegenerateBlock.
+    The cavity projection alpha1 = (S+ - S-)/2 + (A+ - A-)/2 read per
+    quasi mode.  S+ - S- = f+ - f- - (Delta_S+ - Delta_S-) g_D, with
+    (f+, f-, g_D) the PerturbativeModes amplitudes at t = 0, and the exact
+    fiber-dark pair gives
+    A+ - A- = g/2p (e^(lambda_QFD+ t) - e^(lambda_QFD- t)).  The two
+    cavities share the bright and cavity-dark coefficients and carry
+    opposite-sign fiber-dark ones, so their Lorentzian decompositions
+    coincide.  At the critical point p = 0 the fiber-dark entries diverge:
+    DegenerateBlock.
     """
     modes = perturbative_symmetric(params, variant)
     r = derive_rates(params)
     if r.p == 0:
         raise DegenerateBlock(_CRITICAL_POINT)
-    g, v, zeta = params.g, params.v, r.zeta
-    dp, dm = modes.delta_s_plus, modes.delta_s_minus
-    chi_bs_plus = (g / 2 - v * dp) / (2 * zeta)
-    chi_bs_minus = -(g / 2 - v * dm) / (2 * zeta)
-    chi_fd = g / (4 * r.p)
-    chi_cd = (dp - dm) / (2 * zeta) * ((g / 2) * (dp + dm) + v)
-    cavity1 = {
-        "QBS+": chi_bs_plus,
-        "QBS-": chi_bs_minus,
-        "QCD": chi_cd,
-        "QFD+": chi_fd,
-        "QFD-": -chi_fd,
+    f_plus, f_minus, g_cd = modes.amplitudes.tolist()
+    sym = {
+        "QBS+": f_plus / 2,
+        "QBS-": -f_minus / 2,
+        "QCD": -(modes.delta_s_plus - modes.delta_s_minus) * g_cd / 2,
     }
-    cavity2 = dict(cavity1, **{"QFD+": -chi_fd, "QFD-": chi_fd})
-    return {"cavity1": cavity1, "cavity2": cavity2}
+    chi_fd = params.g / (4 * r.p)
+    return {
+        "cavity1": dict(sym, **{"QFD+": chi_fd, "QFD-": -chi_fd}),
+        "cavity2": dict(sym, **{"QFD+": -chi_fd, "QFD-": chi_fd}),
+    }

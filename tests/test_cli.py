@@ -139,16 +139,35 @@ def test_non_decaying_mode_exits_3_before_writing(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize(
     "omega",
-    [(5, -5, 101), (5, 5, 101), (-5, 5, 0), (-5, 5, 1), (-5, 5, 2.7)],
-    ids=["reversed", "equal", "points0", "points1", "points2.7"],
+    [(5, -5, 101), (5, 5, 101), (-5, 5, 0), (-5, 5, 1), (-5, 5, 2.7),
+     (1, 1.0000000000000002, 5)],
+    ids=["reversed", "equal", "points0", "points1", "points2.7", "narrow"],
 )
 def test_bad_omega_grid_exits_2(tmp_path, capsys, omega):
+    # "narrow": two adjacent floats cannot hold 5 strictly increasing samples
     text = BASE.format(kind="spectrum") + (
         "omega_min = {}\nomega_max = {}\nomega_points = {}\n".format(*omega)
     )
     cfg = write_cfg(tmp_path, text)
     assert main([str(cfg), "--out", str(tmp_path)]) == 2
-    assert "[run] omega_" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config error: [run] omega_")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "decomposition"])
+@pytest.mark.parametrize("channels, message", [
+    ("cavity1,cavity1", "channels entry 'cavity1' is repeated"),
+    ("fiber, cavity2 fiber", "channels entry 'fiber' is repeated"),
+    (",", "channels must name at least one channel"),
+    ("cavity1,cavity3", "channels entry 'cavity3' is not a channel"),
+], ids=["repeated", "repeated-apart", "empty", "unknown"])
+def test_bad_channel_list_exits_2(tmp_path, capsys, kind, channels, message):
+    text = BASE.format(kind=kind).replace("channels = cavity1,cavity2",
+                                          f"channels = {channels}")
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: [run] {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_critical_point_trajectory_runs(tmp_path, capsys):

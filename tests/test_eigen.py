@@ -150,7 +150,7 @@ class TestFiberDarkAmplitudes:
         a_plus, a_minus = fiber_dark_amplitudes(params, t)
         assert np.isfinite(a_plus).all() and np.isfinite(a_minus).all()
         decomp = full_decomposition(params)
-        ref = decomp.normal_amplitudes(t)[2:4]
+        ref = (normal_mode_matrix(params) @ decomp.bare_amplitudes(t))[2:4]
         err = max((np.abs(a - b) / np.abs(b)).max() for a, b in zip((a_plus, a_minus), ref))
         bound = np.finfo(float).eps * np.abs(decomp.eigenvalues).max() * t[-1]
         print(f"max relative |A - eigen-sum| = {err:.2g} (bound {bound:.2g})")
@@ -272,7 +272,7 @@ class TestFullDecomposition:
 
     def test_block_structure_of_coefficients(self):
         decomp = full_decomposition(FIG8)
-        lam = decomp.lambda_coeffs
+        lam = decomp.right_vectors * decomp.weights
         sym_rows, anti_rows = [0, 1, 4], [2, 3]
         # each normal amplitude mixes at most three eigenvalues, each bare
         # amplitude at most five
@@ -289,7 +289,7 @@ class TestFullDecomposition:
         decomp = full_decomposition(params)
         recon = decomp.bare_amplitudes(traj.times).T
         assert np.abs(recon - traj.states).max() < 1e-8
-        normal = decomp.normal_amplitudes(traj.times).T
+        normal = (normal_mode_matrix(params) @ decomp.bare_amplitudes(traj.times)).T
         mapped = traj.states @ normal_mode_matrix(params).T
         assert np.abs(normal - mapped).max() < 1e-8
 
@@ -390,8 +390,8 @@ def _draw_families(rng, n):
 
 def _bits(decomp):
     arrays = (decomp.eigenvalues, decomp.right_vectors, decomp.left_vectors,
-              decomp.weights, decomp.lambda_coeffs, decomp.chi_coeffs)
-    return decomp.labels, decomp.basis, [a.tobytes() for a in arrays]
+              decomp.weights, decomp.chi_coeffs)
+    return decomp.labels, [a.tobytes() for a in arrays]
 
 
 def _reference_decomposition(params):
@@ -452,10 +452,9 @@ def _reference_decomposition(params):
     left[np.ix_([3, 4], [2, 3])] = anti.left_vectors
     trans = normal_mode_matrix(params)
     weights = left @ (trans @ np.array([1, 0, 0, 0, 0], dtype=complex))
-    lambda_coeffs = right * weights[None, :]
     eigenvalues = np.concatenate([roots[order], anti.eigenvalues])
-    return MODE_LABELS, "normal", [x.tobytes() for x in (
-        eigenvalues, right, left, weights, lambda_coeffs, trans.T @ lambda_coeffs)]
+    return MODE_LABELS, [x.tobytes() for x in (
+        eigenvalues, right, left, weights, trans.T @ (right * weights[None, :]))]
 
 
 class TestBatchedKernel:

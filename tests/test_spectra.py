@@ -1,10 +1,13 @@
 """Channel spectra, Lorentzian + interference decomposition and integrals."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from fiberqed import (
+    MODE_LABELS,
     DegenerateBlock,
     DivergentIntegral,
     GridInvalid,
@@ -19,9 +22,12 @@ from fiberqed import (
     full_decomposition,
     integrated_spectrum,
     lorentzian_approximation,
+    perturbative_cavity_amplitudes,
+    perturbative_symmetric,
     spectral_function,
     symmetric_params,
 )
+from fiberqed.perturb import VARIANTS
 
 from conftest import FIG6, FIG7, FIG8, FIG10, GAMMA, atom1_oracle
 
@@ -96,8 +102,9 @@ class TestDecomposition:
         for channel in ("cavity1", "cavity2", "atom1", "fiber"):
             spec = channel_spectrum(decomp, channel)
             direct = np.abs(spec.amplitude) ** 2
-            recon = spec.lorentzian_sum + spec.interference_sum
-            scale = np.maximum(direct, spec.lorentzian_sum)
+            lorentzian_sum = spec.lorentzians.sum(axis=0)
+            recon = lorentzian_sum + spec.interferences.sum(axis=0)
+            scale = np.maximum(direct, lorentzian_sum)
             assert (np.abs(recon - direct) / scale).max() < 1e-10
 
     def test_interference_terms_are_real_with_tiny_residue(self):
@@ -386,6 +393,43 @@ class TestCavityCoefficients:
         assert derive_rates(params).p == 0
         with pytest.raises(DegenerateBlock, match="p = 0: the anti-symmetric block"):
             cavity_coefficients(params)
+
+    def test_coefficients_sum_to_perturbative_amplitudes(self, rng):
+        # alpha_c(t) = sum_j chi_cj e^(lambda_j t) over the variant's three
+        # eigenvalues and the exact fiber-dark pair -Gamma_A+/2 -+ i p.  Each
+        # side rounds each term |chi_j e^(lambda_j t)| <= |chi_j| a few times
+        # (t >= 0, every lambda decays), so they agree to a few eps sum |chi_j|.
+        eps = np.finfo(float).eps
+        worst, skipped, checked = 0.0, 0, 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            for _ in range(1000):
+                g, v = np.exp(rng.uniform(np.log(0.1), np.log(100.0), 2))
+                kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(0.01), np.log(10.0), 3))
+                params = symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
+                r = derive_rates(params)
+                fiber_dark = {"QFD+": -r.gamma_a_plus / 2 - 1j * r.p,
+                              "QFD-": -r.gamma_a_plus / 2 + 1j * r.p}
+                for variant in VARIANTS:
+                    sym = perturbative_symmetric(params, variant).eigenvalues
+                    if max(lam.real for lam in sym.values()) >= 0:
+                        skipped += 1
+                        continue
+                    lam = dict(sym, **fiber_dark)
+                    t = np.linspace(0.0, 5 / min(-x.real for x in lam.values()), 51)
+                    coeffs = cavity_coefficients(params, variant)
+                    amplitudes = perturbative_cavity_amplitudes(params, t, variant)
+                    for channel, amp in zip(("cavity1", "cavity2"), amplitudes):
+                        chi = coeffs[channel]
+                        total = sum(chi[m] * np.exp(lam[m] * t) for m in MODE_LABELS)
+                        scale = sum(abs(x) for x in chi.values())
+                        worst = max(worst, np.abs(total - amp).max() / scale)
+                    checked += 1
+        bound = 4 * eps
+        print(f"{checked} draws checked, {skipped} skipped (a perturbative eigenvalue "
+              f"does not decay): max |sum - alpha| / sum|chi| = {worst:.2g} (bound {bound:.2g})")
+        assert checked > 2500
+        assert worst <= bound
 
     def test_regime_warning_propagates(self):
         with pytest.warns(RegimeWarning):
