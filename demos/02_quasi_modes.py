@@ -38,8 +38,8 @@ params = symmetric_params(g=7.0, v=4.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
 decomp = full_decomposition(params)
 for j, label in enumerate(decomp.labels):
     lam = decomp.eigenvalues[j]
-    print(f"  {label:4s}: lambda = {lam:+.4f}   decay eta = {decomp.eta[j]:.4f}"
-          f"   frequency delta = {decomp.delta[j]:+.4f}")
+    print(f"  {label:4s}: lambda = {lam:+.4f}   decay eta = {-lam.real:.4f}"
+          f"   frequency delta = {-lam.imag:+.4f}")
 
 cfg = IntegratorConfig(dt=5e-5, t_max=4.0, record_every=100)
 traj = evolve_bare(params, single_excitation("atom1"), cfg)

@@ -57,12 +57,14 @@ from .perturb import (
 from .spectra import (
     SpectrumDecomposition,
     cavity_coefficients,
+    channel_spectra,
     channel_spectrum,
     channel_totals,
     default_omega_grid,
     integrated_spectrum,
     lorentzian_approximation,
     spectral_function,
+    stacked_totals,
 )
 
 __version__ = "0.1.0"

@@ -4,6 +4,12 @@ Config files use flat ``key = value`` lines in three sections, [params],
 [run] and an optional [sweep].  Output is comma-separated text with a
 '#'-prefixed header that echoes the full parameter set, so every file is
 self-documenting and byte-identical across runs.
+
+A sweep runs as stacked passes: all points are decomposed in one call,
+and the spectra, channel totals and CSV bytes of a spectrum or
+decomposition run are computed for a chunk of points at a time, bounded
+by one cell budget.  Files are still written point by point, and a point
+that cannot run fails at its turn, after the files of the points before.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import re
 import sys
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields, replace
+from itertools import combinations, repeat
 from pathlib import Path
 
 import numpy as np
@@ -240,8 +247,9 @@ def _header(scn: Scenario, params: SystemParams, columns, point=None) -> list:
     return lines
 
 
-# Rows formatted per block: bounds the byte slots to ~220 kB at 18 columns.
-_BLOCK_ROWS = 512
+# CSV cells formatted per _format_rows call and per chunk of sweep points:
+# bounds the stacked spectra, the byte slots (~0.4 MB) and their temporaries.
+_CELLS = 1 << 14
 # A cell is formatted into a 24-byte slot of native-order words: (pad, sign,
 # leading digit, "."), three 4-digit groups, then ("e", exponent sign,
 # hundreds digit, tens, ones, delimiter, pad, pad); pads are 0 and dropped.
@@ -334,27 +342,102 @@ def _open_untruncated(path, flags):
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_csv(path: Path, header, columns_data) -> None:
-    """Write the header lines, then one `_FMT` row per sample, in row blocks.
+def _row_blocks(rows: np.ndarray):
+    """The bytes of rows (n, columns), formatted in blocks of at most _CELLS cells."""
+    step = max(1, _CELLS // rows.shape[1])
+    for start in range(0, len(rows), step):
+        yield _format_rows(rows[start:start + step])
+
+
+def _csv_bodies(data: np.ndarray) -> list:
+    """The CSV body of each file of data (files, rows, columns), as byte pieces.
+
+    Files that fit _CELLS together are formatted in one _format_rows call,
+    whose bytes are split after the last row of each file; the files of a
+    larger stack are formatted one at a time, in blocks, as they are written.
+    """
+    n_files, n_rows, n_cols = data.shape
+    if data.size > _CELLS:
+        return [_row_blocks(rows) for rows in data]
+    text = _format_rows(data.reshape(n_files * n_rows, n_cols))
+    newlines = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))
+    ends = (newlines[n_rows - 1::n_rows] + 1).tolist()
+    view = memoryview(text)
+    return [[view[start:end]] for start, end in zip([0, *ends], ends)]
+
+
+def _write_csv(path: Path, header, body) -> None:
+    """Write the header lines, then the byte pieces of the body (see _csv_bodies).
 
     An existing file is overwritten in place and then cut to the new length,
     so it ends up with the same bytes as one opened with truncation.
     """
-    data = np.column_stack(columns_data)
     with open(path, "wb", opener=_open_untruncated) as fh:
         fh.write(("\n".join(header) + "\n").encode())
-        for start in range(0, len(data), _BLOCK_ROWS):
-            fh.write(_format_rows(data[start:start + _BLOCK_ROWS]))
+        fh.writelines(body)
         fh.truncate()
 
 
-def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point=None):
+def _spectral_results(scn: Scenario, decomps):
+    """Per point of a spectrum or decomposition run: (channel totals, CSV
+    bodies in file order), its DivergentIntegral, or None if it failed before.
+
+    The points go in chunks of at most _CELLS CSV cells (at least one
+    point).  The runnable points of a chunk get their totals from one
+    stacked Gramian solve, their spectra from one stacked kernel call and
+    their CSV bytes from one _format_rows call; a chunk is evaluated when
+    its first point is asked for, so memory does not grow with the sweep.
+    """
+    decomposition = scn.run == "decomposition"
+    n_rows = (scn.omega_grid.size if scn.omega_grid is not None
+              else spectra._GRID_POINTS)
+    # omega, total, 5 Lorentzians, 10 interference terms, lorentzian_sum
+    n_cols = 18 if decomposition else 1 + len(scn.channels)
+    n_files = len(scn.channels) if decomposition else 1
+    per_chunk = max(1, _CELLS // (n_files * n_rows * n_cols))
+    for start in range(0, len(decomps), per_chunk):
+        chunk = decomps[start:start + per_chunk]
+        # _run_point raises for a failed or, in a decomposition run, unlabeled point
+        ok = [i for i, decomp in enumerate(chunk) if not isinstance(decomp, Exception)
+              and (decomp.labels is not None or not decomposition)]
+        results = [None] * len(chunk)
+        for i, totals in zip(ok, spectra.stacked_totals([chunk[i] for i in ok])):
+            results[i] = totals  # a DivergentIntegral stays as the result
+        ok = [i for i in ok if not isinstance(results[i], Exception)]
+        if ok:
+            bodies = _csv_bodies(_chunk_rows(scn, [chunk[i] for i in ok]))
+            for k, i in enumerate(ok):
+                totals = dict(zip(BARE_MODES, results[i].tolist()))
+                results[i] = totals, bodies[k * n_files:(k + 1) * n_files]
+        yield from results
+
+
+def _chunk_rows(scn: Scenario, decomps) -> np.ndarray:
+    """CSV rows (files, grid points, columns) of runnable spectral points, in file order."""
+    spec = spectra.channel_spectra(decomps, scn.channels, scn.omega_grid)
+    grid = np.broadcast_to(spec.omega_grid, spec.amplitude.shape)
+    if scn.run == "spectrum":
+        data = np.concatenate([grid[:, :1], spec.spectrum], axis=1)  # (points, 1 + C, G)
+    else:
+        prefactor = spec.prefactor[..., None]
+        data = np.concatenate([
+            grid[:, :, None], spec.spectrum[:, :, None],
+            prefactor * spec.lorentzians, prefactor * spec.interferences,
+            spectra.lorentzian_approximation(spec)[:, :, None],
+        ], axis=2)  # (points, C, 18, G): one file per point and channel
+        data = data.reshape(-1, *data.shape[2:])
+    return data.transpose(0, 2, 1)
+
+
+def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point=None,
+               result=None):
     """Execute one parameter point; returns (files, summary lines).
 
     decomp is the point's entry of eigen.full_decompositions: the
     decomposition, or the error its computation raised.  Every run type
     needs the normal-mode picture, so the derive_rates error of an
-    asymmetric or g = v = 0 point is raised here.
+    asymmetric or g = v = 0 point is raised here.  result is the point's
+    entry of _spectral_results for a spectrum or decomposition run.
     """
     suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
     if isinstance(decomp, Exception):
@@ -383,7 +466,7 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         data = ([traj.times] + [occ[c] for c in modes] + [traj.survival]
                 + [traj.channel_probs[c] for c in BARE_MODES])
         path = out_dir / f"{scn.out_base}{suffix}_trajectory.csv"
-        _write_csv(path, _header(scn, params, cols, point), data)
+        _write_csv(path, _header(scn, params, cols, point), _row_blocks(np.column_stack(data)))
         files.append(path)
         totals = {c: traj.channel_probs[c][-1] for c in BARE_MODES}
         residual = traj.survival[-1] + sum(totals.values()) - 1.0
@@ -394,32 +477,21 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
                 "unlabeled; a decomposition run needs the labels"
             )
         # a non-decaying excited mode fails here, before any file of this point
-        totals = spectra.channel_totals(decomp)
-        grid = scn.omega_grid
-        if grid is None:
-            grid = spectra.default_omega_grid(params)
-        specs = {c: spectra.channel_spectrum(decomp, c, grid) for c in scn.channels}
+        if isinstance(result, Exception):
+            raise result
+        totals, bodies = result
         if scn.run == "spectrum":
-            cols = ["omega"] + list(scn.channels)
-            data = [grid] + [specs[c].spectrum for c in scn.channels]
-            path = out_dir / f"{scn.out_base}{suffix}_spectrum.csv"
-            _write_csv(path, _header(scn, params, cols, point), data)
+            outputs = [("spectrum", ["omega", *scn.channels])]
+        else:
+            cols = (["omega", "total"]
+                    + [f"lorentzian_{n}" for n in labels]
+                    + [f"w_{labels[j]}_{labels[k]}" for j, k in combinations(range(5), 2)]
+                    + ["lorentzian_sum"])
+            outputs = [(f"decomposition_{c}", cols) for c in scn.channels]
+        for (kind, cols), body in zip(outputs, bodies):
+            path = out_dir / f"{scn.out_base}{suffix}_{kind}.csv"
+            _write_csv(path, _header(scn, params, cols, point), body)
             files.append(path)
-        else:  # decomposition
-            for c in scn.channels:
-                spec = specs[c]
-                names = spec.labels
-                cols = (["omega", "total"]
-                        + [f"lorentzian_{n}" for n in names]
-                        + [f"w_{names[j]}_{names[k]}" for j, k in spec.pairs]
-                        + ["lorentzian_sum"])
-                data = ([grid, spec.spectrum]
-                        + [spec.prefactor * L for L in spec.lorentzians]
-                        + [spec.prefactor * w for w in spec.interferences]
-                        + [spectra.lorentzian_approximation(spec)])
-                path = out_dir / f"{scn.out_base}{suffix}_decomposition_{c}.csv"
-                _write_csv(path, _header(scn, params, cols, point), data)
-                files.append(path)
         residual = sum(totals.values()) - 1.0
     summary.append(
         "channel totals: "
@@ -433,8 +505,11 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
     """Run one scenario file; returns the list of files written.
 
     Every point of a sweep is decomposed in one stacked call before the
-    first point runs; a point whose decomposition failed raises when its
-    turn comes, after the files of the points before it.
+    first point runs.  The spectra, channel totals and CSV bytes of a
+    spectrum or decomposition run are computed in chunks of points (see
+    _spectral_results), and the files are written point by point.  A point
+    that cannot run raises when its turn comes, after the files of the
+    points before it.
     """
     scn = parse_scenario(config_path)
     out = Path(out_dir) if out_dir is not None else Path.cwd()
@@ -443,10 +518,12 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
     decomps = eigen.full_decompositions(
         [params for _, params in scn.points], single_excitation(scn.initial)
     )
+    results = (repeat(None) if scn.run == "trajectory"
+               else _spectral_results(scn, decomps))
 
     written = []
-    for (point, point_params), decomp in zip(scn.points, decomps):
-        files, summary = _run_point(scn, point_params, decomp, out, point)
+    for (point, point_params), decomp, result in zip(scn.points, decomps, results):
+        files, summary = _run_point(scn, point_params, decomp, out, point, result)
         written.extend(files)
         if not quiet:
             tag = f" [{point[0]}={point[1]:g}]" if point is not None else ""

@@ -163,7 +163,10 @@ def _integrate(gen, y0, cfg, weights):
     overflow.  The margin is for rounding, which moves the eigenvalues of
     phi by about n * eps * |phi| ~ 1e-15 (6.7e-16 on a lossless set, whose
     exact radius is at most 1).  It lets the norm grow by a factor of at
-    most (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.
+    most (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.  A stable step must
+    also divide the horizon: n_steps = round(t_max / dt) steps have to end
+    within 1e-9 * t_max of t_max (ConfigInvalid otherwise), or the last row
+    would not be the horizon.
     """
     cfg.validate()
     dt = cfg.dt
@@ -178,6 +181,11 @@ def _integrate(gen, y0, cfg, weights):
         raise ConfigInvalid(
             f"dt = {dt} is outside the RK4 stability region: the step matrix "
             f"has spectral radius 1 + {radius - 1.0:.3g}"
+        )
+    if abs(n_steps * dt - cfg.t_max) > 1e-9 * cfg.t_max:
+        raise ConfigInvalid(
+            f"t_max = {cfg.t_max} is not a whole number of steps dt = {dt}: "
+            f"the last step would end at t = {n_steps * dt:.9g}"
         )
 
     block = min(_BLOCK, n_steps)

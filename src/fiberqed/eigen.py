@@ -307,6 +307,7 @@ class QuasiModeDecomposition:
     left_vectors  : rows are left eigenvectors, left @ right = I
     weights       : overlaps w_j of the left vectors with the initial state
     chi_coeffs    : bare-amplitude coefficients, c_i(t) = sum_j chi_ij e^(l_j t)
+    initial       : the bare amplitudes c(0) the weights were taken of
 
     Normal amplitudes are normal_mode_matrix(params) @ bare_amplitudes(t).
     """
@@ -318,16 +319,7 @@ class QuasiModeDecomposition:
     left_vectors: np.ndarray
     weights: np.ndarray
     chi_coeffs: np.ndarray
-
-    @property
-    def eta(self) -> np.ndarray:
-        """Decay rates, eta_j = -Re(lambda_j)."""
-        return -self.eigenvalues.real
-
-    @property
-    def delta(self) -> np.ndarray:
-        """Mode frequencies, delta_j = -Im(lambda_j)."""
-        return -self.eigenvalues.imag
+    initial: np.ndarray
 
     def index(self, label: str) -> int:
         if self.labels is None:
@@ -407,6 +399,6 @@ def full_decompositions(points, initial=None) -> list:
     for k, (i, params) in enumerate(zip(ok, points)):
         results[i] = sym_failed.get(k) or anti_failed.get(k) or QuasiModeDecomposition(
             params, eigenvalues[k], MODE_LABELS if labeled[k] else None, right[k],
-            left[k], weights[k], chi_coeffs[k],
+            left[k], weights[k], chi_coeffs[k], bare0,
         )
     return results

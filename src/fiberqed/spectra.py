@@ -6,18 +6,24 @@ transform: a sum of at most five Lorentzians plus pairwise interference
 terms that redistribute weight between output ports without changing
 positivity of the total.  A channel is held as arrays: its labels, its
 row of chi coefficients and the five eigenvalues.  Its grid arrays come
-from one broadcast pole kernel, and every frequency integral is read from
-one (5, 5) pair matrix of closed forms.
+from one broadcast pole kernel, stacked over leading axes, so the
+channels of many parameter points are evaluated in one pass
+(:func:`channel_spectra`) and one channel of one point is the case
+N = 1 (:func:`channel_spectrum`).  The Lorentzian and interference
+integrals are read from one (5, 5) pair matrix of closed forms; the
+integrated spectrum of every channel comes from the Gramian of the bare
+generator, one stacked linear solve for many points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
+from .dynamics import bare_generator
 from .eigen import _CRITICAL_POINT, QuasiModeDecomposition
 from .errors import DegenerateBlock, DivergentIntegral, GridInvalid
 from .model import BARE_MODES, SystemParams, derive_rates, flux_weights
@@ -28,8 +34,10 @@ __all__ = [
     "spectral_function",
     "default_omega_grid",
     "channel_spectrum",
+    "channel_spectra",
     "integrated_spectrum",
     "channel_totals",
+    "stacked_totals",
     "lorentzian_approximation",
     "cavity_coefficients",
 ]
@@ -73,23 +81,37 @@ def _check_grid(omega_grid) -> np.ndarray:
     return grid
 
 
+def _divergences(chi, lam) -> dict:
+    """{index: DivergentIntegral} of the points whose spectra have no finite integral.
+
+    chi (N, C, P) holds each point's channel rows and lam (N, P) its poles.
+    A point fails when a mode with chi_cj != 0 in some channel has
+    eta = -Re(lambda_j) <= 0 (a pair can have eta_j + eta_k <= 0 only
+    then); its error names the first such (c, j) in row-major order.
+    """
+    eta = -lam.real
+    diverging = (chi != 0) & (eta[:, None, :] <= 0)
+    return {
+        int(i): DivergentIntegral(f"eta = {eta[i, np.argwhere(diverging[i])[0, 1]]} <= 0")
+        for i in np.flatnonzero(diverging.any(axis=(1, 2)))
+    }
+
+
 def _pair_integrals(chi, lam) -> np.ndarray:
     """Pair matrices of the frequency integral of |sum_j chi_cj L(omega, lam_j)|^2.
 
-    For each row c of chi, entry [c, j, k] is
+    For each row c of chi (C, P), entry [c, j, k] is
     -2 pi Re chi_cj chi_ck^* / (lam_j + lam_k^*) over the modes with
     chi_cj != 0 and 0 elsewhere.  The diagonal holds the Lorentzian
     integrals |chi_j|^2 pi / eta_j, [j, k] + [k, j] is the net
     interference integral of the pair, and the sum of the matrix is the
-    integral of the whole spectrum.  Raises DivergentIntegral when a mode
-    with chi_cj != 0 has eta <= 0 (a pair can have eta_j + eta_k <= 0
-    only then), naming the first one.
+    integral of the whole spectrum.  Raises the DivergentIntegral of
+    :func:`_divergences`.
     """
+    failed = _divergences(chi[None], lam[None])
+    if failed:
+        raise failed[0]
     active = chi != 0
-    eta = -lam.real
-    diverging = np.argwhere(active & (eta <= 0))
-    if diverging.size:
-        raise DivergentIntegral(f"eta = {eta[diverging[0, 1]]} <= 0")
     both = active[:, :, None] & active[:, None, :]
     den = np.where(both, lam[:, None] + lam.conj(), 1.0)  # lam_j + lam_k^* != 0 on both
     pairs = chi[:, :, None] * chi.conj()[:, None, :] / den
@@ -107,27 +129,36 @@ class SpectrumDecomposition:
     pointwise up to rounding; row i of interferences belongs to pairs[i].
     The grid arrays are evaluated on first use, so a spectrum needed only
     for its integrals never touches the grid.
+
+    The arrays may carry leading axes, as they do for the (points,
+    channels) stack of :func:`channel_spectra`: chi (..., P), eigenvalues
+    and omega_grid broadcasting against it, prefactor (..., 1); every grid
+    array then gains the same axes.  decomp is the decomposition a single
+    channel was taken from, whose Gramian gives its integrated spectrum;
+    it is None for a stack and for a spectrum given only by its poles.
     """
 
-    channel: str
-    prefactor: float
+    channel: str | tuple
+    prefactor: float | np.ndarray
     labels: tuple | None
     chi: np.ndarray
     eigenvalues: np.ndarray
     omega_grid: np.ndarray
+    decomp: QuasiModeDecomposition | None = field(default=None, repr=False)
 
     @cached_property
     def pairs(self) -> tuple:
-        return tuple(combinations(range(len(self.chi)), 2))
+        return tuple(combinations(range(self.chi.shape[-1]), 2))
 
     @cached_property
     def _responses(self) -> np.ndarray:
-        poles = spectral_function(self.omega_grid, self.eigenvalues[:, None])
-        return self.chi[:, None] * poles
+        # the poles of a stacked point are evaluated once for all its channels
+        poles = spectral_function(self.omega_grid[..., None, :], self.eigenvalues[..., None])
+        return self.chi[..., None] * poles
 
     @cached_property
     def amplitude(self) -> np.ndarray:
-        return self._responses.sum(axis=0)
+        return self._responses.sum(axis=-2)
 
     @cached_property
     def lorentzians(self) -> np.ndarray:
@@ -136,7 +167,8 @@ class SpectrumDecomposition:
     @cached_property
     def interferences(self) -> np.ndarray:
         r = self._responses
-        return np.array([2 * np.real(r[j] * np.conj(r[k])) for j, k in self.pairs])
+        rows = [2 * np.real(r[..., j, :] * np.conj(r[..., k, :])) for j, k in self.pairs]
+        return np.stack(rows, axis=-2) if rows else np.empty(r.shape[:-2] + (0, r.shape[-1]))
 
     @cached_property
     def pair_integrals(self) -> np.ndarray:
@@ -157,7 +189,14 @@ class SpectrumDecomposition:
         if self.labels is None:
             raise LookupError("decomposition is unlabeled")
         pair = sorted((self.labels.index(label_j), self.labels.index(label_k)))
-        return self.interferences[self.pairs.index(tuple(pair))]
+        return self.interferences[..., self.pairs.index(tuple(pair)), :]
+
+
+def _channel_rows(channels) -> list:
+    for channel in channels:
+        if channel not in BARE_MODES:
+            raise ValueError(f"unknown channel {channel!r}; choose from {sorted(BARE_MODES)}")
+    return [BARE_MODES.index(c) for c in channels]
 
 
 def channel_spectrum(
@@ -167,39 +206,122 @@ def channel_spectrum(
 
     Atom channels carry the prefactor gamma/2pi, cavities kappa_i/pi and
     the fiber kappa_b/pi; the squared Laplace transform is evaluated in
-    closed form from the chi coefficients and eigenvalues.
+    closed form from the chi coefficients and eigenvalues.  This is the
+    N = 1 case of :func:`channel_spectra`, with the bits of its entry.
     """
-    if channel not in BARE_MODES:
-        raise ValueError(f"unknown channel {channel!r}; choose from {sorted(BARE_MODES)}")
-    index = BARE_MODES.index(channel)
+    (index,) = _channel_rows([channel])
     prefactor = float(_channel_prefactors(decomp.params)[index])
     if omega_grid is None:
         omega_grid = default_omega_grid(decomp.params)
     grid = _check_grid(omega_grid)
     return SpectrumDecomposition(
-        channel, prefactor, decomp.labels, decomp.chi_coeffs[index], decomp.eigenvalues, grid
+        channel, prefactor, decomp.labels, decomp.chi_coeffs[index], decomp.eigenvalues, grid,
+        decomp,
+    )
+
+
+def channel_spectra(decomps, channels, omega_grid=None) -> SpectrumDecomposition:
+    """The spectra of the given channels at many points, as one stacked spectrum.
+
+    Its arrays carry the leading axes (points, channels): chi (N, C, 5),
+    eigenvalues (N, 1, 5), prefactor (N, C, 1) and omega_grid (G,), or
+    (N, 1, G) when each point takes its default grid (omega_grid None).
+    Entry [i, c] of every grid array has the bits of the same array of
+    channel_spectrum(decomps[i], channels[c], omega_grid).  labels are
+    the points' common labels, or None unless all of them share them.
+    """
+    rows = _channel_rows(channels)
+    if omega_grid is None:
+        grid = np.stack([default_omega_grid(d.params) for d in decomps])[:, None, :]
+    else:
+        grid = _check_grid(omega_grid)
+    labels = {d.labels for d in decomps}
+    return SpectrumDecomposition(
+        tuple(channels),
+        np.array([_channel_prefactors(d.params)[rows] for d in decomps])[..., None],
+        labels.pop() if len(labels) == 1 else None,
+        np.array([d.chi_coeffs[rows] for d in decomps]),
+        np.array([d.eigenvalues for d in decomps])[:, None, :],
+        grid,
     )
 
 
 def integrated_spectrum(spec: SpectrumDecomposition) -> float:
-    """Closed-form frequency integral of the full channel spectrum."""
+    """Closed-form frequency integral of the full channel spectrum.
+
+    For a spectrum of a decomposition this is its channel's entry of
+    :func:`channel_totals`; a spectrum given only by its poles sums its
+    pair_integrals.
+    """
+    if spec.decomp is not None:
+        return channel_totals(spec.decomp)[spec.channel]
     return spec.prefactor * float(spec.pair_integrals.sum())
 
 
 def channel_totals(decomp: QuasiModeDecomposition) -> dict:
-    """Integrated spectrum of every decay channel, from one pair kernel.
+    """Integrated spectrum of every decay channel: the N = 1 case of :func:`stacked_totals`.
 
-    Equals integrated_spectrum(channel_spectrum(decomp, c)) for each
-    channel c up to rounding, without building the spectra.
+    Raises DivergentIntegral when a mode that carries weight does not decay.
     """
-    totals = _pair_integrals(decomp.chi_coeffs, decomp.eigenvalues).sum(axis=(1, 2))
-    prefactors = _channel_prefactors(decomp.params)
-    return {c: float(prefactors[row]) * float(totals[row]) for row, c in enumerate(BARE_MODES)}
+    (totals,) = stacked_totals([decomp])
+    if isinstance(totals, Exception):
+        raise totals
+    return dict(zip(BARE_MODES, totals.tolist()))
+
+
+def stacked_totals(decomps) -> list:
+    """Integrated spectrum of every channel at many points, from one stacked solve.
+
+    The integral of channel c's spectrum is the photon flux out of it,
+    w_c int_0^inf |c_c(t)|^2 dt = w_c X_cc, where the Gramian X of the bare
+    generator G and the initial state c0 solves G X + X G^+ = -c0 c0^+.
+    With no eigenvectors in it, it stays exact at exceptional points, where
+    the chi of the pair matrices grow without bound and cancel.  Its trace
+    gives sum_c w_c X_cc = |c0|^2, since G + G^+ = -diag(w).
+
+    Entry i is the (5,) array of totals of decomps[i] in BARE_MODES order,
+    or its DivergentIntegral (see :func:`_divergences`).  A mode that does
+    not decay makes the equation singular; where every such mode carries no
+    weight (exact zero rates), the pair matrices give the totals instead.
+    """
+    n = len(decomps)
+    chi = np.array([d.chi_coeffs for d in decomps]).reshape(n, 5, 5)
+    lam = np.array([d.eigenvalues for d in decomps]).reshape(n, 5)
+    weights = np.array([flux_weights(d.params) for d in decomps]).reshape(n, 5)
+    failed = _divergences(chi, lam)
+    decaying = (lam.real < 0).all(axis=1)
+    totals = np.empty((n, 5))
+    solved = np.flatnonzero(decaying)
+    if solved.size:
+        gen = np.array([bare_generator(decomps[i].params) for i in solved])
+        c0 = np.array([decomps[i].initial for i in solved])
+        totals[solved] = weights[solved] * _gramian_diagonals(gen, c0)
+    for i in np.flatnonzero(~decaying):
+        if i not in failed:
+            pairs = _pair_integrals(chi[i], lam[i]).sum(axis=(1, 2))
+            totals[i] = weights[i] / (2 * np.pi) * pairs
+    return [failed.get(i, totals[i]) for i in range(n)]
+
+
+def _gramian_diagonals(gen, c0) -> np.ndarray:
+    """Diagonals (N, 5) of the solutions X of G X + X G^+ = -c0 c0^+.
+
+    gen (N, 5, 5) holds the generators and c0 (N, 5) the initial states.
+    The equation is linear in the rows of X laid end to end:
+    (G X + X G^+)[i, j] = sum_kl (G_ik delta_jl + delta_ik G*_jl) X_kl.
+    """
+    n = len(gen)
+    eye = np.eye(5)
+    op = (gen[:, :, None, :, None] * eye[None, None, :, None, :]
+          + eye[None, :, None, :, None] * gen.conj()[:, None, :, None, :])
+    rhs = -(c0[:, :, None] * c0.conj()[:, None, :])
+    x = np.linalg.solve(op.reshape(n, 25, 25), rhs.reshape(n, 25, 1)).reshape(n, 5, 5)
+    return np.diagonal(x, axis1=1, axis2=2).real
 
 
 def lorentzian_approximation(spec: SpectrumDecomposition) -> np.ndarray:
     """Spectrum with all interference terms dropped (sum of Lorentzians)."""
-    return spec.prefactor * spec.lorentzians.sum(axis=0)
+    return spec.prefactor * spec.lorentzians.sum(axis=-2)
 
 
 def cavity_coefficients(params: SystemParams, variant: str = "standard") -> dict:

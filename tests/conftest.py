@@ -38,8 +38,11 @@ ALL_FIGURE_SETS = {
 
 @lru_cache(maxsize=64)
 def atom1_oracle(params, t_max, dt=1e-4, record_every=1):
-    """Cached brute-force trajectory for an initial atom-1 excitation."""
-    cfg = IntegratorConfig(dt=dt, t_max=t_max, record_every=record_every)
+    """Cached brute-force trajectory for an initial atom-1 excitation.
+
+    The horizon is the whole step nearest to t_max.
+    """
+    cfg = IntegratorConfig(dt=dt, t_max=round(t_max / dt) * dt, record_every=record_every)
     return evolve_bare(params, single_excitation("atom1"), cfg)
 
 

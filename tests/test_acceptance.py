@@ -122,7 +122,7 @@ def test_criterion_3_probability_conservation():
     """survival + detected = 1 up to 1e-6 at t_max = 10 / Gamma_min."""
     results = []
     for name, params in ALL_FIGURE_SETS.items():
-        eta_min = float(full_decomposition(params).eta.min())
+        eta_min = float((-full_decomposition(params).eigenvalues.real).min())
         t_max = round(10 / eta_min, 6)
         traj = atom1_oracle(params, t_max=t_max, dt=1e-4, record_every=20000)
         resid = traj.conservation_residual()
@@ -179,7 +179,7 @@ def test_criterion_6_parseval_per_channel():
     sets["fig8"] = FIG8
     for name, params in sets.items():
         decomp = full_decomposition(params)
-        eta_min = float(decomp.eta.min())
+        eta_min = float((-decomp.eigenvalues.real).min())
         traj = atom1_oracle(params, t_max=round(10 / eta_min, 6), dt=1e-4,
                             record_every=20000)
         worst = 0.0

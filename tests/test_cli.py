@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberqed import LabelAmbiguous
-from fiberqed.cli import _write_csv, main, parse_scenario, run_scenario
+from scipy.linalg import solve_continuous_lyapunov
+
+from fiberqed import LabelAmbiguous, bare_generator, cli, single_excitation, symmetric_params
+from fiberqed.cli import _csv_bodies, _write_csv, main, parse_scenario, run_scenario
+from fiberqed.model import BARE_MODES, flux_weights
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -196,6 +199,82 @@ def test_sweep_later_point_failure_keeps_exit_code_and_message(tmp_path, capsys,
     assert written and all(name.startswith("sweep_g7_") for name in written)
 
 
+def test_sweep_middle_point_that_cannot_decay_fails_at_its_turn(tmp_path, capsys):
+    # gamma = kappa_b = 0 leaves the excited cavity-dark mode lossless; the
+    # points on both sides decay, and the one after it never runs
+    text = (BASE.format(kind="spectrum").replace("g = 7", "g = 2").replace("v = 4", "v = 3")
+            .replace("gamma = 5.2", "gamma = 0")
+            + "\n[sweep]\nparameter = kappa_b\nvalues = 0.01, 0, 0.02\n")
+    cfg = write_cfg(tmp_path, text, "mid.cfg")
+    assert main([str(cfg), "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert err == "domain error: eta = -0.0 <= 0\n"
+    assert out.count("== mid") == 1
+    assert [p.name for p in tmp_path.glob("*.csv")] == ["mid_kappa_b0.01_spectrum.csv"]
+
+
+@pytest.mark.parametrize("kind, channels", [
+    ("spectrum", "cavity1,cavity2"),
+    ("spectrum", "fiber"),
+    ("decomposition", "cavity1,cavity2"),
+    ("decomposition", "atom2"),
+])
+def test_sweep_chunks_write_the_bytes_of_single_runs(tmp_path, monkeypatch, kind, channels):
+    # a cell budget of 3 points' files puts chunk boundaries inside the
+    # sweep; every file equals the one the point writes alone (the header
+    # adds the sweep value) and the one of an unchunked sweep
+    values = (2, 0.5, 5.5, 7, 9, 12.5, 20)  # g = 0.5 is overdamped
+    text = (BASE.format(kind=kind).replace("channels = cavity1,cavity2", f"channels = {channels}")
+            + "omega_min = -30\nomega_max = 30\nomega_points = 41\n")
+    sweep = write_cfg(tmp_path, text + "\n[sweep]\nparameter = g\nvalues = "
+                      + ", ".join(map(str, values)) + "\n", "sweep.cfg")
+    n_files = len(channels.split(",")) if kind == "decomposition" else 1
+    n_cols = 18 if kind == "decomposition" else 1 + len(channels.split(","))
+    monkeypatch.setattr(cli, "_CELLS", 3 * n_files * 41 * n_cols)
+    chunked = run_scenario(sweep, out_dir=tmp_path / "chunked", quiet=True)
+    monkeypatch.setattr(cli, "_CELLS", 1 << 30)
+    whole = run_scenario(sweep, out_dir=tmp_path / "whole", quiet=True)
+    assert len(chunked) == len(values) * n_files
+    for value in values:
+        single = write_cfg(tmp_path, text.replace("g = 7", f"g = {value}"), f"g{value}.cfg")
+        for path in run_scenario(single, out_dir=tmp_path / f"g{value}", quiet=True):
+            name = path.name.replace(f"g{value}", f"sweep_g{value:g}", 1)
+            body = [line for line in path.read_bytes().splitlines() if not line.startswith(b"#")]
+            got = (tmp_path / "chunked" / name).read_bytes()
+            assert [line for line in got.splitlines() if not line.startswith(b"#")] == body
+            assert got == (tmp_path / "whole" / name).read_bytes()
+
+
+# Near exceptional points, where the chi of the quasi modes grow without bound
+# and cancel: the fiber-dark block 1.8e-8 (relative) from critical damping, and
+# the symmetric block at a double root of its cubic (LabelAmbiguous)
+NEAR_EP = {
+    "critical": dict(g=0.95, v=4, kappa=0.7, kappa_b=0.01, gamma=5.2),
+    "double-root": dict(g=0.5132798211629388, v=1, kappa=1, kappa_b=8, gamma=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_EP))
+def test_near_exceptional_point_totals_match_lyapunov(tmp_path, capsys, name):
+    values = NEAR_EP[name]
+    text = "[params]\n" + "".join(f"{k} = {v!r}\n" for k, v in values.items())
+    cfg = write_cfg(tmp_path, text + "\n[run]\ntype = spectrum\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LabelAmbiguous)
+        assert main([str(cfg), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    printed = out.split("channel totals: ")[1].split("\n")[0]
+    residual = float(out.split("conservation residual:")[1].split()[0])
+    params = symmetric_params(**values)
+    c0 = single_excitation("atom1")
+    gramian = solve_continuous_lyapunov(bare_generator(params), -np.outer(c0, c0.conj()))
+    oracle = flux_weights(params) * gramian.diagonal().real
+    print(f"{name}: {printed} (Lyapunov oracle "
+          + " ".join(f"{x:.6f}" for x in oracle) + f"); residual {residual:+.3e} (bound 1e-12)")
+    assert printed == " ".join(f"{c}={x:.6f}" for c, x in zip(BARE_MODES, oracle))
+    assert abs(residual) <= 1e-12
+
+
 # g = 0.6, v = 0: the decoupled D root -kappa_b sits on an overdamped bright root
 COINCIDENT = (BASE.replace("g = 7", "g = 0.6").replace("v = 4", "v = 0")
               .replace("kappa_b = 0.01", "kappa_b = 1.2708497377870814"))
@@ -243,6 +322,18 @@ def test_bad_time_step_exits_2(tmp_path, capsys, dt, t_max, message):
     cfg = write_cfg(tmp_path, text)
     assert main([str(cfg), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
+    # fig4 with dt = 0.04, t_max = 0.1: round(2.5) = 2 steps would end at t = 0.08
+    text = (SCENARIO_DIR / "fig4.cfg").read_text()
+    text = text.replace("t_max = 4.0", "t_max = 0.1").replace("dt = 1e-4", "dt = 0.04")
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "t_max = 0.1 is not a whole number of steps dt = 0.04" in err
+    assert "t = 0.08" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -339,7 +430,7 @@ def savetxt_bytes(data):
 
 def written_rows(directory, data):
     path = directory / "rows.csv"
-    _write_csv(path, ["# header"], list(data.T))
+    _write_csv(path, ["# header"], _csv_bodies(data[None])[0])
     return path.read_bytes()
 
 
@@ -351,7 +442,9 @@ SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e-300,
 @settings(max_examples=60, deadline=None)
 @given(
     pool=st.lists(st.floats(width=64), min_size=1, max_size=40),
-    shape=st.sampled_from([(1, 1), (7, 1), (511, 3), (512, 2), (513, 1), (1025, 2), (40, 18)]),
+    # the last two cross the cell budget, which formats them in blocks of rows
+    shape=st.sampled_from([(1, 1), (7, 1), (511, 3), (512, 2), (513, 1), (1025, 2), (40, 18),
+                           (cli._CELLS // 18 + 1, 18), (cli._CELLS + 3, 1)]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_csv_writer_matches_savetxt(tmp_path_factory, pool, shape, seed):
@@ -385,6 +478,18 @@ def test_csv_writer_pinned_cells(tmp_path, value, text):
     expected = f"# header\n{text},1.000000000000e+00\n0.000000000000e+00,{text}\n"
     assert written_rows(tmp_path, data) == expected.encode()
     assert savetxt_bytes(data) == expected.encode()[len("# header\n"):]
+
+
+def test_csv_bodies_split_a_stack_into_its_files(tmp_path):
+    # one _format_rows call for the whole stack, split after each file's last
+    # row, gives every file the bytes it has when formatted alone
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((5, 9, 4)) * 10.0 ** rng.integers(-200, 200, (5, 9, 4))
+    stack[2, 3, 1] = np.nan  # a slow-path cell does not move the split
+    bodies = _csv_bodies(stack)
+    assert len(bodies) == 5
+    for data, body in zip(stack, bodies):
+        assert b"".join(body) == savetxt_bytes(data)
 
 
 def test_csv_writer_rewrites_in_place(tmp_path):

@@ -1,10 +1,12 @@
 """Channel spectra, Lorentzian + interference decomposition and integrals."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_continuous_lyapunov
 
 from fiberqed import (
     MODE_LABELS,
@@ -14,7 +16,9 @@ from fiberqed import (
     LabelAmbiguous,
     RegimeWarning,
     SpectrumDecomposition,
+    bare_generator,
     cavity_coefficients,
+    channel_spectra,
     channel_spectrum,
     channel_totals,
     default_omega_grid,
@@ -24,9 +28,12 @@ from fiberqed import (
     lorentzian_approximation,
     perturbative_cavity_amplitudes,
     perturbative_symmetric,
+    single_excitation,
     spectral_function,
+    stacked_totals,
     symmetric_params,
 )
+from fiberqed.model import flux_weights
 from fiberqed.perturb import VARIANTS
 
 from conftest import FIG6, FIG7, FIG8, FIG10, GAMMA, atom1_oracle
@@ -243,7 +250,7 @@ class TestIntegrals:
         decomp = full_decomposition(FIG8)
         spec = channel_spectrum(decomp, "cavity1")
         freq_total = integrated_spectrum(spec)
-        eta_min = decomp.eta.min()
+        eta_min = (-decomp.eigenvalues.real).min()
         traj = atom1_oracle(FIG8, t_max=round(10 / eta_min, 6), record_every=5000)
         time_total = traj.channel_probs["cavity1"][-1]
         assert abs(freq_total - time_total) / time_total < 1e-4
@@ -299,6 +306,7 @@ class TestPairKernel:
             g, v, kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 5))
             draws.append(symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
         grid = np.linspace(-1.0, 1.0, 3)
+        worst = 0.0
         for params in draws:
             decomp = full_decomposition(params)
             totals = channel_totals(decomp)
@@ -309,9 +317,18 @@ class TestPairKernel:
                 # relative to the Lorentzian sum: |W_jk| <= L_j + L_k bounds every
                 # term, and a dark channel's total can cancel to rounding size
                 scale = spec.prefactor * sum(self.per_term(spec)[0])
-                assert abs(total - expected) <= 1e-12 * scale
-                assert abs(integrated_spectrum(spec) - expected) <= 1e-12 * scale
+                # the pair kernel sums the same rounded chi as the per-term forms
+                poles = replace(spec, decomp=None)
+                assert abs(integrated_spectrum(poles) - expected) <= 1e-12 * scale
+                # the totals come from the Gramian, not from chi, so they do not
+                # share that rounding: against a 50-digit solve the per-term sum
+                # of the g = v = 0.01 fiber channel is off by 1.0e-11 * scale
+                # (the Gramian by 1.3e-16 * scale)
+                worst = max(worst, abs(total - expected) / scale)
+                assert abs(total - expected) <= 1e-10 * scale
+                assert integrated_spectrum(spec) == total
             assert abs(sum(totals.values()) - 1.0) < 1e-9
+        print(f"max |Gramian total - per-term sum| / scale = {worst:.2g} (bound 1e-10)")
 
     def test_divergence_raised_where_per_term_functions_raise(self):
         # lossless: every eta is 0, so the first Lorentzian already diverges
@@ -331,6 +348,104 @@ class TestPairKernel:
         loud = spec_of([1.0, 1.0], [complex(-0.5, -1.0), complex(0.2, 1.0)])
         with pytest.raises(DivergentIntegral, match="eta = -0.2 <= 0"):
             integrated_spectrum(loud)
+
+
+class TestStackedKernel:
+    """N points in one stacked pass give the bits of N single calls."""
+
+    @staticmethod
+    def decompositions(rng):
+        draws = [FIG6[2.0], FIG7, FIG8, FIG10,
+                 symmetric_params(g=0.5, v=4.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)]
+        for _ in range(6):
+            g, v, kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 5))
+            draws.append(symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
+        return [full_decomposition(params) for params in draws]
+
+    @pytest.mark.parametrize("grid", [np.linspace(-40.0, 40.0, 301), None],
+                             ids=["shared-grid", "default-grids"])
+    def test_channel_spectra_have_the_bits_of_single_calls(self, rng, grid):
+        decomps = self.decompositions(rng)
+        channels = ("cavity2", "atom1", "fiber")
+        stack = channel_spectra(decomps, channels, grid)
+        assert stack.amplitude.shape[:2] == (len(decomps), len(channels))
+        approximation = lorentzian_approximation(stack)
+        for i, decomp in enumerate(decomps):
+            for c, channel in enumerate(channels):
+                single = channel_spectrum(decomp, channel, grid)
+                for name in ("amplitude", "spectrum", "lorentzians", "interferences"):
+                    got = getattr(stack, name)[i, c]
+                    assert got.tobytes() == getattr(single, name).tobytes(), name
+                assert approximation[i, c].tobytes() == lorentzian_approximation(single).tobytes()
+                grid_i = np.broadcast_to(stack.omega_grid, stack.amplitude.shape)[i, c]
+                assert np.array_equal(grid_i, single.omega_grid)
+
+    def test_stacked_interference_keeps_the_labels(self):
+        decomps = [full_decomposition(FIG10), full_decomposition(FIG8)]
+        stack = channel_spectra(decomps, ("cavity1",), np.linspace(-20.0, 20.0, 81))
+        assert stack.labels == MODE_LABELS
+        single = channel_spectrum(decomps[1], "cavity1", np.linspace(-20.0, 20.0, 81))
+        assert np.array_equal(stack.interference("QCD", "QFD-")[1, 0],
+                              single.interference("QCD", "QFD-"))
+
+    def test_stacked_totals_have_the_bits_of_single_calls(self, rng):
+        decomps = self.decompositions(rng)
+        # a lossless point cannot decay; a cavity-1 start leaves the lossless
+        # cavity-dark mode of gamma = kappa_b = 0 unexcited (chi = 0), which the
+        # Gramian equation cannot take and the pair matrices can
+        lossless = symmetric_params(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0)
+        dark = symmetric_params(g=2.0, v=3.0, kappa=1.0, kappa_b=0.0, gamma=0.0)
+        decomps[3:3] = [full_decomposition(lossless),
+                        full_decomposition(dark, single_excitation("cavity1"))]
+        results = stacked_totals(decomps)
+        assert len(results) == len(decomps)
+        for decomp, result in zip(decomps, results):
+            try:
+                single = channel_totals(decomp)
+            except DivergentIntegral as exc:
+                assert isinstance(result, DivergentIntegral) and str(result) == str(exc)
+                continue
+            assert result.tobytes() == np.array(list(single.values())).tobytes()
+            assert abs(result.sum() - 1.0) < 1e-14
+        assert str(results[3]) == "eta = -0.0 <= 0"
+        assert results[4][[0, 1, 4]].tolist() == [0.0, 0.0, 0.0]
+
+
+class TestNearExceptionalPoints:
+    """Channel totals against the Lyapunov oracle where chi grows without bound."""
+
+    @staticmethod
+    def oracle(params):
+        c0 = single_excitation("atom1")
+        gramian = solve_continuous_lyapunov(bare_generator(params), -np.outer(c0, c0.conj()))
+        return flux_weights(params) * gramian.diagonal().real
+
+    def test_critical_damping_approached(self):
+        # g = g_c (1 + r) with g_c = |gamma/2 - kappa| / 2: |p| ~ g_c sqrt(2 r); the
+        # pair kernel's totals were off by up to 3.4e-3 at r = 1e-15
+        g_c = abs(GAMMA / 2 - 1.0) / 2
+        worst = 0.0
+        for r in (1e-3, 1e-7, 1e-11, 1e-15, -1e-7, -1e-11):
+            params = symmetric_params(g=g_c * (1 + r), v=7.0, kappa=1.0, kappa_b=0.01,
+                                      gamma=GAMMA)
+            totals = np.array(list(channel_totals(full_decomposition(params)).values()))
+            worst = max(worst, np.abs(totals - self.oracle(params)).max(),
+                        abs(totals.sum() - 1.0))
+        print(f"max |total - Lyapunov| and |sum - 1| near p = 0: {worst:.2g} (bound 1e-12)")
+        assert worst <= 1e-12
+
+    def test_double_root_of_the_symmetric_block(self):
+        # the cubic's discriminant changes sign between g and the next float up;
+        # the dense fallback's vectors are nearly parallel there (cond ~ 1e8)
+        params = symmetric_params(g=0.5132798211629388, v=1.0, kappa=1.0, kappa_b=8.0,
+                                  gamma=0.5)
+        with pytest.warns(LabelAmbiguous):
+            decomp = full_decomposition(params)
+        totals = np.array(list(channel_totals(decomp).values()))
+        worst = max(np.abs(totals - self.oracle(params)).max(), abs(totals.sum() - 1.0))
+        print(f"max |total - Lyapunov| and |sum - 1| at the double root: {worst:.2g} "
+              f"(bound 1e-12)")
+        assert worst <= 1e-12
 
 
 class TestLorentzianApproximation:
