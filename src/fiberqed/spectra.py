@@ -98,23 +98,27 @@ def _divergences(chi, lam) -> dict:
 
 
 def _pair_integrals(chi, lam) -> np.ndarray:
-    """Pair matrices of the frequency integral of |sum_j chi_cj L(omega, lam_j)|^2.
+    """Pair matrices of the frequency integral of |sum_j chi_j L(omega, lam_j)|^2.
 
-    For each row c of chi (C, P), entry [c, j, k] is
-    -2 pi Re chi_cj chi_ck^* / (lam_j + lam_k^*) over the modes with
-    chi_cj != 0 and 0 elsewhere.  The diagonal holds the Lorentzian
+    chi (..., P) holds channel rows over any leading axes and lam their
+    poles, broadcasting against chi.  Entry [..., j, k] is
+    -2 pi Re chi_j chi_k^* / (lam_j + lam_k^*) over the modes with
+    chi_j != 0 and 0 elsewhere.  The diagonal holds the Lorentzian
     integrals |chi_j|^2 pi / eta_j, [j, k] + [k, j] is the net
     interference integral of the pair, and the sum of the matrix is the
     integral of the whole spectrum.  Raises the DivergentIntegral of
-    :func:`_divergences`.
+    :func:`_divergences` for the first row, in row-major order, that has one.
     """
-    failed = _divergences(chi[None], lam[None])
+    lam = np.broadcast_to(lam, chi.shape)
+    n_poles = chi.shape[-1]
+    failed = _divergences(chi.reshape(-1, 1, n_poles), lam.reshape(-1, n_poles))
     if failed:
-        raise failed[0]
+        raise next(iter(failed.values()))
     active = chi != 0
-    both = active[:, :, None] & active[:, None, :]
-    den = np.where(both, lam[:, None] + lam.conj(), 1.0)  # lam_j + lam_k^* != 0 on both
-    pairs = chi[:, :, None] * chi.conj()[:, None, :] / den
+    both = active[..., :, None] & active[..., None, :]
+    # lam_j + lam_k^* != 0 on both
+    den = np.where(both, lam[..., :, None] + lam.conj()[..., None, :], 1.0)
+    pairs = chi[..., :, None] * chi.conj()[..., None, :] / den
     return -2 * np.pi * pairs.real
 
 
@@ -172,13 +176,13 @@ class SpectrumDecomposition:
 
     @cached_property
     def pair_integrals(self) -> np.ndarray:
-        """Frequency integrals by pole pair, without the prefactor.
+        """Frequency integrals by pole pair, without the prefactor: (..., P, P).
 
         The diagonal holds the Lorentzian integrals, [j, k] + [k, j] is the
         net interference integral of poles j and k, and the sum is the
-        integral of |amplitude|^2.
+        integral of |amplitude|^2; a stack has one matrix per entry.
         """
-        return _pair_integrals(self.chi[None], self.eigenvalues)[0]
+        return _pair_integrals(self.chi, self.eigenvalues)
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -246,16 +250,20 @@ def channel_spectra(decomps, channels, omega_grid=None) -> SpectrumDecomposition
     )
 
 
-def integrated_spectrum(spec: SpectrumDecomposition) -> float:
+def integrated_spectrum(spec: SpectrumDecomposition) -> float | np.ndarray:
     """Closed-form frequency integral of the full channel spectrum.
 
     For a spectrum of a decomposition this is its channel's entry of
     :func:`channel_totals`; a spectrum given only by its poles sums its
-    pair_integrals.
+    pair_integrals.  A stack of :func:`channel_spectra` gives the
+    (points, channels) array of the integrals of its entries.
     """
     if spec.decomp is not None:
         return channel_totals(spec.decomp)[spec.channel]
-    return spec.prefactor * float(spec.pair_integrals.sum())
+    integrals = spec.pair_integrals.sum(axis=(-2, -1))
+    if integrals.ndim == 0:
+        return spec.prefactor * float(integrals)
+    return spec.prefactor[..., 0] * integrals
 
 
 def channel_totals(decomp: QuasiModeDecomposition) -> dict:

@@ -2,7 +2,9 @@
 
 import warnings
 from dataclasses import replace
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -77,6 +79,26 @@ def interference_integral(chi_j, lam_j, chi_k, lam_k):
         raise DivergentIntegral(f"eta_j + eta_k = {eta_sum} <= 0")
     den = eta_sum + 1j * (lam_k.imag - lam_j.imag)
     return float(2 * np.real(2 * np.pi * chi_j * np.conj(chi_k) / den))
+
+
+def gramian_diagonal_50_digits(params, c0) -> np.ndarray:
+    """Diagonal of X with G X + X G^+ = -c0 c0^+, G the bare generator, in 50 digits.
+
+    The same equation as the channel totals solve, on the same double
+    entries of G and c0, so its rounding to doubles is the exact answer.
+    """
+    gen = bare_generator(params).tolist()
+    c0 = np.asarray(c0, dtype=complex).tolist()
+    with mpmath.workdps(50):
+        op = mpmath.matrix(25, 25)
+        rhs = mpmath.matrix(25, 1)
+        for i, j in product(range(5), repeat=2):
+            rhs[5 * i + j] = -mpmath.mpc(c0[i]) * mpmath.conj(c0[j])
+            for k in range(5):
+                op[5 * i + j, 5 * k + j] += gen[i][k]
+                op[5 * i + j, 5 * i + k] += mpmath.conj(gen[j][k])
+        x = mpmath.lu_solve(op, rhs)
+        return np.array([float(x[6 * i].real) for i in range(5)])
 
 
 def spec_of(chi, lam):
@@ -311,24 +333,23 @@ class TestPairKernel:
             decomp = full_decomposition(params)
             totals = channel_totals(decomp)
             assert list(totals) == ["atom1", "atom2", "cavity1", "cavity2", "fiber"]
-            for channel, total in totals.items():
+            exact = flux_weights(params) * gramian_diagonal_50_digits(params, decomp.initial)
+            for (channel, total), reference in zip(totals.items(), exact):
                 spec = channel_spectrum(decomp, channel, grid)
-                expected = self.per_term_total(spec)
                 # relative to the Lorentzian sum: |W_jk| <= L_j + L_k bounds every
                 # term, and a dark channel's total can cancel to rounding size
                 scale = spec.prefactor * sum(self.per_term(spec)[0])
                 # the pair kernel sums the same rounded chi as the per-term forms
                 poles = replace(spec, decomp=None)
-                assert abs(integrated_spectrum(poles) - expected) <= 1e-12 * scale
-                # the totals come from the Gramian, not from chi, so they do not
-                # share that rounding: against a 50-digit solve the per-term sum
-                # of the g = v = 0.01 fiber channel is off by 1.0e-11 * scale
-                # (the Gramian by 1.3e-16 * scale)
-                worst = max(worst, abs(total - expected) / scale)
-                assert abs(total - expected) <= 1e-10 * scale
+                assert abs(integrated_spectrum(poles) - self.per_term_total(spec)) <= 1e-12 * scale
+                # the totals come from the Gramian, not from chi, so they are held to
+                # the exact solution instead: both chi-based sums of the g = v = 0.01
+                # fiber channel are off by 1.0e-11 * scale, as chi is rounded there
+                worst = max(worst, abs(total - reference) / scale)
+                assert abs(total - reference) <= 1e-12 * scale
                 assert integrated_spectrum(spec) == total
             assert abs(sum(totals.values()) - 1.0) < 1e-9
-        print(f"max |Gramian total - per-term sum| / scale = {worst:.2g} (bound 1e-10)")
+        print(f"max |Gramian total - 50-digit solve| / scale = {worst:.2g} (bound 1e-12)")
 
     def test_divergence_raised_where_per_term_functions_raise(self):
         # lossless: every eta is 0, so the first Lorentzian already diverges
@@ -409,6 +430,25 @@ class TestStackedKernel:
             assert abs(result.sum() - 1.0) < 1e-14
         assert str(results[3]) == "eta = -0.0 <= 0"
         assert results[4][[0, 1, 4]].tolist() == [0.0, 0.0, 0.0]
+
+
+    def test_stacked_integrals_are_those_of_the_entries(self, rng):
+        decomps = self.decompositions(rng)[:2]
+        channels = ("cavity2", "atom1", "fiber")
+        grid = np.linspace(-1.0, 1.0, 3)
+        stack = channel_spectra(decomps, channels, grid)
+        integrals = integrated_spectrum(stack)
+        assert integrals.shape == (2, 3)
+        for i, decomp in enumerate(decomps):
+            for c, channel in enumerate(channels):
+                single = replace(channel_spectrum(decomp, channel, grid), decomp=None)
+                assert stack.pair_integrals[i, c].tobytes() == single.pair_integrals.tobytes()
+                assert integrals[i, c] == integrated_spectrum(single)
+        # a point that cannot decay raises, wherever it sits in the stack
+        lossless = full_decomposition(symmetric_params(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0))
+        for stacked in ([decomps[0], lossless], [lossless, decomps[1]]):
+            with pytest.raises(DivergentIntegral, match=r"eta = -?0\.0 <= 0"):
+                integrated_spectrum(channel_spectra(stacked, channels, grid))
 
 
 class TestNearExceptionalPoints:
