@@ -13,6 +13,7 @@ All rates are in angular units of 2*pi*MHz.
 """
 
 from .errors import (
+    AccuracyWarning,
     ConfigInvalid,
     DegenerateBlock,
     DivergentIntegral,

@@ -18,6 +18,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields, replace
 from itertools import combinations, repeat
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, eigen, spectra
-from .errors import ConfigInvalid, DegenerateBlock, UnlabeledModes
+from .errors import AccuracyWarning, ConfigInvalid, DegenerateBlock, UnlabeledModes
 from .model import BARE_MODES, NORMAL_MODES, SystemParams, single_excitation
 
 __all__ = ["Scenario", "parse_scenario", "run_scenario", "main"]
@@ -41,6 +42,9 @@ SWEEPABLE = {
     "gamma": ("gamma",),
 }
 _FMT = "%.12e"
+# largest conservation residual of a trajectory whose totals, printed to six
+# decimals, are right to half a unit in the last digit
+_RESIDUAL_BOUND = 5e-7
 
 
 @dataclass
@@ -470,6 +474,13 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         files.append(path)
         totals = {c: traj.channel_probs[c][-1] for c in BARE_MODES}
         residual = traj.survival[-1] + sum(totals.values()) - 1.0
+        worst = traj.conservation_residual()
+        if worst > _RESIDUAL_BOUND:
+            warnings.warn(
+                f"RK4 at dt = {scn.dt} loses conservation by up to {worst:.3e} "
+                f"(bound {_RESIDUAL_BOUND:g}); take a smaller dt",
+                AccuracyWarning,
+            )
     else:
         if scn.run == "decomposition" and labels is None:
             raise UnlabeledModes(

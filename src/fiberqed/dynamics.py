@@ -157,6 +157,19 @@ def _integrate(gen, y0, cfg, weights):
     algebraically identical to the scalar step loop.  The photon flux
     weights[c] * |y_c|^2 is integrated with the same stages.
 
+    The output bits are fixed by these operations, in this order: the
+    table powers[j] = powers[j-1] @ phi as one 5x5 zgemm per power; per
+    block of _BLOCK = 4096 steps one gemv, flat_powers @ y, for the
+    amplitudes, one gemm each for the stages amps @ b2.T, amps @ b3.T and
+    amps @ b4.T; |.|^2 as np.abs (hypot) squared; the stage sum
+    a0 + 2 a1 + 2 a2 + a3, times dt / 6, times weights; a sequential cumsum
+    per channel; the next block starts from y = phi @ amps[-1].  All of it
+    runs in place in buffers allocated once per call.  Measured to change
+    the bits, and so not used: one (L, 5) @ (5, 15) product for the three
+    stages, one multi-column gemm for the amplitudes of several blocks,
+    re^2 + im^2 for |.|^2, reduceat or sum for cumsum, and any other block
+    length.
+
     A step is rejected (ConfigInvalid) when the spectral radius of the step
     matrix phi exceeds 1 by more than _RADIUS_MARGIN = 1e-12: outside its
     stability region RK4 amplifies every step, and fig3 at dt = 0.5 ends in
@@ -191,8 +204,9 @@ def _integrate(gen, y0, cfg, weights):
     block = min(_BLOCK, n_steps)
     powers = np.empty((block, 5, 5), dtype=complex)
     powers[0] = eye
-    for j in range(1, block):
-        powers[j] = powers[j - 1] @ phi
+    views = list(powers)
+    for prev, nxt in zip(views, views[1:]):
+        prev.dot(phi, nxt)  # the zgemm of prev @ phi, written in place
     flat_powers = powers.reshape(block * 5, 5)
 
     rec_set = np.arange(0, n_steps + 1, cfg.record_every)
@@ -203,23 +217,38 @@ def _integrate(gen, y0, cfg, weights):
     probs = np.empty((len(rec_set), 5))
     y = y0.astype(complex)
     acc = np.zeros(5)
+    # buffers of one block, reused: the amplitudes, one stage product, its
+    # |.|^2, the flux q summed over the stages and cum[c, j], the flux of
+    # channel c from step start to step start + j
+    amps_buf = np.empty((block, 5), dtype=complex)
+    stage_buf = np.empty_like(amps_buf)
+    sq_buf, q_buf = np.empty((2, block, 5))
+    cum_buf = np.zeros((5, block + 1))
     start = 0
     while start <= n_steps:
         length = min(block, n_steps + 1 - start)
-        amps = (flat_powers[: length * 5] @ y).reshape(length, 5)
+        amps, stage, sq, q = (buf[:length] for buf in (amps_buf, stage_buf, sq_buf, q_buf))
+        cum = cum_buf[:, : length + 1]
+        np.matmul(flat_powers[: length * 5], y, out=amps.reshape(length * 5))
         # flux quadrature over the four RK4 stages of steps start .. start+length-1
-        stages = (amps, amps @ b2.T, amps @ b3.T, amps @ b4.T)
-        q = sum(w * np.abs(s) ** 2 for w, s in zip((1.0, 2.0, 2.0, 1.0), stages))
-        # cum[j]: flux detected from step start to step start + j
-        cum = np.zeros((length + 1, 5))
-        np.cumsum((dt / 6.0) * q * weights[None, :], axis=0, out=cum[1:])
+        np.abs(amps, out=q)
+        np.square(q, out=q)
+        for w, b in ((2.0, b2), (2.0, b3), (1.0, b4)):
+            np.matmul(amps, b.T, out=stage)
+            np.abs(stage, out=sq)
+            np.square(sq, out=sq)
+            sq *= w
+            q += sq
+        q *= dt / 6.0
+        q *= weights
+        np.cumsum(q.T, axis=1, out=cum[:, 1:])
         # record the requested indices inside this window
         lo, hi = np.searchsorted(rec_set, (start, start + length))
         rows = rec_set[lo:hi] - start
         states[lo:hi] = amps[rows]
-        probs[lo:hi] = acc + cum[rows]
-        acc += cum[-1]
-        y = phi @ amps[-1]
+        probs[lo:hi] = acc + cum[:, rows].T
+        acc += cum[:, length]
+        np.matmul(phi, amps[-1], out=y)
         start += length
 
     times = rec_set.astype(float) * dt

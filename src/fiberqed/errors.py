@@ -31,3 +31,7 @@ class LabelAmbiguous(UserWarning):
 
 class RegimeWarning(UserWarning):
     """Parameters are outside the regime where a perturbative result is accurate."""
+
+
+class AccuracyWarning(UserWarning):
+    """A computed result is further from exact than its printed digits claim."""

@@ -157,8 +157,17 @@ class SpectrumDecomposition:
     @cached_property
     def _responses(self) -> np.ndarray:
         # the poles of a stacked point are evaluated once for all its channels
-        poles = spectral_function(self.omega_grid[..., None, :], self.eigenvalues[..., None])
-        return self.chi[..., None] * poles
+        lam, chi = self.eigenvalues[..., None], self.chi[..., None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            poles = spectral_function(self.omega_grid[..., None, :], lam)
+            responses = chi * poles
+        # a mode that does not decay (eta 0 or subnormal) can have the pole
+        # 1 / 0 on the grid; where it carries no weight its term is 0 there,
+        # not 0 * inf, and every other term keeps the bits of chi * pole
+        weightless_still = (chi == 0) & (np.abs(lam.real) < np.finfo(float).tiny)
+        if weightless_still.any():
+            responses[weightless_still & ~np.isfinite(poles)] = 0
+        return responses
 
     @cached_property
     def amplitude(self) -> np.ndarray:

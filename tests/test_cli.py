@@ -15,7 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import solve_continuous_lyapunov
 
-from fiberqed import LabelAmbiguous, bare_generator, cli, single_excitation, symmetric_params
+from fiberqed import (
+    AccuracyWarning,
+    LabelAmbiguous,
+    bare_generator,
+    cli,
+    full_decomposition,
+    single_excitation,
+    spectral_function,
+    symmetric_params,
+)
 from fiberqed.cli import _csv_bodies, _write_csv, main, parse_scenario, run_scenario
 from fiberqed.model import BARE_MODES, flux_weights
 
@@ -342,11 +351,43 @@ def test_stable_coarse_time_step_runs(tmp_path, capsys):
     text = (SCENARIO_DIR / "fig3.cfg").read_text()
     text = text.replace("t_max = 2.0", "t_max = 20").replace("dt = 1e-4", "dt = 0.05")
     cfg = write_cfg(tmp_path, text)
-    assert main([str(cfg), "--out", str(tmp_path)]) == 0
+    with pytest.warns(AccuracyWarning, match="loses conservation by up to 5.288e-01"):
+        assert main([str(cfg), "--out", str(tmp_path)]) == 0
     residual = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
     # stable, not accurate: g * dt = 2.5 leaves a residual of -0.53
     assert abs(residual) < 1.0
     assert (tmp_path / "case_trajectory.csv").exists()
+
+
+def test_weightless_mode_that_does_not_decay_adds_nothing(tmp_path):
+    # kappa_b = gamma = 0: the cavity-dark mode QCD sits at lambda = 0 and
+    # carries no weight, so its pole 1 / 0 at omega = 0 must not turn into NaN
+    text = (BASE.format(kind="spectrum").replace("g = 7", "g = 2").replace("v = 4", "v = 3")
+            .replace("kappa_b = 0.01", "kappa_b = 0").replace("gamma = 5.2", "gamma = 0")
+            .replace("initial = atom1", "initial = cavity1"))
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    data = np.loadtxt(tmp_path / "case_spectrum.csv", delimiter=",")
+    assert np.isfinite(data).all()
+    params = symmetric_params(g=2, v=3, kappa=1, kappa_b=0, gamma=0)
+    decomp = full_decomposition(params, single_excitation("cavity1"))
+    qcd = decomp.labels.index("QCD")
+    assert decomp.eigenvalues[qcd] == 0
+    zero = np.flatnonzero(data[:, 0] == 0.0)
+    assert zero.size == 1
+    prefactors = flux_weights(params) / (2 * np.pi)
+    for column, channel in enumerate(("cavity1", "cavity2"), start=1):
+        c = BARE_MODES.index(channel)
+        assert decomp.chi_coeffs[c, qcd] == 0
+        # the omega = 0 row is the sum of the other four poles, to the
+        # rounding of a sum of terms that cancel
+        terms = [decomp.chi_coeffs[c, j] * spectral_function(0.0, decomp.eigenvalues[j])
+                 for j in range(5) if j != qcd]
+        written = np.sqrt(data[zero[0], column] / prefactors[c])
+        bound = 8 * np.finfo(float).eps * sum(abs(t) for t in terms)
+        assert abs(written - abs(sum(terms))) <= bound
 
 
 def test_empty_config_exits_2(tmp_path, capsys):
@@ -413,7 +454,11 @@ def test_shipped_scenarios_parse(name):
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.cfg")))
 def test_shipped_scenarios_run_quickly(name, tmp_path):
     start = time.perf_counter()
-    files = run_scenario(SCENARIO_DIR / name, out_dir=tmp_path, quiet=True)
+    # no warning either: the trajectories' conservation residuals are
+    # 4e-14 to 1.2e-11, far below the AccuracyWarning bound of 5e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        files = run_scenario(SCENARIO_DIR / name, out_dir=tmp_path, quiet=True)
     assert time.perf_counter() - start < 10.0
     assert files and all(f.exists() for f in files)
     for f in files:  # outputs are byte-identical to the recorded ones

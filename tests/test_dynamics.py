@@ -17,8 +17,10 @@ from fiberqed import (
     single_excitation,
     symmetric_params,
 )
+from fiberqed.dynamics import _integrate
+from fiberqed.model import BARE_MODES, flux_weights
 
-from conftest import ALL_FIGURE_SETS, FIG3, FIG4, FIG5, GAMMA, atom1_oracle
+from conftest import ALL_FIGURE_SETS, FIG3, FIG4, FIG5, FIG8, GAMMA, atom1_oracle, caption_params
 
 ATOM1 = single_excitation("atom1")
 
@@ -179,3 +181,82 @@ def test_invalid_config_rejected(cfg):
     with pytest.raises(ConfigInvalid):
         evolve_bare(FIG3, ATOM1, cfg)
 
+
+
+def _reference_integrate(gen, y0, cfg, weights):
+    """The RK4 block loop as first written (one new array per product).
+
+    dynamics._integrate must give its bits: it makes the same BLAS calls
+    and elementwise operations in the same order, into reused buffers.
+    """
+    dt = cfg.dt
+    n_steps = max(1, int(round(cfg.t_max / dt)))
+    eye = np.eye(5, dtype=complex)
+    b2 = eye + 0.5 * dt * gen
+    b3 = eye + 0.5 * dt * (gen @ b2)
+    b4 = eye + dt * (gen @ b3)
+    phi = eye + (dt / 6.0) * (gen @ (eye + 2 * b2 + 2 * b3 + b4))
+
+    block = min(4096, n_steps)
+    powers = np.empty((block, 5, 5), dtype=complex)
+    powers[0] = eye
+    for j in range(1, block):
+        powers[j] = powers[j - 1] @ phi
+    flat_powers = powers.reshape(block * 5, 5)
+
+    rec_set = np.arange(0, n_steps + 1, cfg.record_every)
+    if rec_set[-1] != n_steps:
+        rec_set = np.append(rec_set, n_steps)
+
+    states = np.empty((len(rec_set), 5), dtype=complex)
+    probs = np.empty((len(rec_set), 5))
+    y = y0.astype(complex)
+    acc = np.zeros(5)
+    start = 0
+    while start <= n_steps:
+        length = min(block, n_steps + 1 - start)
+        amps = (flat_powers[: length * 5] @ y).reshape(length, 5)
+        stages = (amps, amps @ b2.T, amps @ b3.T, amps @ b4.T)
+        q = sum(w * np.abs(s) ** 2 for w, s in zip((1.0, 2.0, 2.0, 1.0), stages))
+        cum = np.zeros((length + 1, 5))
+        np.cumsum((dt / 6.0) * q * weights[None, :], axis=0, out=cum[1:])
+        lo, hi = np.searchsorted(rec_set, (start, start + length))
+        rows = rec_set[lo:hi] - start
+        states[lo:hi] = amps[rows]
+        probs[lo:hi] = acc + cum[rows]
+        acc += cum[-1]
+        y = phi @ amps[-1]
+        start += length
+
+    times = rec_set.astype(float) * dt
+    survival = np.sum(np.abs(states) ** 2, axis=1)
+    return times, states, probs, survival
+
+
+# 4095 / 4096 / 4097 steps straddle the block edge; 8192 and 12289 steps end
+# in a one-step block, whose amplitudes come from a length-1 product
+_BIT_STEPS = (1, 2, 4095, 4096, 4097, 8192, 8193, 12289)
+_BIT_SETS = {
+    "fig3": (FIG3, ATOM1),
+    "fig9": (FIG8, ATOM1),  # fig9 evolves the fig8 parameters
+    "g0.3_v0.2": (
+        caption_params(0.01, 1.0, 0.2, 0.3),
+        np.array([0.6, 0.3j, -0.5, 0.4 + 0.2j, 0.3]) / np.sqrt(0.99),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BIT_SETS))
+@pytest.mark.parametrize("n_steps", _BIT_STEPS)
+def test_integrate_gives_the_bits_of_the_reference_loop(name, n_steps):
+    params, y0 = _BIT_SETS[name]
+    gen, weights = bare_generator(params), flux_weights(params)
+    for every in sorted({1, 7, n_steps}):
+        cfg = IntegratorConfig(dt=1e-4, t_max=n_steps * 1e-4, record_every=every)
+        times, states, probs, survival = _integrate(gen, y0, cfg, weights)
+        ref = _reference_integrate(gen, y0, cfg, weights)
+        assert np.array_equal(times, ref[0])
+        assert np.array_equal(states, ref[1])
+        for i, channel in enumerate(BARE_MODES):
+            assert np.array_equal(probs[channel], ref[2][:, i])
+        assert np.array_equal(survival, ref[3])
