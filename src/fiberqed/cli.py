@@ -20,31 +20,27 @@ import re
 import sys
 import warnings
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, fields, replace
-from itertools import combinations, repeat
+from dataclasses import dataclass, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, eigen, spectra
 from .errors import AccuracyWarning, ConfigInvalid, DegenerateBlock, UnlabeledModes
-from .model import BARE_MODES, NORMAL_MODES, SystemParams, single_excitation
+from .model import BARE_MODES, NORMAL_MODES, SystemParams, single_excitation, symmetric_params
 
 __all__ = ["Scenario", "parse_scenario", "run_scenario", "main"]
 
 RUN_KINDS = ("trajectory", "spectrum", "decomposition")
-# sweep parameter -> the SystemParams fields it sets
-SWEEPABLE = {
-    "g": ("g1", "g2"),
-    "v": ("v1", "v2"),
-    "kappa": ("kappa1", "kappa2"),
-    "kappa_b": ("kappa_b",),
-    "gamma": ("gamma",),
-}
+# the [params] keys and [sweep] parameters: the arguments of symmetric_params
+RATES = ("g", "v", "kappa", "kappa_b", "gamma")
 _FMT = "%.12e"
 # largest conservation residual of a trajectory whose totals, printed to six
 # decimals, are right to half a unit in the last digit
 _RESIDUAL_BOUND = 5e-7
+_UNLABELED = ("coincident eigenvalues in the symmetric block leave the quasi modes "
+              "unlabeled; a decomposition run needs the labels")
 
 
 @dataclass
@@ -69,10 +65,6 @@ def _floats(section, key, raw):
         raise ConfigInvalid(f"[{section}] {key} = {raw!r} is not a number") from None
 
 
-_PARAM_KEYS = {
-    "g", "g1", "g2", "v", "v1", "v2", "kappa", "kappa1", "kappa2",
-    "kappa_b", "gamma", "detuning",
-}
 _RUN_KEYS = {
     "type", "initial", "channels", "t_max", "dt", "record_every",
     "omega_min", "omega_max", "omega_points", "out",
@@ -100,33 +92,14 @@ def parse_scenario(path) -> Scenario:
 
     raw_params = dict(cp.items("params"))
     for key in raw_params:
-        if key not in _PARAM_KEYS:
+        if key not in RATES:
             raise ConfigInvalid(f"unknown key [params] {key}")
-
-    def both(common, one, two, required=True):
-        if common in raw_params:
-            if one in raw_params or two in raw_params:
-                raise ConfigInvalid(f"[params] give either {common} or {one}/{two}, not both")
-            val = _floats("params", common, raw_params[common])
-            return val, val
-        if one in raw_params and two in raw_params:
-            return (_floats("params", one, raw_params[one]),
-                    _floats("params", two, raw_params[two]))
-        if required:
-            raise ConfigInvalid(f"[params] missing key {common} (or {one} and {two})")
-        return 0.0, 0.0
-
-    g1, g2 = both("g", "g1", "g2")
-    v1, v2 = both("v", "v1", "v2")
-    k1, k2 = both("kappa", "kappa1", "kappa2")
-    for key in ("kappa_b", "gamma"):
+    for key in RATES:
         if key not in raw_params:
             raise ConfigInvalid(f"[params] missing key {key}")
-    kappa_b = _floats("params", "kappa_b", raw_params["kappa_b"])
-    gamma = _floats("params", "gamma", raw_params["gamma"])
-    detuning = _floats("params", "detuning", raw_params.get("detuning", "0"))
+    rates = {key: _floats("params", key, raw_params[key]) for key in RATES}
     try:
-        params = SystemParams(g1, g2, v1, v2, k1, k2, kappa_b, gamma, detuning)
+        params = symmetric_params(**rates)
     except ValueError as exc:
         raise ConfigInvalid(f"[params] {exc}") from None
 
@@ -198,9 +171,9 @@ def parse_scenario(path) -> Scenario:
             if key not in raw_sweep:
                 raise ConfigInvalid(f"[sweep] missing key {key}")
         parameter = raw_sweep["parameter"]
-        if parameter not in SWEEPABLE:
+        if parameter not in RATES:
             raise ConfigInvalid(
-                f"[sweep] parameter = {parameter!r} is not one of {', '.join(SWEEPABLE)}"
+                f"[sweep] parameter = {parameter!r} is not one of {', '.join(RATES)}"
             )
         values = tuple(
             _floats("sweep", "values", x)
@@ -217,7 +190,7 @@ def parse_scenario(path) -> Scenario:
                                     f"both give the file suffix {parameter}{tag}")
             suffixes[tag] = value
             try:
-                point_params = replace(params, **dict.fromkeys(SWEEPABLE[parameter], value))
+                point_params = symmetric_params(**dict(rates, **{parameter: value}))
             except ValueError as exc:
                 raise ConfigInvalid(f"[sweep] {parameter} = {value!r}: {exc}") from None
             points.append(((parameter, value), point_params))
@@ -383,36 +356,42 @@ def _write_csv(path: Path, header, body) -> None:
 
 
 def _spectral_results(scn: Scenario, decomps):
-    """Per point of a spectrum or decomposition run: (channel totals, CSV
-    bodies in file order), its DivergentIntegral, or None if it failed before.
+    """Per point of a spectrum or decomposition run, the error it raises at
+    its turn, or (channel totals, files) with (kind, columns, CSV body) per file.
 
-    The points go in chunks of at most _CELLS CSV cells (at least one
-    point).  The runnable points of a chunk get their totals from one
-    stacked Gramian solve, their spectra from one stacked kernel call and
-    their CSV bytes from one _format_rows call; a chunk is evaluated when
-    its first point is asked for, so memory does not grow with the sweep.
+    A point's error is its decomposition error, then, in a decomposition
+    run, UnlabeledModes, then the DivergentIntegral of its totals.  The
+    points go in chunks of at most _CELLS CSV cells (at least one point).
+    The runnable points of a chunk get their totals from one stacked Gramian
+    solve, their spectra from one stacked kernel call and their CSV bytes
+    from one _format_rows call; a chunk is evaluated when its first point
+    is asked for, so memory does not grow with the sweep.
     """
     decomposition = scn.run == "decomposition"
+    if decomposition:  # every labeled decomposition carries MODE_LABELS
+        labels = eigen.MODE_LABELS
+        columns = (["omega", "total"] + [f"lorentzian_{n}" for n in labels]
+                   + [f"w_{j}_{k}" for j, k in combinations(labels, 2)] + ["lorentzian_sum"])
+        layout = [(f"decomposition_{c}", columns) for c in scn.channels]
+    else:
+        layout = [("spectrum", ["omega", *scn.channels])]
     n_rows = (scn.omega_grid.size if scn.omega_grid is not None
               else spectra._GRID_POINTS)
-    # omega, total, 5 Lorentzians, 10 interference terms, lorentzian_sum
-    n_cols = 18 if decomposition else 1 + len(scn.channels)
-    n_files = len(scn.channels) if decomposition else 1
-    per_chunk = max(1, _CELLS // (n_files * n_rows * n_cols))
+    per_chunk = max(1, _CELLS // (n_rows * sum(len(cols) for _, cols in layout)))
     for start in range(0, len(decomps), per_chunk):
         chunk = decomps[start:start + per_chunk]
-        # _run_point raises for a failed or, in a decomposition run, unlabeled point
-        ok = [i for i, decomp in enumerate(chunk) if not isinstance(decomp, Exception)
-              and (decomp.labels is not None or not decomposition)]
-        results = [None] * len(chunk)
+        results = [decomp if isinstance(decomp, Exception)
+                   else UnlabeledModes(_UNLABELED) if decomposition and decomp.labels is None
+                   else None for decomp in chunk]
+        ok = [i for i, error in enumerate(results) if error is None]
         for i, totals in zip(ok, spectra.stacked_totals([chunk[i] for i in ok])):
             results[i] = totals  # a DivergentIntegral stays as the result
         ok = [i for i in ok if not isinstance(results[i], Exception)]
         if ok:
-            bodies = _csv_bodies(_chunk_rows(scn, [chunk[i] for i in ok]))
-            for k, i in enumerate(ok):
-                totals = dict(zip(BARE_MODES, results[i].tolist()))
-                results[i] = totals, bodies[k * n_files:(k + 1) * n_files]
+            bodies = iter(_csv_bodies(_chunk_rows(scn, [chunk[i] for i in ok])))
+            for i in ok:
+                files = [(kind, cols, next(bodies)) for kind, cols in layout]
+                results[i] = dict(zip(BARE_MODES, results[i].tolist())), files
         yield from results
 
 
@@ -421,14 +400,14 @@ def _chunk_rows(scn: Scenario, decomps) -> np.ndarray:
     spec = spectra.channel_spectra(decomps, scn.channels, scn.omega_grid)
     grid = np.broadcast_to(spec.omega_grid, spec.amplitude.shape)
     if scn.run == "spectrum":
-        data = np.concatenate([grid[:, :1], spec.spectrum], axis=1)  # (points, 1 + C, G)
+        data = np.concatenate([grid[:, :1], spec.spectrum], axis=1)  # (points, columns, G)
     else:
         prefactor = spec.prefactor[..., None]
         data = np.concatenate([
             grid[:, :, None], spec.spectrum[:, :, None],
             prefactor * spec.lorentzians, prefactor * spec.interferences,
             spectra.lorentzian_approximation(spec)[:, :, None],
-        ], axis=2)  # (points, C, 18, G): one file per point and channel
+        ], axis=2)  # (points, C, columns, G): one file per point and channel
         data = data.reshape(-1, *data.shape[2:])
     return data.transpose(0, 2, 1)
 
@@ -438,17 +417,15 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
     """Execute one parameter point; returns (files, summary lines).
 
     decomp is the point's entry of eigen.full_decompositions: the
-    decomposition, or the error its computation raised.  Every run type
-    needs the normal-mode picture, so the derive_rates error of an
-    asymmetric or g = v = 0 point is raised here.  result is the point's
-    entry of _spectral_results for a spectrum or decomposition run.
+    decomposition, or the error its computation raised.  result is the
+    error the point raises, its entry of _spectral_results in a spectrum or
+    decomposition run, or None for a trajectory that runs.
     """
-    suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
+    if isinstance(result, Exception):
+        raise result
     if isinstance(decomp, Exception):
         # at the critical point p = 0 there is no eigenbasis; a trajectory
         # uses the decomposition only for this summary line
-        if not (isinstance(decomp, DegenerateBlock) and scn.run == "trajectory"):
-            raise decomp
         eigenvalues, labels = np.linalg.eigvals(dynamics.bare_generator(params)), None
     else:
         eigenvalues, labels = decomp.eigenvalues, decomp.labels
@@ -458,7 +435,6 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         lam = ", ".join(f"{x:.6g}" for x in eigenvalues)
     summary = [f"eigenvalues: {lam}"]
 
-    files = []
     if scn.run == "trajectory":
         cfg = dynamics.IntegratorConfig(
             dt=scn.dt, t_max=scn.t_max, record_every=scn.record_every
@@ -469,41 +445,24 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         cols = ["t", *modes, "survival"] + [f"p_{c}" for c in BARE_MODES]
         data = ([traj.times] + [occ[c] for c in modes] + [traj.survival]
                 + [traj.channel_probs[c] for c in BARE_MODES])
-        path = out_dir / f"{scn.out_base}{suffix}_trajectory.csv"
-        _write_csv(path, _header(scn, params, cols, point), _row_blocks(np.column_stack(data)))
-        files.append(path)
+        outputs = [("trajectory", cols, _row_blocks(np.column_stack(data)))]
         totals = {c: traj.channel_probs[c][-1] for c in BARE_MODES}
         residual = traj.survival[-1] + sum(totals.values()) - 1.0
-        worst = traj.conservation_residual()
-        if worst > _RESIDUAL_BOUND:
-            warnings.warn(
-                f"RK4 at dt = {scn.dt} loses conservation by up to {worst:.3e} "
-                f"(bound {_RESIDUAL_BOUND:g}); take a smaller dt",
-                AccuracyWarning,
-            )
     else:
-        if scn.run == "decomposition" and labels is None:
-            raise UnlabeledModes(
-                "coincident eigenvalues in the symmetric block leave the quasi modes "
-                "unlabeled; a decomposition run needs the labels"
-            )
-        # a non-decaying excited mode fails here, before any file of this point
-        if isinstance(result, Exception):
-            raise result
-        totals, bodies = result
-        if scn.run == "spectrum":
-            outputs = [("spectrum", ["omega", *scn.channels])]
-        else:
-            cols = (["omega", "total"]
-                    + [f"lorentzian_{n}" for n in labels]
-                    + [f"w_{labels[j]}_{labels[k]}" for j, k in combinations(range(5), 2)]
-                    + ["lorentzian_sum"])
-            outputs = [(f"decomposition_{c}", cols) for c in scn.channels]
-        for (kind, cols), body in zip(outputs, bodies):
-            path = out_dir / f"{scn.out_base}{suffix}_{kind}.csv"
-            _write_csv(path, _header(scn, params, cols, point), body)
-            files.append(path)
+        totals, outputs = result
         residual = sum(totals.values()) - 1.0
+    suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
+    files = []
+    for kind, cols, body in outputs:
+        path = out_dir / f"{scn.out_base}{suffix}_{kind}.csv"
+        _write_csv(path, _header(scn, params, cols, point), body)
+        files.append(path)
+    if scn.run == "trajectory" and (worst := traj.conservation_residual()) > _RESIDUAL_BOUND:
+        warnings.warn(
+            f"RK4 at dt = {scn.dt} loses conservation by up to {worst:.3e} "
+            f"(bound {_RESIDUAL_BOUND:g}); take a smaller dt",
+            AccuracyWarning,
+        )
     summary.append(
         "channel totals: "
         + " ".join(f"{c}={totals[c]:.6f}" for c in BARE_MODES)
@@ -529,8 +488,12 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
     decomps = eigen.full_decompositions(
         [params for _, params in scn.points], single_excitation(scn.initial)
     )
-    results = (repeat(None) if scn.run == "trajectory"
-               else _spectral_results(scn, decomps))
+    if scn.run == "trajectory":
+        # a trajectory integrates the bare amplitudes, so p = 0 does not stop it
+        results = [None if isinstance(decomp, (DegenerateBlock, eigen.QuasiModeDecomposition))
+                   else decomp for decomp in decomps]
+    else:
+        results = _spectral_results(scn, decomps)
 
     written = []
     for (point, point_params), decomp, result in zip(scn.points, decomps, results):

@@ -180,6 +180,10 @@ def _cubic_roots(c2, c1, c0, a, p, q, disc) -> np.ndarray:
         df = (3.0 * roots + 2.0 * c2) * roots + c1
         step = np.where(df != 0, f / np.where(df != 0, df, 1.0), 0.0)
         roots = roots - step
+    # c0 = 0 (Gamma_D = Gamma_SD = 0) makes 0 an exact root; Cardano can
+    # return it as a tiny number of either sign, which decides whether it decays
+    exact = np.flatnonzero(c0[:, 0] == 0)
+    roots[exact, np.argmin(_modulus(roots[exact]), axis=1)] = 0
     return roots
 
 
