@@ -10,18 +10,18 @@ import numpy as np
 
 from fiberqed import (
     IntegratorConfig,
+    SystemParams,
     evolve_bare,
     occupations,
     single_excitation,
-    symmetric_params,
 )
 
 GAMMA = 5.2  # atomic decay, 2*pi*MHz
 
 REGIMES = {
-    "atom dominated  (g=50, v=1)": symmetric_params(g=50, v=1, kappa=1, kappa_b=0.01, gamma=GAMMA),
-    "fiber dominated (g=2, v=50)": symmetric_params(g=2, v=50, kappa=1, kappa_b=0.01, gamma=GAMMA),
-    "comparable      (g=70.7, v=50)": symmetric_params(
+    "atom dominated  (g=50, v=1)": SystemParams(g=50, v=1, kappa=1, kappa_b=0.01, gamma=GAMMA),
+    "fiber dominated (g=2, v=50)": SystemParams(g=2, v=50, kappa=1, kappa_b=0.01, gamma=GAMMA),
+    "comparable      (g=70.7, v=50)": SystemParams(
         g=50 * np.sqrt(2), v=50, kappa=1, kappa_b=0.01, gamma=GAMMA
     ),
 }

@@ -9,13 +9,13 @@ import numpy as np
 
 from fiberqed import (
     IntegratorConfig,
+    SystemParams,
     antisymmetric_block,
     derive_rates,
     evolve_bare,
     fiber_dark_amplitudes,
     full_decomposition,
     single_excitation,
-    symmetric_params,
 )
 
 GAMMA = 5.2
@@ -23,7 +23,7 @@ GAMMA = 5.2
 print("=== damping regimes of the fiber-dark pair (kappa=1, gamma=5.2) ===")
 print("Gamma_A-/2 = 0.8, so g = 0.8 is the critical point\n")
 for g in (2.0, 0.95, 0.8, 0.5):
-    params = symmetric_params(g=g, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+    params = SystemParams(g=g, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
     p = derive_rates(params).p
     if p == 0:
         regime = "critically damped (defective block)"
@@ -34,7 +34,7 @@ for g in (2.0, 0.95, 0.8, 0.5):
     print(f"g = {g:4.2f}: p = {p:.4f}  -> {regime:35s} eigenvalues: {lam}")
 
 print("\n=== five-mode decomposition at g=7, v=4 ===")
-params = symmetric_params(g=7.0, v=4.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+params = SystemParams(g=7.0, v=4.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
 decomp = full_decomposition(params)
 for j, label in enumerate(decomp.labels):
     lam = decomp.eigenvalues[j]

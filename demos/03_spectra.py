@@ -8,19 +8,19 @@ g=7, v=4 where interference redistributes weight between the two ports.
 import numpy as np
 
 from fiberqed import (
+    SystemParams,
     channel_spectrum,
     derive_rates,
     full_decomposition,
     integrated_spectrum,
     lorentzian_approximation,
-    symmetric_params,
 )
 
 GAMMA = 5.2
 
 print("=== cavity-1 spectrum vs atom-cavity coupling (v=10, kappa=1) ===")
 for g in (2.0, 6.0, 10.0, 20.0):
-    params = symmetric_params(g=g, v=10.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+    params = SystemParams(g=g, v=10.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
     decomp = full_decomposition(params)
     spec = channel_spectrum(decomp, "cavity1")
     grid, val = spec.omega_grid, spec.spectrum
@@ -31,7 +31,7 @@ for g in (2.0, 6.0, 10.0, 20.0):
           f"maxima at {np.array2string(peaks, precision=2)}")
 
 print("\n=== decomposition of both cavity outputs at g=7, v=4 ===")
-params = symmetric_params(g=7.0, v=4.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+params = SystemParams(g=7.0, v=4.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
 decomp = full_decomposition(params)
 s1 = channel_spectrum(decomp, "cavity1")
 s2 = channel_spectrum(decomp, "cavity2")

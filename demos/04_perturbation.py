@@ -12,6 +12,7 @@ import numpy as np
 from fiberqed import (
     IntegratorConfig,
     RegimeWarning,
+    SystemParams,
     atom_dominated_solution,
     evolve_bare,
     fiber_dominated_solution,
@@ -19,7 +20,6 @@ from fiberqed import (
     perturbative_symmetric,
     single_excitation,
     symmetric_block,
-    symmetric_params,
 )
 
 GAMMA = 5.2
@@ -33,7 +33,7 @@ def oracle(params, t_max=1.4):
 print("=== dominated-coupling limits converge with the coupling ratio ===")
 print("atom-dominated solution, error vs v/g:")
 for v in (5.0, 2.5, 1.0):
-    params = symmetric_params(g=50.0, v=v, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+    params = SystemParams(g=50.0, v=v, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
     traj = oracle(params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
@@ -44,7 +44,7 @@ for v in (5.0, 2.5, 1.0):
 
 print("fiber-dominated solution, error vs g/v:")
 for g in (5.0, 2.5, 1.0):
-    params = symmetric_params(g=g, v=50.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+    params = SystemParams(g=g, v=50.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
     traj = oracle(params)
     xi1, xi2, alpha1, alpha2 = fiber_dominated_solution(params, traj.times)
     err = max(np.abs(xi1 - traj.states[:, 0]).max(),
@@ -52,7 +52,7 @@ for g in (5.0, 2.5, 1.0):
     print(f"  g/v = {g / 50:.2f}: max error {err:.2e}")
 
 print("\n=== perturbative variants at g = sqrt(2) v = 70.7 ===")
-params = symmetric_params(g=50 * np.sqrt(2), v=50.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+params = SystemParams(g=50 * np.sqrt(2), v=50.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
 exact = symmetric_block(params)
 for variant in ("standard", "appendix_alternative", "appendix_refined"):
     modes = perturbative_symmetric(params, variant)

@@ -19,7 +19,6 @@ from .errors import (
     DivergentIntegral,
     GridInvalid,
     LabelAmbiguous,
-    NonSymmetric,
     RegimeWarning,
     UnlabeledModes,
 )
@@ -29,7 +28,6 @@ from .model import (
     derive_rates,
     normal_mode_matrix,
     single_excitation,
-    symmetric_params,
 )
 from .dynamics import (
     IntegratorConfig,

@@ -20,7 +20,7 @@ import re
 import sys
 import warnings
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -28,12 +28,12 @@ import numpy as np
 
 from . import dynamics, eigen, spectra
 from .errors import AccuracyWarning, ConfigInvalid, DegenerateBlock, UnlabeledModes
-from .model import BARE_MODES, NORMAL_MODES, SystemParams, single_excitation, symmetric_params
+from .model import BARE_MODES, NORMAL_MODES, SystemParams, single_excitation
 
 __all__ = ["Scenario", "parse_scenario", "run_scenario", "main"]
 
 RUN_KINDS = ("trajectory", "spectrum", "decomposition")
-# the [params] keys and [sweep] parameters: the arguments of symmetric_params
+# the [params] keys and [sweep] parameters: the fields of SystemParams
 RATES = ("g", "v", "kappa", "kappa_b", "gamma")
 _FMT = "%.12e"
 # largest conservation residual of a trajectory whose totals, printed to six
@@ -99,7 +99,7 @@ def parse_scenario(path) -> Scenario:
             raise ConfigInvalid(f"[params] missing key {key}")
     rates = {key: _floats("params", key, raw_params[key]) for key in RATES}
     try:
-        params = symmetric_params(**rates)
+        params = SystemParams(**rates)
     except ValueError as exc:
         raise ConfigInvalid(f"[params] {exc}") from None
 
@@ -190,9 +190,9 @@ def parse_scenario(path) -> Scenario:
                                     f"both give the file suffix {parameter}{tag}")
             suffixes[tag] = value
             try:
-                point_params = symmetric_params(**dict(rates, **{parameter: value}))
+                point_params = SystemParams(**dict(rates, **{parameter: value}))
             except ValueError as exc:
-                raise ConfigInvalid(f"[sweep] {parameter} = {value!r}: {exc}") from None
+                raise ConfigInvalid(f"[sweep] {exc}") from None
             points.append(((parameter, value), point_params))
 
     return Scenario(
@@ -212,10 +212,10 @@ def parse_scenario(path) -> Scenario:
 
 def _header(scn: Scenario, params: SystemParams, columns, point=None) -> list:
     lines = [f"# fiberqed scenario: {scn.name}"]
-    lines.append(
-        "# params: "
-        + " ".join(f"{f.name}={getattr(params, f.name):.9g}" for f in fields(params))
-    )
+    g, v, kappa, kappa_b, gamma = (f"{getattr(params, k):.9g}" for k in RATES)
+    # the per-unit spelling of the first releases, so the files keep their bytes
+    lines.append(f"# params: g1={g} g2={g} v1={v} v2={v} kappa1={kappa} kappa2={kappa} "
+                 f"kappa_b={kappa_b} gamma={gamma} detuning=0")
     run_line = f"# run: type={scn.run} initial={scn.initial}"
     if point is not None:
         run_line += f" sweep: {point[0]}={point[1]:.9g}"
@@ -465,7 +465,8 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         )
     summary.append(
         "channel totals: "
-        + " ".join(f"{c}={totals[c]:.6f}" for c in BARE_MODES)
+        # rounded first, so a total that rounds to zero prints without a sign
+        + " ".join(f"{c}={round(float(totals[c]), 6) + 0.0:.6f}" for c in BARE_MODES)
     )
     summary.append(f"conservation residual: {residual:+.3e}")
     return files, summary

@@ -91,16 +91,15 @@ class Trajectory:
 
 
 def bare_generator(params: SystemParams) -> np.ndarray:
-    """Matrix form of the bare amplitude equations (asymmetric allowed)."""
-    g1, g2, v1, v2 = params.g1, params.g2, params.v1, params.v2
-    k1, k2, kb, gam = params.kappa1, params.kappa2, params.kappa_b, params.gamma
+    """Matrix form of the bare amplitude equations."""
+    g, v, kappa, kb, gam = params.g, params.v, params.kappa, params.kappa_b, params.gamma
     return np.array(
         [
-            [-gam / 2, 0, -1j * g1, 0, 0],
-            [0, -gam / 2, 0, -1j * g2, 0],
-            [-1j * g1, 0, -k1, 0, -1j * v1],
-            [0, -1j * g2, 0, -k2, -1j * v2],
-            [0, 0, -1j * v1, -1j * v2, -kb],
+            [-gam / 2, 0, -1j * g, 0, 0],
+            [0, -gam / 2, 0, -1j * g, 0],
+            [-1j * g, 0, -kappa, 0, -1j * v],
+            [0, -1j * g, 0, -kappa, -1j * v],
+            [0, 0, -1j * v, -1j * v, -kb],
         ],
         dtype=complex,
     )
@@ -261,10 +260,9 @@ def evolve_bare(params: SystemParams, initial, cfg: IntegratorConfig) -> Traject
     """Integrate the bare amplitude equations from the given initial state.
 
     initial is array-like, 5 finite complex amplitudes in BARE_MODES order
-    (ValueError otherwise).  Works for asymmetric parameters.  Channel
-    probabilities accumulate as dP_cav,i/dt = 2*kappa_i*|alpha_i|^2,
-    dP_fib/dt = 2*kappa_b*|beta|^2 and dP_atom,i/dt = gamma*|xi_i|^2, so
-    survival + detected stays at 1.
+    (ValueError otherwise).  Channel probabilities accumulate as
+    dP_cav,i/dt = 2*kappa*|alpha_i|^2, dP_fib/dt = 2*kappa_b*|beta|^2 and
+    dP_atom,i/dt = gamma*|xi_i|^2, so survival + detected stays at 1.
     """
     times, states, probs, surv = _integrate(
         bare_generator(params), _amplitudes(initial), cfg, flux_weights(params)
@@ -275,15 +273,14 @@ def evolve_bare(params: SystemParams, initial, cfg: IntegratorConfig) -> Traject
 def occupations(traj: Trajectory) -> dict:
     """Per-mode |amplitude|^2 series for a trajectory.
 
-    Always returns the five physical occupations; for symmetric parameters
-    the five normal-mode occupations are included as well (keys
-    NORMAL_MODES), projected with :func:`normal_mode_matrix`.
+    Returns the five physical occupations and, projected with
+    :func:`normal_mode_matrix`, the five normal-mode occupations (keys
+    NORMAL_MODES), which are missing only for g = v = 0.
     """
     result = {k: np.abs(traj.states[:, i]) ** 2 for i, k in enumerate(BARE_MODES)}
-    if traj.params.symmetric():
-        try:
-            normal = traj.states @ normal_mode_matrix(traj.params).T
-        except ValueError:  # g = v = 0: no normal basis
-            return result
-        result.update({k: np.abs(normal[:, i]) ** 2 for i, k in enumerate(NORMAL_MODES)})
+    try:
+        normal = traj.states @ normal_mode_matrix(traj.params).T
+    except ValueError:  # g = v = 0: no normal basis
+        return result
+    result.update({k: np.abs(normal[:, i]) ** 2 for i, k in enumerate(NORMAL_MODES)})
     return result

@@ -1,11 +1,11 @@
 """Quasi-normal modes: exact diagonalization of the non-Hermitian generator.
 
-The symmetric configuration splits into an anti-symmetric 2x2 block
-(fiber-dark modes, solved in closed form) and a symmetric 3x3 block
+The generator of two identical units splits into an anti-symmetric 2x2
+block (fiber-dark modes, solved in closed form) and a symmetric 3x3 block
 (bright + cavity-dark modes, solved through the closed-form cubic).
-Asymmetric parameters and g = v = 0 have no such split and are refused
-with the error of :func:`fiberqed.model.derive_rates`.  Left and right
-eigenvectors are kept as a bi-orthogonal pair, V^-1 V = I.
+g = v = 0 has no normal modes and is refused with the error of
+:func:`fiberqed.model.derive_rates`.  Left and right eigenvectors are
+kept as a bi-orthogonal pair, V^-1 V = I.
 
 All of it is one kernel stacked over a leading axis of parameter points
 (:func:`full_decompositions`); a single point is the case N = 1, and N
@@ -340,10 +340,10 @@ def full_decomposition(params: SystemParams, initial=None) -> QuasiModeDecomposi
     """Assemble eigenvalues, vectors, weights and propagation coefficients.
 
     The two analytic blocks are used and vectors are expressed in the
-    normal basis.  Asymmetric parameters raise NonSymmetric and g = v = 0
-    raises ValueError, as in :func:`fiberqed.model.derive_rates`.  initial
-    is array-like, 5 finite complex amplitudes in BARE_MODES order
-    (ValueError otherwise); the default is the excited atom 1.
+    normal basis.  g = v = 0 raises ValueError, as in
+    :func:`fiberqed.model.derive_rates`.  initial is array-like, 5 finite
+    complex amplitudes in BARE_MODES order (ValueError otherwise); the
+    default is the excited atom 1.
     """
     (result,) = full_decompositions([params], initial)
     if isinstance(result, Exception):
@@ -356,10 +356,10 @@ def full_decompositions(points, initial=None) -> list:
 
     Entry i is the decomposition of points[i], or the error that
     full_decomposition(points[i], initial) raises, so one bad point does
-    not stop the others: the derive_rates error of an asymmetric or
-    g = v = 0 point, DegenerateBlock at p = 0, or LinAlgError for a
-    singular set of symmetric-block vectors.  Each entry has the bits of
-    the single call; the stacked arithmetic keeps them by four rules:
+    not stop the others: the derive_rates error of a g = v = 0 point,
+    DegenerateBlock at p = 0, or LinAlgError for a singular set of
+    symmetric-block vectors.  Each entry has the bits of the single call;
+    the stacked arithmetic keeps them by four rules:
 
     - the rates and the cubic's coefficients stay per-point Python floats,
       because Python's ``x**2`` and ``x**3`` call libm pow where numpy's
@@ -378,7 +378,7 @@ def full_decompositions(points, initial=None) -> list:
         try:
             rates.append(derive_rates(params))
             ok.append(i)
-        except ValueError as exc:  # NonSymmetric, or g = v = 0
+        except ValueError as exc:  # g = v = 0
             results[i] = exc
     if not ok:
         return results

@@ -1,10 +1,6 @@
 """Exception and warning types shared across the package."""
 
 
-class NonSymmetric(ValueError):
-    """Operation requires the symmetric configuration (g1=g2, v1=v2, kappa1=kappa2)."""
-
-
 class ConfigInvalid(ValueError):
     """Integrator or scenario configuration is unusable (e.g. non-positive dt)."""
 

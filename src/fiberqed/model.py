@@ -17,14 +17,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NonSymmetric
-
 __all__ = [
     "BARE_MODES",
     "NORMAL_MODES",
     "SystemParams",
     "DerivedRates",
-    "symmetric_params",
     "single_excitation",
     "derive_rates",
     "flux_weights",
@@ -40,69 +37,29 @@ NORMAL_MODES = ("bs_plus", "bs_minus", "fd_plus", "fd_minus", "cd")
 
 @dataclass(frozen=True)
 class SystemParams:
-    """All physical rates of the five-mode model (units of 2*pi*MHz).
+    """The rates of two identical, resonant atom-cavity units and their fiber.
 
-    g1, g2   : atom-cavity coupling strengths
-    v1, v2   : fiber-cavity coupling strengths
-    kappa1, kappa2 : cavity field decay rates
-    kappa_b  : fiber field decay rate
-    gamma    : atomic energy decay rate
-    detuning : atom-cavity detuning; only the resonant case (0) is supported
+    All in units of 2*pi*MHz; each unit has the same g, v and kappa.
+    g       : atom-cavity coupling strength
+    v       : fiber-cavity coupling strength
+    kappa   : cavity field decay rate
+    kappa_b : fiber field decay rate
+    gamma   : atomic energy decay rate
     """
 
-    g1: float
-    g2: float
-    v1: float
-    v2: float
-    kappa1: float
-    kappa2: float
+    g: float
+    v: float
+    kappa: float
     kappa_b: float
     gamma: float
-    detuning: float = 0.0
 
     def __post_init__(self):
-        for name in ("g1", "g2", "v1", "v2", "kappa1", "kappa2", "kappa_b", "gamma"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.detuning != 0.0:
-            raise ValueError("only the resonant case detuning = 0 is supported")
-        # Python floats, so numpy scalar inputs give the same arithmetic bits
         for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
-
-    def symmetric(self) -> bool:
-        """True iff g1=g2, v1=v2 and kappa1=kappa2 (exact comparison)."""
-        return self.g1 == self.g2 and self.v1 == self.v2 and self.kappa1 == self.kappa2
-
-    def require_symmetric(self) -> None:
-        if not self.symmetric():
-            raise NonSymmetric(
-                "operation is defined for the symmetric configuration only "
-                f"(g1={self.g1}, g2={self.g2}, v1={self.v1}, v2={self.v2}, "
-                f"kappa1={self.kappa1}, kappa2={self.kappa2})"
-            )
-
-    # Common values for the symmetric case.
-    @property
-    def g(self) -> float:
-        self.require_symmetric()
-        return self.g1
-
-    @property
-    def v(self) -> float:
-        self.require_symmetric()
-        return self.v1
-
-    @property
-    def kappa(self) -> float:
-        self.require_symmetric()
-        return self.kappa1
-
-
-def symmetric_params(g, v, kappa, kappa_b, gamma, detuning=0.0) -> SystemParams:
-    """Build a symmetric parameter set (both units identical)."""
-    return SystemParams(g, g, v, v, kappa, kappa, kappa_b, gamma, detuning)
+            value = getattr(self, f.name)
+            if not np.isfinite(value) or value < 0:
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
+            # a Python float, so numpy scalar inputs give the same arithmetic bits
+            object.__setattr__(self, f.name, float(value))
 
 
 def single_excitation(mode: str) -> np.ndarray:
@@ -145,8 +102,7 @@ class DerivedRates:
 
 
 def derive_rates(params: SystemParams) -> DerivedRates:
-    """Decay rates of the five normal modes for a symmetric parameter set."""
-    params.require_symmetric()
+    """Decay rates of the five normal modes."""
     g, v = params.g, params.v
     kappa, kappa_b, gamma = params.kappa, params.kappa_b, params.gamma
     zeta_sq = g * g + 2 * v * v
@@ -175,15 +131,8 @@ def flux_weights(params: SystemParams) -> np.ndarray:
     gamma*|xi|^2 for the atoms and 2*kappa*|alpha|^2 for the fields: an
     amplitude decay rate kappa implies an energy flux 2*kappa*|alpha|^2.
     """
-    return np.array(
-        [
-            params.gamma,
-            params.gamma,
-            2 * params.kappa1,
-            2 * params.kappa2,
-            2 * params.kappa_b,
-        ]
-    )
+    cavity = 2 * params.kappa
+    return np.array([params.gamma, params.gamma, cavity, cavity, 2 * params.kappa_b])
 
 
 def normal_mode_matrix(params: SystemParams) -> np.ndarray:

@@ -5,13 +5,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from fiberqed import IntegratorConfig, evolve_bare, single_excitation, symmetric_params
+from fiberqed import IntegratorConfig, SystemParams, evolve_bare, single_excitation
 
 GAMMA = 5.2  # atomic decay, 2*pi*MHz (cesium D2)
 
 
 def caption_params(kappa_b, kappa, v, g):
-    return symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=GAMMA)
+    return SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=GAMMA)
 
 
 FIG3 = caption_params(0.01, 1.0, 1.0, 50.0)

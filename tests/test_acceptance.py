@@ -17,6 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from fiberqed import (
+    SystemParams,
     channel_spectrum,
     derive_rates,
     fiber_dark_amplitudes,
@@ -27,7 +28,6 @@ from fiberqed import (
     perturbative_symmetric,
     spectral_function,
     symmetric_block,
-    symmetric_params,
 )
 from fiberqed.model import BARE_MODES
 
@@ -329,7 +329,7 @@ def test_criterion_9_interference_asymmetry():
 def test_criterion_10_cavity_dark_suppression():
     """kappa_b = gamma/2 removes the dark mode from the cavity outputs."""
     results = []
-    params = symmetric_params(g=7.0, v=4.0, kappa=1.0, kappa_b=GAMMA / 2, gamma=GAMMA)
+    params = SystemParams(g=7.0, v=4.0, kappa=1.0, kappa_b=GAMMA / 2, gamma=GAMMA)
     gsd = derive_rates(params).gamma_sd
     check(results, "10 coupling rate", gsd == 0.0, f"Gamma_SD = {gsd} exactly 0")
     decomp = full_decomposition(params)

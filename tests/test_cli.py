@@ -19,12 +19,12 @@ from scipy.linalg import solve_continuous_lyapunov
 from fiberqed import (
     AccuracyWarning,
     LabelAmbiguous,
+    SystemParams,
     bare_generator,
     cli,
     full_decomposition,
     single_excitation,
     spectral_function,
-    symmetric_params,
 )
 from fiberqed.cli import _csv_bodies, _write_csv, main, parse_scenario, run_scenario
 from fiberqed.model import BARE_MODES, flux_weights
@@ -132,7 +132,7 @@ def test_negative_sweep_value_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, text, "neg.cfg")
     assert main([str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: [sweep] kappa = -1.0")
+    assert err.startswith("config error: [sweep] kappa must be finite and >= 0")
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -295,7 +295,7 @@ def test_near_exceptional_point_totals_match_lyapunov(tmp_path, capsys, name):
     out = capsys.readouterr().out
     printed = out.split("channel totals: ")[1].split("\n")[0]
     residual = float(out.split("conservation residual:")[1].split()[0])
-    params = symmetric_params(**values)
+    params = SystemParams(**values)
     c0 = single_excitation("atom1")
     gramian = solve_continuous_lyapunov(bare_generator(params), -np.outer(c0, c0.conj()))
     oracle = flux_weights(params) * gramian.diagonal().real
@@ -412,7 +412,7 @@ def test_weightless_mode_that_does_not_decay_adds_nothing(tmp_path):
         assert main([str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
     data = np.loadtxt(tmp_path / "case_spectrum.csv", delimiter=",")
     assert np.isfinite(data).all()
-    params = symmetric_params(g=2, v=3, kappa=1, kappa_b=0, gamma=0)
+    params = SystemParams(g=2, v=3, kappa=1, kappa_b=0, gamma=0)
     decomp = full_decomposition(params, single_excitation("cavity1"))
     qcd = decomp.labels.index("QCD")
     assert decomp.eigenvalues[qcd] == 0
@@ -446,7 +446,7 @@ def test_decoupled_lossless_fiber_spectrum_runs(tmp_path, capsys, rates, initial
         warnings.simplefilter("error")
         assert main([str(cfg), "--out", str(tmp_path)]) == 0
     printed = capsys.readouterr().out.split("channel totals: ")[1].split("\n")[0]
-    params = symmetric_params(**rates)
+    params = SystemParams(**rates)
     decomp = full_decomposition(params, single_excitation(initial))
     assert decomp.eigenvalues[decomp.labels.index("QCD")] == 0
     pair = [BARE_MODES.index("atom1"), BARE_MODES.index("cavity1")]
@@ -459,6 +459,8 @@ def test_decoupled_lossless_fiber_spectrum_runs(tmp_path, capsys, rates, initial
     print(f"{initial}: {printed} (pair oracle " + " ".join(f"{x:.6f}" for x in oracle)
           + f"); error {error:.1e} (bound 5e-7)")
     assert error <= 5e-7
+    # the unit-2 totals are rounding noise of either sign; zero prints unsigned
+    assert "-" not in printed, printed
 
 
 def test_empty_config_exits_2(tmp_path, capsys):
@@ -484,7 +486,22 @@ def test_unknown_key_named_in_error(tmp_path, capsys, section, key):
 def test_bad_number_named_in_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE.format(kind="trajectory").replace("g = 7", "g =弦"))
     assert main([str(cfg)]) == 2
-    assert "[params] g" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: [params] g = '弦' is not a number\n"
+
+
+@pytest.mark.parametrize("section", ["params", "sweep"])
+@pytest.mark.parametrize("rate", cli.RATES)
+def test_negative_rate_names_its_config_key(tmp_path, capsys, section, rate):
+    text = BASE.format(kind="spectrum")
+    if section == "params":
+        text = re.sub(rf"(?m)^{rate} = .*$", f"{rate} = -1", text)
+    else:
+        text += f"\n[sweep]\nparameter = {rate}\nvalues = 1, -1\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: [{section}] {rate} must be finite and >= 0, got -1.0\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

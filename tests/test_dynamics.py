@@ -15,10 +15,9 @@ from fiberqed import (
     normal_mode_matrix,
     occupations,
     single_excitation,
-    symmetric_params,
 )
 from fiberqed.dynamics import _integrate
-from fiberqed.model import BARE_MODES, flux_weights
+from fiberqed.model import BARE_MODES, NORMAL_MODES, flux_weights
 
 from conftest import ALL_FIGURE_SETS, FIG3, FIG4, FIG5, FIG8, GAMMA, atom1_oracle, caption_params
 
@@ -30,12 +29,12 @@ def test_generator_matches_amplitude_equations():
     gen = bare_generator(FIG3)
     dxdt = gen @ ATOM1
     assert dxdt[0] == -GAMMA / 2        # xi1' = -gamma/2 xi1
-    assert dxdt[2] == -1j * FIG3.g1     # alpha1' = -i g1 xi1
+    assert dxdt[2] == -1j * FIG3.g      # alpha1' = -i g xi1
     assert dxdt[1] == dxdt[3] == dxdt[4] == 0
 
 
 def test_decoupled_atom_decays_exponentially():
-    params = symmetric_params(g=0, v=0, kappa=1, kappa_b=0.01, gamma=GAMMA)
+    params = SystemParams(g=0, v=0, kappa=1, kappa_b=0.01, gamma=GAMMA)
     traj = evolve_bare(params, ATOM1, IntegratorConfig(dt=1e-3, t_max=2.0))
     expected = np.exp(-GAMMA * traj.times / 2)
     assert np.abs(traj.states[:, 0] - expected).max() < 1e-10
@@ -48,6 +47,18 @@ def test_conservation_and_monotonicity():
     assert np.all(np.diff(traj.survival) <= 1e-12)
     for series in traj.channel_probs.values():
         assert np.all(np.diff(series) >= -1e-15)
+
+
+# atom-dominated, fiber-dominated, fiber only (g = 0), atoms only (v = 0), uncoupled
+@pytest.mark.parametrize("g, v", [(50.0, 1.0), (2.0, 50.0), (0.0, 3.0), (2.0, 0.0), (0.0, 0.0)])
+def test_occupations_have_normal_modes_unless_uncoupled(g, v):
+    params = SystemParams(g=g, v=v, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+    occ = occupations(evolve_bare(params, ATOM1, IntegratorConfig(dt=1e-3, t_max=0.5)))
+    coupled = g > 0 or v > 0
+    assert tuple(occ) == BARE_MODES + (NORMAL_MODES if coupled else ())
+    if coupled:  # the normal basis is orthogonal: it shares the bare norm at every time
+        bare = sum(occ[k] for k in BARE_MODES)
+        assert np.abs(sum(occ[k] for k in NORMAL_MODES) - bare).max() < 1e-14
 
 
 def test_richardson_fourth_order():
@@ -87,7 +98,7 @@ def _random_symmetric(rng, n):
     for _ in range(n):
         g, v = 10 ** rng.uniform(-1, 2, size=2)
         kappa, kappa_b, gamma = 10 ** rng.uniform(-2, 1, size=3)
-        yield symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
+        yield SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
 
 
 def test_normal_generator_is_bare_generator_in_normal_basis(rng):
@@ -109,7 +120,7 @@ def test_normal_generator_is_bare_generator_in_normal_basis(rng):
 
 def test_decoupled_dark_mode():
     # kappa_b = gamma/2 turns off the bright <-> dark coupling
-    params = symmetric_params(g=3, v=7, kappa=1, kappa_b=GAMMA / 2, gamma=GAMMA)
+    params = SystemParams(g=3, v=7, kappa=1, kappa_b=GAMMA / 2, gamma=GAMMA)
     rates = derive_rates(params)
     assert rates.gamma_sd == 0.0
     cfg = IntegratorConfig(dt=1e-4, t_max=2.0, record_every=20)
@@ -150,21 +161,13 @@ def test_occupations_initial_point_and_lossless_sum():
     assert occ["atom1"][0] == pytest.approx(1.0)
     assert sum(occ[k][0] for k in ("atom2", "cavity1", "cavity2", "fiber")) == 0.0
 
-    lossless = symmetric_params(g=5, v=3, kappa=0, kappa_b=0, gamma=0)
+    lossless = SystemParams(g=5, v=3, kappa=0, kappa_b=0, gamma=0)
     traj = evolve_bare(lossless, ATOM1, IntegratorConfig(dt=1e-4, t_max=3.0, record_every=50))
     occ = occupations(traj)
     total = sum(occ[k] for k in ("atom1", "atom2", "cavity1", "cavity2", "fiber"))
     assert np.abs(total - 1.0).max() < 1e-10
     normal_total = sum(occ[k] for k in ("bs_plus", "bs_minus", "fd_plus", "fd_minus", "cd"))
     assert np.abs(normal_total - 1.0).max() < 1e-10
-
-
-def test_asymmetric_parameters_supported():
-    params = SystemParams(3.0, 5.0, 2.0, 1.0, 0.7, 1.3, 0.05, GAMMA)
-    traj = evolve_bare(params, ATOM1, IntegratorConfig(dt=1e-4, t_max=4.0, record_every=40))
-    assert traj.conservation_residual() < 1e-9
-    occ = occupations(traj)
-    assert "bs_plus" not in occ  # no normal picture without symmetry
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from fiberqed import (
     MODE_LABELS,
     DegenerateBlock,
     LabelAmbiguous,
-    NonSymmetric,
     SystemParams,
     antisymmetric_block,
     bare_generator,
@@ -19,7 +18,6 @@ from fiberqed import (
     normal_generator,
     normal_mode_matrix,
     symmetric_block,
-    symmetric_params,
 )
 
 from conftest import FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, atom1_oracle
@@ -28,12 +26,12 @@ from conftest import FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, atom1_oracle
 def random_symmetric(rng):
     g, v = rng.uniform(0.5, 20, 2)
     kappa, kappa_b = rng.uniform(0.0, 3, 2)
-    return symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=GAMMA)
+    return SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=GAMMA)
 
 
 class TestAntisymmetricBlock:
     def test_lossless_pure_oscillation(self):
-        params = symmetric_params(g=4.0, v=1.0, kappa=0, kappa_b=0, gamma=0)
+        params = SystemParams(g=4.0, v=1.0, kappa=0, kappa_b=0, gamma=0)
         block = antisymmetric_block(params)
         # splitting +-g: QFD+ oscillates at +g, i.e. eigenvalue -i g
         assert block.eigenvalues[0] == pytest.approx(-4j)
@@ -41,7 +39,7 @@ class TestAntisymmetricBlock:
 
     def test_vanishing_cross_damping_reduces_to_normal_modes(self):
         # kappa = gamma/2 makes Gamma_A- = 0
-        params = symmetric_params(g=4.0, v=1.0, kappa=GAMMA / 2, kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=4.0, v=1.0, kappa=GAMMA / 2, kappa_b=0.01, gamma=GAMMA)
         block = antisymmetric_block(params)
         assert np.array_equal(block.right_vectors, np.eye(2))
         gp = derive_rates(params).gamma_a_plus
@@ -84,7 +82,7 @@ class TestAntisymmetricBlock:
 
     def test_degenerate_block_raises(self):
         # g = |Gamma_A-|/2 = 0.8 puts the block exactly at critical damping
-        params = symmetric_params(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         assert derive_rates(params).p == 0
         with pytest.raises(DegenerateBlock):
             antisymmetric_block(params)
@@ -113,7 +111,7 @@ class TestFiberDarkAmplitudes:
 
     def test_overdamped_decays_without_oscillation(self):
         # g below |Gamma_A-|/2: imaginary p, monotone envelope
-        params = symmetric_params(g=0.3, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=0.3, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         assert derive_rates(params).p.imag > 0
         traj = atom1_oracle(params, t_max=3.0, record_every=75)
         normal = traj.states @ normal_mode_matrix(params).T
@@ -130,7 +128,7 @@ class TestFiberDarkAmplitudes:
         from scipy.linalg import expm
 
         g_c = abs(GAMMA / 2 - 1.0) / 2
-        params = symmetric_params(g=g_c * (1 + r), v=7.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=g_c * (1 + r), v=7.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         t = np.linspace(0.0, 3.0, 301)
         ref = np.array([expm(_antisymmetric_generator(params) * x) @ [0.5, 0.5] for x in t])
         a_plus, a_minus = fiber_dark_amplitudes(params, t)
@@ -144,7 +142,7 @@ class TestFiberDarkAmplitudes:
         # a slow overdamped block (decay ~2e-3) keeps a nonzero amplitude at
         # t = 5000; the fast exponent never overflows the formula.  Rounding
         # the exponent lambda t alone costs eps |lambda| t, relative.
-        params = symmetric_params(g=0.05, v=7.0, kappa=1e-3, kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=0.05, v=7.0, kappa=1e-3, kappa_b=0.01, gamma=GAMMA)
         assert derive_rates(params).p.imag > 0
         t = np.linspace(0.0, 5000.0, 201)
         a_plus, a_minus = fiber_dark_amplitudes(params, t)
@@ -171,7 +169,7 @@ def _antisymmetric_generator(params):
 class TestSymmetricBlock:
     def test_decoupled_diagonal(self):
         # kappa = kappa_b = gamma/2 kills both off-diagonal couplings
-        params = symmetric_params(
+        params = SystemParams(
             g=3.0, v=7.0, kappa=GAMMA / 2, kappa_b=GAMMA / 2, gamma=GAMMA
         )
         r = derive_rates(params)
@@ -183,7 +181,7 @@ class TestSymmetricBlock:
         assert np.abs(block.eigenvalues - expected).max() < 1e-12
 
     def test_lossless_limit(self):
-        params = symmetric_params(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0)
+        params = SystemParams(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0)
         zeta = derive_rates(params).zeta
         block = symmetric_block(params)
         assert np.abs(block.eigenvalues - [-1j * zeta, 1j * zeta, 0.0]).max() < 1e-12
@@ -213,7 +211,7 @@ class TestSymmetricBlock:
     def test_three_real_roots_labels(self):
         # g = v = 0.01 overdamps the bright pair: QCD is the root whose vector
         # is richest in D (2/3 at weak coupling) and QBS+ the slower of the rest
-        params = symmetric_params(g=0.01, v=0.01, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=0.01, v=0.01, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         block = symmetric_block(params)
         assert block.labels == ("QBS+", "QBS-", "QCD")
         assert np.abs(block.eigenvalues.real - [-0.01020, -0.99986, -2.59994]).max() < 1e-5
@@ -231,7 +229,7 @@ class TestSymmetricBlock:
     def test_weak_coupling_labels(self, kappa, expected):
         # g >> v far past the exceptional point: the bright pair sits near
         # -kappa and -gamma/2, and the root near -kappa_b is almost pure D
-        params = symmetric_params(g=0.01, v=1e-4, kappa=kappa, kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=0.01, v=1e-4, kappa=kappa, kappa_b=0.01, gamma=GAMMA)
         block = symmetric_block(params)
         assert block.labels[2] == "QCD"
         assert abs(block.right_vectors[2, 2]) > 0.99
@@ -241,7 +239,7 @@ class TestSymmetricBlock:
         pairs = 0
         for _ in range(400):
             g, v, kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 5))
-            params = symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
+            params = SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
             sym = normal_generator(params)[np.ix_([0, 1, 4], [0, 1, 4])]
             roots = np.linalg.eigvals(sym)
             if np.abs(roots.imag).max() <= 1e-8 * np.abs(roots).max():
@@ -307,7 +305,7 @@ class TestFullDecomposition:
         g = 0.8
         lams = []
         for delta in (-1e-13, 1e-13):
-            params = symmetric_params(
+            params = SystemParams(
                 g=g, v=5.0, kappa=1.0 + g * delta, kappa_b=0.01, gamma=GAMMA
             )
             block = antisymmetric_block(params)
@@ -316,7 +314,7 @@ class TestFullDecomposition:
 
     def test_reconstruction_in_the_overdamped_regime(self):
         # every figure set is underdamped; exercise imaginary p end to end
-        params = symmetric_params(g=0.3, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=0.3, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         assert derive_rates(params).p.imag > 0
         decomp = full_decomposition(params)
         traj = atom1_oracle(params, t_max=4.0, record_every=100)
@@ -327,24 +325,14 @@ class TestFullDecomposition:
         for _ in range(5):
             g, v = rng.uniform(0.5, 15, 2)
             kappa, kappa_b = rng.uniform(0.0, 2, 2)
-            params = symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b,
-                                      gamma=GAMMA)
+            params = SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b,
+                                  gamma=GAMMA)
             if derive_rates(params).p == 0:
                 continue
             decomp = full_decomposition(params)
             traj = atom1_oracle(params, t_max=3.0, record_every=100)
             recon = decomp.bare_amplitudes(traj.times).T
             assert np.abs(recon - traj.states).max() < 1e-8
-
-    def test_asymmetric_degrades_gracefully(self, rng):
-        # the quasi-mode picture needs two identical units: asymmetric points
-        # raise the derive_rates error (their dynamics are covered by the
-        # RK4 oracle, test_asymmetric_parameters_supported)
-        for _ in range(5):
-            vals = rng.uniform(0.5, 6.0, 6)
-            params = SystemParams(*vals, kappa_b=0.05, gamma=GAMMA)
-            with pytest.raises(NonSymmetric, match="symmetric configuration only"):
-                full_decomposition(params)
 
     def test_custom_initial_state(self):
         from fiberqed import single_excitation
@@ -354,13 +342,13 @@ class TestFullDecomposition:
                       - [0, 0, 0, 0, 1]).max() < 1e-12
 
     def test_degenerate_block_propagates(self):
-        critical = symmetric_params(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        critical = SystemParams(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         with pytest.raises(DegenerateBlock):
             full_decomposition(critical)
 
 
 # g = 0.6, v = 0: the decoupled D root -kappa_b sits on an overdamped bright root
-COINCIDENT = symmetric_params(g=0.6, v=0.0, kappa=1.0, kappa_b=1.2708497377870814, gamma=GAMMA)
+COINCIDENT = SystemParams(g=0.6, v=0.0, kappa=1.0, kappa_b=1.2708497377870814, gamma=GAMMA)
 
 
 def _draw_families(rng, n):
@@ -372,18 +360,17 @@ def _draw_families(rng, n):
     points = []
     for _ in range(n):
         g = float(f"{np.exp(rng.uniform(np.log(0.05), np.log(100))):.6g}")
-        points.append(symmetric_params(g=g, v=float(f"{rng.uniform(2, 10):.6g}"),
-                                       kappa=1.0, kappa_b=0.01, gamma=GAMMA))
+        points.append(SystemParams(g=g, v=float(f"{rng.uniform(2, 10):.6g}"),
+                                   kappa=1.0, kappa_b=0.01, gamma=GAMMA))
         points.append(random_symmetric(rng))
         g, v, kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 5))
-        points.append(symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
+        points.append(SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
     points += list(ALL_FIGURE_SETS.values())
     points += [
         COINCIDENT,
-        symmetric_params(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA),  # p = 0
-        symmetric_params(g=4.0, v=1.0, kappa=GAMMA / 2, kappa_b=0.01, gamma=GAMMA),
-        symmetric_params(g=0.0, v=0.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA),
-        SystemParams(2.0, 3.0, 1.0, 1.5, 0.5, 0.7, 0.05, GAMMA),  # asymmetric
+        SystemParams(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA),  # p = 0
+        SystemParams(g=4.0, v=1.0, kappa=GAMMA / 2, kappa_b=0.01, gamma=GAMMA),
+        SystemParams(g=0.0, v=0.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA),
     ]
     return points
 
@@ -478,15 +465,15 @@ class TestBatchedKernel:
             if single.labels is not None:
                 assert _bits(single) == _reference_decomposition(params)
         labeled = [d.labels is not None for d in batch if not isinstance(d, Exception)]
-        # unlabeled: the coincident point; g = v = 0 and the asymmetric point
-        # are stored errors, checked against the single call above
+        # unlabeled: the coincident point; p = 0 and g = v = 0 are stored
+        # errors, checked against the single call above
         assert labeled.count(False) == 1
         errors = sorted(type(d).__name__ for d in batch if isinstance(d, Exception))
-        assert errors == ["DegenerateBlock", "NonSymmetric", "ValueError"]
+        assert errors == ["DegenerateBlock", "ValueError"]
 
     def test_float_type_does_not_change_bits(self, rng):
         # np.float64 fields are stored as Python floats, so both give the same arithmetic
-        names = ("g1", "g2", "v1", "v2", "kappa1", "kappa2", "kappa_b", "gamma")
+        names = ("g", "v", "kappa", "kappa_b", "gamma")
         for params in [FIG5] + [random_symmetric(rng) for _ in range(50)]:
             values = [getattr(params, name) for name in names]
             as_numpy = SystemParams(*map(np.float64, values))
@@ -512,7 +499,7 @@ class TestBatchedKernel:
     def test_one_failing_point_does_not_fail_the_batch(self):
         from fiberqed import full_decompositions
 
-        critical = symmetric_params(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        critical = SystemParams(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         first, second, third = full_decompositions([FIG8, critical, FIG3])
         assert isinstance(second, DegenerateBlock)
         assert _bits(first) == _bits(full_decomposition(FIG8))

@@ -5,14 +5,12 @@ import pytest
 
 from fiberqed import (
     IntegratorConfig,
-    NonSymmetric,
     SystemParams,
     derive_rates,
     evolve_bare,
     full_decomposition,
     normal_mode_matrix,
     single_excitation,
-    symmetric_params,
 )
 
 from conftest import FIG3, GAMMA, caption_params
@@ -25,7 +23,7 @@ S_PLUS, S_MINUS, A_PLUS, A_MINUS, D = range(5)
 def random_params(rng):
     g, v = rng.uniform(0.5, 20, 2)
     kappa, kappa_b, gamma = rng.uniform(0.0, 5, 3)
-    return symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
+    return SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
 
 
 def random_bare(rng):
@@ -47,22 +45,8 @@ def norm_sq(amps):
 
 class TestSystemParams:
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError, match="gamma"):
-            symmetric_params(g=1, v=1, kappa=1, kappa_b=0.1, gamma=-1)
-
-    def test_nonzero_detuning_rejected(self):
-        with pytest.raises(ValueError, match="detuning"):
-            symmetric_params(g=1, v=1, kappa=1, kappa_b=0.1, gamma=1, detuning=0.5)
-
-    def test_symmetric_predicate(self):
-        assert FIG3.symmetric()
-        assert not SystemParams(1, 2, 1, 1, 1, 1, 0.1, 1).symmetric()
-        assert not SystemParams(1, 1, 1, 1, 1, 1.5, 0.1, 1).symmetric()
-
-    def test_common_value_accessors_require_symmetry(self):
-        lopsided = SystemParams(1, 2, 1, 1, 1, 1, 0.1, 1)
-        with pytest.raises(NonSymmetric):
-            _ = lopsided.g
+        with pytest.raises(ValueError, match=r"^gamma must be finite and >= 0, got -1$"):
+            SystemParams(g=1, v=1, kappa=1, kappa_b=0.1, gamma=-1)
 
     def test_single_excitation_names(self):
         assert single_excitation("atom1")[XI1] == 1
@@ -75,7 +59,7 @@ class TestSystemParams:
 class TestDerivedRates:
     def test_gamma_sd_vanishes_at_kappa_b_gamma_half(self):
         # the (gamma/2 - kappa_b) factor cancels exactly
-        params = symmetric_params(g=3, v=7, kappa=1, kappa_b=GAMMA / 2, gamma=GAMMA)
+        params = SystemParams(g=3, v=7, kappa=1, kappa_b=GAMMA / 2, gamma=GAMMA)
         assert derive_rates(params).gamma_sd == 0.0
 
     def test_fiber_dark_rates(self):
@@ -103,13 +87,9 @@ class TestDerivedRates:
             if params.g < abs(r.gamma_a_minus) / 2:
                 assert r.p.real == 0.0 and r.p.imag > 0.0
 
-    def test_nonsymmetric_rejected(self):
-        with pytest.raises(NonSymmetric):
-            derive_rates(SystemParams(1, 2, 1, 1, 1, 1, 0.1, 1))
-
     def test_zero_couplings_rejected(self):
         with pytest.raises(ValueError, match="g = v = 0"):
-            derive_rates(symmetric_params(g=0, v=0, kappa=1, kappa_b=0.1, gamma=1))
+            derive_rates(SystemParams(g=0, v=0, kappa=1, kappa_b=0.1, gamma=1))
 
 
 class TestBasisMaps:
@@ -166,11 +146,6 @@ class TestBasisMaps:
         for _ in range(20):
             mat = normal_mode_matrix(random_params(rng))
             assert np.abs(mat @ mat.T - np.eye(5)).max() < 1e-14
-
-    def test_nonsymmetric_rejected(self):
-        lopsided = SystemParams(1, 2, 1, 1, 1, 1, 0.1, 1)
-        with pytest.raises(NonSymmetric):
-            normal_mode_matrix(lopsided)
 
 
 @pytest.mark.parametrize(

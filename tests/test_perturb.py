@@ -7,6 +7,7 @@ import pytest
 
 from fiberqed import (
     RegimeWarning,
+    SystemParams,
     atom_dominated_solution,
     derive_rates,
     fiber_dark_amplitudes,
@@ -14,7 +15,6 @@ from fiberqed import (
     perturbative_cavity_amplitudes,
     perturbative_symmetric,
     symmetric_block,
-    symmetric_params,
 )
 
 from conftest import FIG3, FIG4, FIG5, GAMMA, atom1_oracle
@@ -29,7 +29,7 @@ class TestAtomDominated:
         assert alpha1[0] == 0.0
 
     def test_lossless_rabi_oscillation(self):
-        params = symmetric_params(g=5.0, v=0.1, kappa=0, kappa_b=0, gamma=0)
+        params = SystemParams(g=5.0, v=0.1, kappa=0, kappa_b=0, gamma=0)
         t = np.linspace(0, 10, 500)
         xi1, alpha1 = atom_dominated_solution(params, t)
         assert np.abs(np.abs(xi1) ** 2 + np.abs(alpha1) ** 2 - 1.0).max() < 1e-12
@@ -46,7 +46,7 @@ class TestAtomDominated:
         # v/g = 0.1, 0.05, 0.02: the limit is approached monotonically
         errors = []
         for v in (5.0, 2.5, 1.0):
-            params = symmetric_params(g=50.0, v=v, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+            params = SystemParams(g=50.0, v=v, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
             traj = atom1_oracle(params, t_max=1.4, dt=2e-5, record_every=100)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RegimeWarning)
@@ -82,7 +82,7 @@ class TestFiberDominated:
     def test_error_shrinks_with_coupling_ratio(self):
         errors = []
         for g in (5.0, 2.5, 1.0):  # g/v = 0.1, 0.05, 0.02
-            params = symmetric_params(g=g, v=50.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+            params = SystemParams(g=g, v=50.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
             traj = atom1_oracle(params, t_max=1.4, dt=2e-5, record_every=100)
             xi1, _, alpha1, _ = fiber_dominated_solution(params, traj.times)
             errors.append(
@@ -94,8 +94,8 @@ class TestFiberDominated:
         assert errors[0] > errors[1] > errors[2]
 
     def test_critical_damping_is_the_limit_of_the_generic_form(self):
-        critical = symmetric_params(g=0.8, v=50.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
-        nearby = symmetric_params(
+        critical = SystemParams(g=0.8, v=50.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        nearby = SystemParams(
             g=np.sqrt(0.8**2 + 1e-8), v=50.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA
         )
         assert derive_rates(critical).p == 0
@@ -108,7 +108,7 @@ class TestFiberDominated:
 class TestPerturbativeSymmetric:
     def test_unperturbed_limit(self):
         # Gamma_SD = 0: no mixing, quasi modes equal normal modes
-        params = symmetric_params(g=3.0, v=7.0, kappa=1.0, kappa_b=GAMMA / 2, gamma=GAMMA)
+        params = SystemParams(g=3.0, v=7.0, kappa=1.0, kappa_b=GAMMA / 2, gamma=GAMMA)
         modes = perturbative_symmetric(params)
         assert modes.delta_s_plus == 0 and modes.delta_s_minus == 0
         r = derive_rates(params)
@@ -123,8 +123,8 @@ class TestPerturbativeSymmetric:
     def test_mixing_amplitudes_are_conjugate_pairs(self, rng):
         for _ in range(20):
             g, v = rng.uniform(1, 20, 2)
-            params = symmetric_params(g=g, v=v, kappa=rng.uniform(0, 2),
-                                      kappa_b=rng.uniform(0, 2), gamma=GAMMA)
+            params = SystemParams(g=g, v=v, kappa=rng.uniform(0, 2),
+                                  kappa_b=rng.uniform(0, 2), gamma=GAMMA)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RegimeWarning)
                 modes = perturbative_symmetric(params)
@@ -190,7 +190,7 @@ class TestPerturbativeSymmetric:
 
 class TestPerturbativeCavityAmplitudes:
     def test_collapses_to_plain_sum_without_mixing(self):
-        params = symmetric_params(g=3.0, v=7.0, kappa=1.0, kappa_b=GAMMA / 2, gamma=GAMMA)
+        params = SystemParams(g=3.0, v=7.0, kappa=1.0, kappa_b=GAMMA / 2, gamma=GAMMA)
         t = np.linspace(0, 3, 200)
         modes = perturbative_symmetric(params)
         a1, a2 = perturbative_cavity_amplitudes(params, t)

@@ -18,6 +18,7 @@ from fiberqed import (
     LabelAmbiguous,
     RegimeWarning,
     SpectrumDecomposition,
+    SystemParams,
     bare_generator,
     cavity_coefficients,
     channel_spectra,
@@ -33,7 +34,6 @@ from fiberqed import (
     single_excitation,
     spectral_function,
     stacked_totals,
-    symmetric_params,
 )
 from fiberqed.model import flux_weights
 from fiberqed.perturb import VARIANTS
@@ -120,7 +120,7 @@ class TestSpectralFunction:
     def test_decoupled_point_has_no_spectrum(self):
         # g = v = 0 has no normal modes, so no decomposition and no spectrum;
         # the one-pole Lorentzian shape is covered by test_pole_shape
-        params = symmetric_params(g=0, v=0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=0, v=0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         with pytest.raises(ValueError, match="normal modes are undefined when g = v = 0"):
             full_decomposition(params)
 
@@ -195,13 +195,13 @@ class TestDecomposition:
         decomp = full_decomposition(FIG8)
         grid = np.linspace(-1, 1, 11)
         assert channel_spectrum(decomp, "atom1", grid).prefactor == GAMMA / (2 * np.pi)
-        assert channel_spectrum(decomp, "cavity2", grid).prefactor == FIG8.kappa1 / np.pi
+        assert channel_spectrum(decomp, "cavity2", grid).prefactor == FIG8.kappa / np.pi
         assert channel_spectrum(decomp, "fiber", grid).prefactor == FIG8.kappa_b / np.pi
 
     def test_unlabeled_interference_raises_lookup_error(self):
         # coincident symmetric roots: the decomposition falls back unlabeled
-        coincident = symmetric_params(g=0.6, v=0.0, kappa=1.0,
-                                      kappa_b=1.2708497377870814, gamma=GAMMA)
+        coincident = SystemParams(g=0.6, v=0.0, kappa=1.0,
+                                  kappa_b=1.2708497377870814, gamma=GAMMA)
         with pytest.warns(LabelAmbiguous):
             decomp = full_decomposition(coincident)
         spec = channel_spectrum(decomp, "cavity1", np.linspace(-1, 1, 11))
@@ -323,10 +323,10 @@ class TestPairKernel:
 
     def test_channel_totals_match_per_term_integrals(self, rng):
         draws = [FIG6[2.0], FIG7, FIG8, FIG10,
-                 symmetric_params(g=0.01, v=0.01, kappa=1.0, kappa_b=0.01, gamma=GAMMA)]
+                 SystemParams(g=0.01, v=0.01, kappa=1.0, kappa_b=0.01, gamma=GAMMA)]
         for _ in range(40):
             g, v, kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 5))
-            draws.append(symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
+            draws.append(SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
         grid = np.linspace(-1.0, 1.0, 3)
         worst = 0.0
         for params in draws:
@@ -354,7 +354,7 @@ class TestPairKernel:
     def test_divergence_raised_where_per_term_functions_raise(self):
         # lossless: every eta is 0, so the first Lorentzian already diverges
         lossless = full_decomposition(
-            symmetric_params(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0)
+            SystemParams(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0)
         )
         spec = channel_spectrum(lossless, "cavity1", np.linspace(-1.0, 1.0, 3))
         with pytest.raises(DivergentIntegral) as per_term:
@@ -377,10 +377,10 @@ class TestStackedKernel:
     @staticmethod
     def decompositions(rng):
         draws = [FIG6[2.0], FIG7, FIG8, FIG10,
-                 symmetric_params(g=0.5, v=4.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)]
+                 SystemParams(g=0.5, v=4.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)]
         for _ in range(6):
             g, v, kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 5))
-            draws.append(symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
+            draws.append(SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma))
         return [full_decomposition(params) for params in draws]
 
     @pytest.mark.parametrize("grid", [np.linspace(-40.0, 40.0, 301), None],
@@ -414,8 +414,8 @@ class TestStackedKernel:
         # a lossless point cannot decay; a cavity-1 start leaves the lossless
         # cavity-dark mode of gamma = kappa_b = 0 unexcited (chi = 0), which the
         # Gramian equation cannot take and the pair matrices can
-        lossless = symmetric_params(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0)
-        dark = symmetric_params(g=2.0, v=3.0, kappa=1.0, kappa_b=0.0, gamma=0.0)
+        lossless = SystemParams(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0)
+        dark = SystemParams(g=2.0, v=3.0, kappa=1.0, kappa_b=0.0, gamma=0.0)
         decomps[3:3] = [full_decomposition(lossless),
                         full_decomposition(dark, single_excitation("cavity1"))]
         results = stacked_totals(decomps)
@@ -445,7 +445,7 @@ class TestStackedKernel:
                 assert stack.pair_integrals[i, c].tobytes() == single.pair_integrals.tobytes()
                 assert integrals[i, c] == integrated_spectrum(single)
         # a point that cannot decay raises, wherever it sits in the stack
-        lossless = full_decomposition(symmetric_params(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0))
+        lossless = full_decomposition(SystemParams(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0))
         for stacked in ([decomps[0], lossless], [lossless, decomps[1]]):
             with pytest.raises(DivergentIntegral, match=r"eta = -?0\.0 <= 0"):
                 integrated_spectrum(channel_spectra(stacked, channels, grid))
@@ -466,8 +466,8 @@ class TestNearExceptionalPoints:
         g_c = abs(GAMMA / 2 - 1.0) / 2
         worst = 0.0
         for r in (1e-3, 1e-7, 1e-11, 1e-15, -1e-7, -1e-11):
-            params = symmetric_params(g=g_c * (1 + r), v=7.0, kappa=1.0, kappa_b=0.01,
-                                      gamma=GAMMA)
+            params = SystemParams(g=g_c * (1 + r), v=7.0, kappa=1.0, kappa_b=0.01,
+                                  gamma=GAMMA)
             totals = np.array(list(channel_totals(full_decomposition(params)).values()))
             worst = max(worst, np.abs(totals - self.oracle(params)).max(),
                         abs(totals.sum() - 1.0))
@@ -477,8 +477,8 @@ class TestNearExceptionalPoints:
     def test_double_root_of_the_symmetric_block(self):
         # the cubic's discriminant changes sign between g and the next float up;
         # the dense fallback's vectors are nearly parallel there (cond ~ 1e8)
-        params = symmetric_params(g=0.5132798211629388, v=1.0, kappa=1.0, kappa_b=8.0,
-                                  gamma=0.5)
+        params = SystemParams(g=0.5132798211629388, v=1.0, kappa=1.0, kappa_b=8.0,
+                              gamma=0.5)
         with pytest.warns(LabelAmbiguous):
             decomp = full_decomposition(params)
         totals = np.array(list(channel_totals(decomp).values()))
@@ -534,7 +534,7 @@ class TestCavityCoefficients:
         assert coeffs["cavity2"]["QFD+"] == pytest.approx(-FIG8.g / (4 * p))
 
     def test_dark_mode_suppressed_at_kappa_b_gamma_half(self):
-        params = symmetric_params(g=7.0, v=4.0, kappa=1.0, kappa_b=GAMMA / 2, gamma=GAMMA)
+        params = SystemParams(g=7.0, v=4.0, kappa=1.0, kappa_b=GAMMA / 2, gamma=GAMMA)
         assert derive_rates(params).gamma_sd == 0.0
         coeffs = cavity_coefficients(params)
         assert abs(coeffs["cavity1"]["QCD"]) < 1e-12
@@ -543,8 +543,8 @@ class TestCavityCoefficients:
 
     def test_critical_point_raises_degenerate_block(self):
         # g = |Gamma_A-|/2 gives p = 0, where the fiber-dark entries +-g/4p diverge
-        params = symmetric_params(g=abs(GAMMA / 2 - 1.0) / 2, v=7.0, kappa=1.0,
-                                  kappa_b=0.01, gamma=GAMMA)
+        params = SystemParams(g=abs(GAMMA / 2 - 1.0) / 2, v=7.0, kappa=1.0,
+                              kappa_b=0.01, gamma=GAMMA)
         assert derive_rates(params).p == 0
         with pytest.raises(DegenerateBlock, match="p = 0: the anti-symmetric block"):
             cavity_coefficients(params)
@@ -561,7 +561,7 @@ class TestCavityCoefficients:
             for _ in range(1000):
                 g, v = np.exp(rng.uniform(np.log(0.1), np.log(100.0), 2))
                 kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(0.01), np.log(10.0), 3))
-                params = symmetric_params(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
+                params = SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
                 r = derive_rates(params)
                 fiber_dark = {"QFD+": -r.gamma_a_plus / 2 - 1j * r.p,
                               "QFD-": -r.gamma_a_plus / 2 + 1j * r.p}
@@ -588,8 +588,8 @@ class TestCavityCoefficients:
 
     def test_regime_warning_propagates(self):
         with pytest.warns(RegimeWarning):
-            cavity_coefficients(symmetric_params(g=50, v=1, kappa=1, kappa_b=0.01,
-                                                 gamma=GAMMA))
+            cavity_coefficients(SystemParams(g=50, v=1, kappa=1, kappa_b=0.01,
+                                             gamma=GAMMA))
 
 
 def test_fig6_low_coupling_single_central_feature():
