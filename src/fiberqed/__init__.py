@@ -25,16 +25,16 @@ from .errors import (
 from .model import (
     DerivedRates,
     SystemParams,
+    bare_generator,
     derive_rates,
+    normal_generator,
     normal_mode_matrix,
     single_excitation,
 )
 from .dynamics import (
     IntegratorConfig,
     Trajectory,
-    bare_generator,
     evolve_bare,
-    normal_generator,
     occupations,
 )
 from .eigen import (
@@ -49,13 +49,13 @@ from .eigen import (
 from .perturb import (
     PerturbativeModes,
     atom_dominated_solution,
+    cavity_coefficients,
     fiber_dominated_solution,
     perturbative_cavity_amplitudes,
     perturbative_symmetric,
 )
 from .spectra import (
     SpectrumDecomposition,
-    cavity_coefficients,
     channel_spectra,
     channel_spectrum,
     channel_totals,

@@ -20,7 +20,7 @@ import re
 import sys
 import warnings
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from pathlib import Path
 
@@ -28,13 +28,13 @@ import numpy as np
 
 from . import dynamics, eigen, spectra
 from .errors import AccuracyWarning, ConfigInvalid, DegenerateBlock, UnlabeledModes
-from .model import BARE_MODES, NORMAL_MODES, SystemParams, single_excitation
+from .model import BARE_MODES, NORMAL_MODES, SystemParams, bare_generator, single_excitation
 
 __all__ = ["Scenario", "parse_scenario", "run_scenario", "main"]
 
 RUN_KINDS = ("trajectory", "spectrum", "decomposition")
 # the [params] keys and [sweep] parameters: the fields of SystemParams
-RATES = ("g", "v", "kappa", "kappa_b", "gamma")
+RATES = tuple(f.name for f in fields(SystemParams))
 _FMT = "%.12e"
 # largest conservation residual of a trajectory whose totals, printed to six
 # decimals, are right to half a unit in the last digit
@@ -46,7 +46,6 @@ _UNLABELED = ("coincident eigenvalues in the symmetric block leave the quasi mod
 @dataclass
 class Scenario:
     name: str
-    params: SystemParams
     initial: str
     run: str
     channels: tuple
@@ -197,7 +196,6 @@ def parse_scenario(path) -> Scenario:
 
     return Scenario(
         name=path.stem,
-        params=params,
         initial=initial,
         run=kind,
         channels=channels,
@@ -426,7 +424,7 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
     if isinstance(decomp, Exception):
         # at the critical point p = 0 there is no eigenbasis; a trajectory
         # uses the decomposition only for this summary line
-        eigenvalues, labels = np.linalg.eigvals(dynamics.bare_generator(params)), None
+        eigenvalues, labels = np.linalg.eigvals(bare_generator(params)), None
     else:
         eigenvalues, labels = decomp.eigenvalues, decomp.labels
     if labels is not None:

@@ -14,28 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigInvalid
-from .model import (
-    BARE_MODES,
-    NORMAL_MODES,
-    SystemParams,
-    _amplitudes,
-    derive_rates,
-    flux_weights,
-    normal_mode_matrix,
-)
+from .model import (BARE_MODES, NORMAL_MODES, SystemParams, _amplitudes, bare_generator,
+                    flux_weights, normal_mode_matrix)
 
-__all__ = [
-    "IntegratorConfig",
-    "Trajectory",
-    "bare_generator",
-    "normal_generator",
-    "symmetric_generator",
-    "evolve_bare",
-    "occupations",
-]
+__all__ = ["IntegratorConfig", "Trajectory", "evolve_bare", "occupations"]
 
-# normal coordinates (S+, S-, A+, A-, D) of the symmetric and anti-symmetric blocks
-SYM_ROWS, ANTI_ROWS = [0, 1, 4], [2, 3]
 # RK4 steps evaluated per dense matrix-power block
 _BLOCK = 4096
 # allowed excess of the RK4 step's spectral radius over 1 (see _integrate)
@@ -88,63 +71,6 @@ class Trajectory:
         """Max deviation of survival + detected from 1 over the grid."""
         detected = sum(self.channel_probs[c] for c in BARE_MODES)
         return float(np.abs(self.survival + detected - 1.0).max())
-
-
-def bare_generator(params: SystemParams) -> np.ndarray:
-    """Matrix form of the bare amplitude equations."""
-    g, v, kappa, kb, gam = params.g, params.v, params.kappa, params.kappa_b, params.gamma
-    return np.array(
-        [
-            [-gam / 2, 0, -1j * g, 0, 0],
-            [0, -gam / 2, 0, -1j * g, 0],
-            [-1j * g, 0, -kappa, 0, -1j * v],
-            [0, -1j * g, 0, -kappa, -1j * v],
-            [0, 0, -1j * v, -1j * v, -kb],
-        ],
-        dtype=complex,
-    )
-
-
-def normal_generator(params: SystemParams) -> np.ndarray:
-    """Matrix form of the normal-mode amplitude equations, rows (S+,S-,A+,A-,D).
-
-    The symmetric block sits on SYM_ROWS and the anti-symmetric (A+, A-)
-    block on ANTI_ROWS.  Sign convention: dS+/dt and dS-/dt gain
-    +Gamma_SD * D, and dD/dt = -Gamma_D * D + Gamma_SD * (S+ + S-).
-    """
-    r = derive_rates(params)
-    g, gp, gm = params.g, r.gamma_a_plus, r.gamma_a_minus
-    gen = np.zeros((5, 5), dtype=complex)
-    gen[np.ix_(SYM_ROWS, SYM_ROWS)] = symmetric_generator(
-        r.zeta, r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d
-    )
-    gen[np.ix_(ANTI_ROWS, ANTI_ROWS)] = [
-        [-(1j * g + gp / 2), -gm / 2],
-        [-gm / 2, 1j * g - gp / 2],
-    ]
-    return gen
-
-
-def symmetric_generator(zeta, gamma_s_plus, gamma_s_minus, gamma_sd, gamma_d) -> np.ndarray:
-    """The (S+, S-, D) block of :func:`normal_generator` from the derived rates.
-
-    Array arguments give a stack of blocks, shape (..., 3, 3).  The entries
-    are the bits of the complex scalar expressions
-    -(i zeta + Gamma_S+/2), i zeta - Gamma_S+/2 and the real rates.
-    """
-    zeta, gsp, gsm, gsd, gd = np.broadcast_arrays(
-        zeta, gamma_s_plus, gamma_s_minus, gamma_sd, gamma_d
-    )
-    gen = np.zeros(zeta.shape + (3, 3), dtype=complex)
-    re, im = gen.real, gen.imag
-    re[..., 0, 0] = -(gsp / 2)
-    im[..., 0, 0] = -zeta
-    re[..., 1, 1] = 0.0 - gsp / 2
-    im[..., 1, 1] = zeta
-    re[..., 0, 1] = re[..., 1, 0] = -gsm / 2
-    re[..., 0, 2] = re[..., 1, 2] = re[..., 2, 0] = re[..., 2, 1] = gsd
-    re[..., 2, 2] = -gd
-    return gen
 
 
 def _integrate(gen, y0, cfg, weights):

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ANTI_ROWS, SYM_ROWS, symmetric_generator
 from .errors import DegenerateBlock, LabelAmbiguous
-from .model import SystemParams, _amplitudes, derive_rates, mode_matrices, single_excitation
+from .model import (ANTI_ROWS, SYM_ROWS, SystemParams, _amplitudes, derive_rates,
+                    mode_matrices, single_excitation, symmetric_generator)
 
 __all__ = [
     "MODE_LABELS",

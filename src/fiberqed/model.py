@@ -1,4 +1,4 @@
-"""Physical parameters, mode orderings and derived decay rates.
+"""Physical parameters, mode orderings, derived decay rates and generators.
 
 The system is a pair of atom-cavity units linked by a single fiber mode:
 five coupled oscillators carrying at most one excitation.  A state is a
@@ -27,12 +27,23 @@ __all__ = [
     "flux_weights",
     "normal_mode_matrix",
     "mode_matrices",
+    "bare_generator",
+    "normal_generator",
+    "symmetric_generator",
 ]
 
 # physical modes in amplitude order; each is also the name of its decay channel
 BARE_MODES = ("atom1", "atom2", "cavity1", "cavity2", "fiber")
 # normal modes in amplitude order (S+, S-, A+, A-, D)
 NORMAL_MODES = ("bs_plus", "bs_minus", "fd_plus", "fd_minus", "cd")
+# normal coordinates (S+, S-, A+, A-, D) of the symmetric and anti-symmetric blocks
+SYM_ROWS, ANTI_ROWS = [0, 1, 4], [2, 3]
+# Every rate must lie below this bound.  The intermediates of
+# eigen._cubic_coefficients are homogeneous in the rates, of degree at most
+# 6; with every rate at most R the largest, the discriminant, peaks at
+# 1.03 R^6 (g = v = kappa = R, kappa_b = 0.65 R, gamma = 0), so below
+# (float max / 2)^(1/6) = 2.1e51 none of them overflows.
+_RATE_BOUND = float(np.finfo(float).max / 2) ** (1 / 6)
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,9 @@ class SystemParams:
             value = getattr(self, f.name)
             if not np.isfinite(value) or value < 0:
                 raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
+            if value >= _RATE_BOUND:
+                raise ValueError(f"{f.name} must be below {_RATE_BOUND:.3g}, where the "
+                                 f"cubic of the symmetric block overflows, got {value}")
             # a Python float, so numpy scalar inputs give the same arithmetic bits
             object.__setattr__(self, f.name, float(value))
 
@@ -107,7 +121,9 @@ def derive_rates(params: SystemParams) -> DerivedRates:
     kappa, kappa_b, gamma = params.kappa, params.kappa_b, params.gamma
     zeta_sq = g * g + 2 * v * v
     if zeta_sq == 0.0:
-        raise ValueError("normal modes are undefined when g = v = 0")
+        raise ValueError("normal modes are undefined when g = v = 0" if g == v == 0 else
+                         f"g^2 + 2 v^2 underflows to 0 at g = {g}, v = {v}, so the "
+                         "normal modes are undefined")
     zeta = np.sqrt(zeta_sq)
     mix = (g * g * gamma / 2 + 2 * v * v * kappa_b) / zeta_sq
     gamma_a_minus = gamma / 2 - kappa
@@ -161,3 +177,60 @@ def mode_matrices(g, v, zeta) -> np.ndarray:
         ],
         axis=-1,
     ).reshape(g.shape + (5, 5))
+
+
+def bare_generator(params: SystemParams) -> np.ndarray:
+    """Matrix form of the bare amplitude equations."""
+    g, v, kappa, kb, gam = params.g, params.v, params.kappa, params.kappa_b, params.gamma
+    return np.array(
+        [
+            [-gam / 2, 0, -1j * g, 0, 0],
+            [0, -gam / 2, 0, -1j * g, 0],
+            [-1j * g, 0, -kappa, 0, -1j * v],
+            [0, -1j * g, 0, -kappa, -1j * v],
+            [0, 0, -1j * v, -1j * v, -kb],
+        ],
+        dtype=complex,
+    )
+
+
+def normal_generator(params: SystemParams) -> np.ndarray:
+    """Matrix form of the normal-mode amplitude equations, rows (S+,S-,A+,A-,D).
+
+    The symmetric block sits on SYM_ROWS and the anti-symmetric (A+, A-)
+    block on ANTI_ROWS.  Sign convention: dS+/dt and dS-/dt gain
+    +Gamma_SD * D, and dD/dt = -Gamma_D * D + Gamma_SD * (S+ + S-).
+    """
+    r = derive_rates(params)
+    g, gp, gm = params.g, r.gamma_a_plus, r.gamma_a_minus
+    gen = np.zeros((5, 5), dtype=complex)
+    gen[np.ix_(SYM_ROWS, SYM_ROWS)] = symmetric_generator(
+        r.zeta, r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d
+    )
+    gen[np.ix_(ANTI_ROWS, ANTI_ROWS)] = [
+        [-(1j * g + gp / 2), -gm / 2],
+        [-gm / 2, 1j * g - gp / 2],
+    ]
+    return gen
+
+
+def symmetric_generator(zeta, gamma_s_plus, gamma_s_minus, gamma_sd, gamma_d) -> np.ndarray:
+    """The (S+, S-, D) block of :func:`normal_generator` from the derived rates.
+
+    Array arguments give a stack of blocks, shape (..., 3, 3).  The entries
+    are the bits of the complex scalar expressions
+    -(i zeta + Gamma_S+/2), i zeta - Gamma_S+/2 and the real rates.
+    """
+    zeta, gsp, gsm, gsd, gd = np.broadcast_arrays(
+        zeta, gamma_s_plus, gamma_s_minus, gamma_sd, gamma_d
+    )
+    gen = np.zeros(zeta.shape + (3, 3), dtype=complex)
+    re, im = gen.real, gen.imag
+    re[..., 0, 0] = -(gsp / 2)
+    im[..., 0, 0] = -zeta
+    re[..., 1, 1] = 0.0 - gsp / 2
+    im[..., 1, 1] = zeta
+    re[..., 0, 1] = re[..., 1, 0] = -gsm / 2
+    re[..., 0, 2] = re[..., 1, 2] = re[..., 2, 0] = re[..., 2, 1] = gsd
+    re[..., 2, 2] = -gd
+    return gen

@@ -5,7 +5,8 @@ fiber-cavity coupling, and the reverse) plus the perturbative treatment of
 the symmetric manifold when the couplings are comparable, in three
 variants of increasing sophistication.  Each variant gives three quasi
 modes as arrays: their eigenvalues and t = 0 amplitudes, so every
-quasi-mode time function is the damped exponential a * exp(lambda * t).
+quasi-mode time function is the damped exponential a * exp(lambda * t);
+the perturbative chi of the cavity spectra are read off them.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import fiber_dark_amplitudes
-from .errors import RegimeWarning
+from .eigen import _CRITICAL_POINT, fiber_dark_amplitudes
+from .errors import DegenerateBlock, RegimeWarning
 from .model import SystemParams, derive_rates
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "fiber_dominated_solution",
     "perturbative_symmetric",
     "perturbative_cavity_amplitudes",
+    "cavity_coefficients",
 ]
 
 VARIANTS = ("standard", "appendix_alternative", "appendix_refined")
@@ -164,3 +166,33 @@ def perturbative_cavity_amplitudes(
     sym = 0.5 * (s_plus - s_minus)
     anti = 0.5 * (a_plus - a_minus)
     return sym + anti, sym - anti
+
+
+def cavity_coefficients(params: SystemParams, variant: str = "standard") -> dict:
+    """Perturbative chi coefficients of both cavity channels per quasi mode.
+
+    The cavity projection alpha1 = (S+ - S-)/2 + (A+ - A-)/2 read per
+    quasi mode.  S+ - S- = f+ - f- - (Delta_S+ - Delta_S-) g_D, with
+    (f+, f-, g_D) the PerturbativeModes amplitudes at t = 0, and the exact
+    fiber-dark pair gives
+    A+ - A- = g/2p (e^(lambda_QFD+ t) - e^(lambda_QFD- t)).  The two
+    cavities share the bright and cavity-dark coefficients and carry
+    opposite-sign fiber-dark ones, so their Lorentzian decompositions
+    coincide.  At the critical point p = 0 the fiber-dark entries diverge:
+    DegenerateBlock.
+    """
+    modes = perturbative_symmetric(params, variant)
+    r = derive_rates(params)
+    if r.p == 0:
+        raise DegenerateBlock(_CRITICAL_POINT)
+    f_plus, f_minus, g_cd = modes.amplitudes.tolist()
+    sym = {
+        "QBS+": f_plus / 2,
+        "QBS-": -f_minus / 2,
+        "QCD": -(modes.delta_s_plus - modes.delta_s_minus) * g_cd / 2,
+    }
+    chi_fd = params.g / (4 * r.p)
+    return {
+        "cavity1": dict(sym, **{"QFD+": chi_fd, "QFD-": -chi_fd}),
+        "cavity2": dict(sym, **{"QFD+": -chi_fd, "QFD-": chi_fd}),
+    }

@@ -23,11 +23,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import bare_generator
-from .eigen import _CRITICAL_POINT, QuasiModeDecomposition
-from .errors import DegenerateBlock, DivergentIntegral, GridInvalid
-from .model import BARE_MODES, SystemParams, derive_rates, flux_weights
-from .perturb import perturbative_symmetric
+from .eigen import QuasiModeDecomposition
+from .errors import DivergentIntegral, GridInvalid
+from .model import BARE_MODES, SystemParams, bare_generator, derive_rates, flux_weights
 
 __all__ = [
     "SpectrumDecomposition",
@@ -39,7 +37,6 @@ __all__ = [
     "channel_totals",
     "stacked_totals",
     "lorentzian_approximation",
-    "cavity_coefficients",
 ]
 
 _GRID_POINTS = 4001  # samples of the default omega grid
@@ -339,33 +336,3 @@ def _gramian_diagonals(gen, c0) -> np.ndarray:
 def lorentzian_approximation(spec: SpectrumDecomposition) -> np.ndarray:
     """Spectrum with all interference terms dropped (sum of Lorentzians)."""
     return spec.prefactor * spec.lorentzians.sum(axis=-2)
-
-
-def cavity_coefficients(params: SystemParams, variant: str = "standard") -> dict:
-    """Perturbative chi coefficients of both cavity channels per quasi mode.
-
-    The cavity projection alpha1 = (S+ - S-)/2 + (A+ - A-)/2 read per
-    quasi mode.  S+ - S- = f+ - f- - (Delta_S+ - Delta_S-) g_D, with
-    (f+, f-, g_D) the PerturbativeModes amplitudes at t = 0, and the exact
-    fiber-dark pair gives
-    A+ - A- = g/2p (e^(lambda_QFD+ t) - e^(lambda_QFD- t)).  The two
-    cavities share the bright and cavity-dark coefficients and carry
-    opposite-sign fiber-dark ones, so their Lorentzian decompositions
-    coincide.  At the critical point p = 0 the fiber-dark entries diverge:
-    DegenerateBlock.
-    """
-    modes = perturbative_symmetric(params, variant)
-    r = derive_rates(params)
-    if r.p == 0:
-        raise DegenerateBlock(_CRITICAL_POINT)
-    f_plus, f_minus, g_cd = modes.amplitudes.tolist()
-    sym = {
-        "QBS+": f_plus / 2,
-        "QBS-": -f_minus / 2,
-        "QCD": -(modes.delta_s_plus - modes.delta_s_minus) * g_cd / 2,
-    }
-    chi_fd = params.g / (4 * r.p)
-    return {
-        "cavity1": dict(sym, **{"QFD+": chi_fd, "QFD-": -chi_fd}),
-        "cavity2": dict(sym, **{"QFD+": -chi_fd, "QFD-": chi_fd}),
-    }

@@ -504,6 +504,23 @@ def test_negative_rate_names_its_config_key(tmp_path, capsys, section, rate):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("section", ["params", "sweep"])
+@pytest.mark.parametrize("rate, value", [("g", "1e200"), ("g", "1e100"), ("kappa_b", "3e51")])
+def test_rate_whose_cubic_overflows_exits_2(tmp_path, capsys, section, rate, value):
+    # 1e200 overflows g^2 itself, 1e100 the cubic's discriminant, 3e51 is just past the bound
+    text = BASE.format(kind="spectrum")
+    if section == "params":
+        text = re.sub(rf"(?m)^{rate} = .*$", f"{rate} = {value}", text)
+    else:
+        text += f"\n[sweep]\nparameter = {rate}\nvalues = 1, {value}\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: [{section}] {rate} must be below 2.12e+51, where the cubic "
+                   f"of the symmetric block overflows, got {float(value)}\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main([str(tmp_path / "nope.cfg")]) == 2
     assert "not found" in capsys.readouterr().err
@@ -524,6 +541,16 @@ def test_uncoupled_run_exits_3(tmp_path, capsys, kind):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("kind", ["trajectory", "spectrum", "decomposition"])
+def test_underflowing_couplings_exit_3(tmp_path, capsys, kind):
+    text = BASE.format(kind=kind).replace("g = 7", "g = 1e-300").replace("v = 4", "v = 1e-300")
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("domain error: g^2 + 2 v^2 underflows to 0 at g = 1e-300, "
+                                       "v = 1e-300, so the normal modes are undefined\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, BASE.format(kind="spectrum"))
     proc = subprocess.run(
@@ -537,7 +564,7 @@ def test_console_entry_point(tmp_path):
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.cfg")))
 def test_shipped_scenarios_parse(name):
     scn = parse_scenario(SCENARIO_DIR / name)
-    assert scn.params.gamma == 5.2
+    assert scn.points and all(params.gamma == 5.2 for _, params in scn.points)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.cfg")))

@@ -1,5 +1,7 @@
 """Parameter validation, derived rates and the bare <-> normal basis map."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from fiberqed import (
     normal_mode_matrix,
     single_excitation,
 )
+
+from fiberqed.eigen import _cubic_coefficients
+from fiberqed.model import _RATE_BOUND
 
 from conftest import FIG3, GAMMA, caption_params
 
@@ -47,6 +52,29 @@ class TestSystemParams:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match=r"^gamma must be finite and >= 0, got -1$"):
             SystemParams(g=1, v=1, kappa=1, kappa_b=0.1, gamma=-1)
+
+    def test_rates_below_the_bound_keep_the_cubic_finite(self, rng):
+        r = np.nextafter(_RATE_BOUND, 0)
+        # the discriminant's worst case, 1.03 r^6, then seeded draws with exact zeros
+        draws = [(r, r, r, 0.65 * r, 0.0)]
+        draws += [tuple(r * rng.random(5) * (rng.random(5) > 0.2)) for _ in range(2000)]
+        for rates in draws:
+            if rates[0] or rates[1]:
+                coeffs = _cubic_coefficients(derive_rates(SystemParams(*rates)))
+                assert np.isfinite(coeffs).all(), rates
+
+    def test_bound_is_within_a_factor_1_2_of_overflow(self):
+        # past the bound the same worst case overflows (SimpleNamespace skips the check)
+        r = 1.2 * _RATE_BOUND
+        worst = SimpleNamespace(g=r, v=r, kappa=r, kappa_b=0.65 * r, gamma=0.0)
+        with pytest.raises(OverflowError):
+            _cubic_coefficients(derive_rates(worst))
+
+    @pytest.mark.parametrize("rate", ["g", "v", "kappa", "kappa_b", "gamma"])
+    def test_rate_at_the_bound_rejected(self, rate):
+        rates = {**dict(g=1, v=1, kappa=1, kappa_b=1, gamma=1), rate: _RATE_BOUND}
+        with pytest.raises(ValueError, match=rf"^{rate} must be below 2.12e\+51, where"):
+            SystemParams(**rates)
 
     def test_single_excitation_names(self):
         assert single_excitation("atom1")[XI1] == 1
@@ -90,6 +118,11 @@ class TestDerivedRates:
     def test_zero_couplings_rejected(self):
         with pytest.raises(ValueError, match="g = v = 0"):
             derive_rates(SystemParams(g=0, v=0, kappa=1, kappa_b=0.1, gamma=1))
+
+    def test_underflowing_couplings_named(self):
+        message = r"^g\^2 \+ 2 v\^2 underflows to 0 at g = 1e-200, v = 0.0, so"
+        with pytest.raises(ValueError, match=message):
+            derive_rates(SystemParams(g=1e-200, v=0, kappa=1, kappa_b=0.1, gamma=1))
 
 
 class TestBasisMaps:
