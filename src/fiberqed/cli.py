@@ -49,9 +49,7 @@ class Scenario:
     initial: str
     run: str
     channels: tuple
-    t_max: float | None
-    dt: float
-    record_every: int
+    integrator: dynamics.IntegratorConfig | None  # validated; None unless a trajectory run
     omega_grid: np.ndarray | None  # None for each point's default grid
     points: tuple             # ((parameter, value) or None, SystemParams) per point
     out_base: str
@@ -68,7 +66,19 @@ _RUN_KEYS = {
     "type", "initial", "channels", "t_max", "dt", "record_every",
     "omega_min", "omega_max", "omega_points", "out",
 }
-_SWEEP_KEYS = {"parameter", "values"}
+_SWEEP_KEYS = ("parameter", "values")
+
+
+def _section(cp: ConfigParser, name, allowed, required) -> dict:
+    """The raw keys of section [name]; ConfigInvalid names an unknown or missing key."""
+    raw = dict(cp.items(name))
+    for key in raw:
+        if key not in allowed:
+            raise ConfigInvalid(f"unknown key [{name}] {key}")
+    for key in required:
+        if key not in raw:
+            raise ConfigInvalid(f"[{name}] missing key {key}")
+    return raw
 
 
 def parse_scenario(path) -> Scenario:
@@ -84,31 +94,19 @@ def parse_scenario(path) -> Scenario:
     for section in cp.sections():
         if section not in ("params", "run", "sweep"):
             raise ConfigInvalid(f"unknown section [{section}]")
-    if not cp.has_section("params"):
-        raise ConfigInvalid("missing required section [params]")
-    if not cp.has_section("run"):
-        raise ConfigInvalid("missing required section [run]")
+    for section in ("params", "run"):
+        if not cp.has_section(section):
+            raise ConfigInvalid(f"missing required section [{section}]")
 
-    raw_params = dict(cp.items("params"))
-    for key in raw_params:
-        if key not in RATES:
-            raise ConfigInvalid(f"unknown key [params] {key}")
-    for key in RATES:
-        if key not in raw_params:
-            raise ConfigInvalid(f"[params] missing key {key}")
+    raw_params = _section(cp, "params", RATES, RATES)
     rates = {key: _floats("params", key, raw_params[key]) for key in RATES}
     try:
         params = SystemParams(**rates)
     except ValueError as exc:
         raise ConfigInvalid(f"[params] {exc}") from None
 
-    raw_run = dict(cp.items("run"))
-    for key in raw_run:
-        if key not in _RUN_KEYS:
-            raise ConfigInvalid(f"unknown key [run] {key}")
-    kind = raw_run.get("type")
-    if kind is None:
-        raise ConfigInvalid("[run] missing key type")
+    raw_run = _section(cp, "run", _RUN_KEYS, ("type",))
+    kind = raw_run["type"]
     if kind not in RUN_KINDS:
         raise ConfigInvalid(
             f"[run] type = {kind!r} is not one of {', '.join(RUN_KINDS)}"
@@ -130,17 +128,19 @@ def parse_scenario(path) -> Scenario:
         if c in channels[:i]:
             raise ConfigInvalid(f"[run] channels entry {c!r} is repeated")
 
-    t_max = None
-    if kind == "trajectory":
-        if "t_max" not in raw_run:
-            raise ConfigInvalid("[run] missing key t_max (required for trajectory runs)")
-        t_max = _floats("run", "t_max", raw_run["t_max"])
     dt = _floats("run", "dt", raw_run.get("dt", "1e-4"))
     try:
         record_every = int(raw_run.get("record_every", "1"))
     except ValueError:
         raise ConfigInvalid(f"[run] record_every = {raw_run['record_every']!r} "
                             "is not an integer") from None
+    integrator = None
+    if kind == "trajectory":
+        if "t_max" not in raw_run:
+            raise ConfigInvalid("[run] missing key t_max (required for trajectory runs)")
+        t_max = _floats("run", "t_max", raw_run["t_max"])
+        integrator = dynamics.IntegratorConfig(dt=dt, t_max=t_max, record_every=record_every)
+        integrator.validate()
 
     omega_grid = None
     omega_keys = [k for k in ("omega_min", "omega_max", "omega_points") if k in raw_run]
@@ -162,13 +162,7 @@ def parse_scenario(path) -> Scenario:
 
     points = ((None, params),)
     if cp.has_section("sweep"):
-        raw_sweep = dict(cp.items("sweep"))
-        for key in raw_sweep:
-            if key not in _SWEEP_KEYS:
-                raise ConfigInvalid(f"unknown key [sweep] {key}")
-        for key in _SWEEP_KEYS:
-            if key not in raw_sweep:
-                raise ConfigInvalid(f"[sweep] missing key {key}")
+        raw_sweep = _section(cp, "sweep", _SWEEP_KEYS, _SWEEP_KEYS)
         parameter = raw_sweep["parameter"]
         if parameter not in RATES:
             raise ConfigInvalid(
@@ -199,9 +193,7 @@ def parse_scenario(path) -> Scenario:
         initial=initial,
         run=kind,
         channels=channels,
-        t_max=t_max,
-        dt=dt,
-        record_every=record_every,
+        integrator=integrator,
         omega_grid=omega_grid,
         points=tuple(points),
         out_base=raw_run.get("out", path.stem),
@@ -355,7 +347,8 @@ def _write_csv(path: Path, header, body) -> None:
 
 def _spectral_results(scn: Scenario, decomps):
     """Per point of a spectrum or decomposition run, the error it raises at
-    its turn, or (channel totals, files) with (kind, columns, CSV body) per file.
+    its turn, or (channel totals, files, 0.0) with (kind, columns, CSV body)
+    per file; 0.0 is the RK4 conservation residual, which closed forms lack.
 
     A point's error is its decomposition error, then, in a decomposition
     run, UnlabeledModes, then the DivergentIntegral of its totals.  The
@@ -389,8 +382,32 @@ def _spectral_results(scn: Scenario, decomps):
             bodies = iter(_csv_bodies(_chunk_rows(scn, [chunk[i] for i in ok])))
             for i in ok:
                 files = [(kind, cols, next(bodies)) for kind, cols in layout]
-                results[i] = dict(zip(BARE_MODES, results[i].tolist())), files
+                results[i] = dict(zip(BARE_MODES, results[i].tolist())), files, 0.0
         yield from results
+
+
+def _trajectory_results(scn: Scenario, decomps):
+    """Per point of a trajectory run, the error it raises at its turn, or
+    (channel totals and survival at t_max, files, largest conservation residual).
+
+    RK4 integrates the bare amplitudes, so the p = 0 DegenerateBlock does
+    not stop a point, while any other decomposition error does.  A point is
+    integrated when it is asked for.
+    """
+    modes = (*BARE_MODES, *NORMAL_MODES)
+    cols = ["t", *modes, "survival"] + [f"p_{c}" for c in BARE_MODES]
+    for (_, params), decomp in zip(scn.points, decomps):
+        if isinstance(decomp, Exception) and not isinstance(decomp, DegenerateBlock):
+            yield decomp
+            continue
+        traj = dynamics.evolve_bare(params, single_excitation(scn.initial), scn.integrator)
+        occ = dynamics.occupations(traj)
+        data = ([traj.times] + [occ[c] for c in modes] + [traj.survival]
+                + [traj.channel_probs[c] for c in BARE_MODES])
+        totals = {c: traj.channel_probs[c][-1] for c in BARE_MODES}
+        yield ({**totals, "survival": traj.survival[-1]},
+               [("trajectory", cols, _row_blocks(np.column_stack(data)))],
+               traj.conservation_residual())
 
 
 def _chunk_rows(scn: Scenario, decomps) -> np.ndarray:
@@ -410,14 +427,13 @@ def _chunk_rows(scn: Scenario, decomps) -> np.ndarray:
     return data.transpose(0, 2, 1)
 
 
-def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point=None,
-               result=None):
-    """Execute one parameter point; returns (files, summary lines).
+def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point, result):
+    """Write one parameter point's files; returns (files, summary lines).
 
     decomp is the point's entry of eigen.full_decompositions: the
     decomposition, or the error its computation raised.  result is the
-    error the point raises, its entry of _spectral_results in a spectrum or
-    decomposition run, or None for a trajectory that runs.
+    point's entry of _spectral_results or _trajectory_results: the error the
+    point raises, or (totals, files, largest conservation residual).
     """
     if isinstance(result, Exception):
         raise result
@@ -433,31 +449,16 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         lam = ", ".join(f"{x:.6g}" for x in eigenvalues)
     summary = [f"eigenvalues: {lam}"]
 
-    if scn.run == "trajectory":
-        cfg = dynamics.IntegratorConfig(
-            dt=scn.dt, t_max=scn.t_max, record_every=scn.record_every
-        )
-        traj = dynamics.evolve_bare(params, single_excitation(scn.initial), cfg)
-        occ = dynamics.occupations(traj)
-        modes = (*BARE_MODES, *NORMAL_MODES)
-        cols = ["t", *modes, "survival"] + [f"p_{c}" for c in BARE_MODES]
-        data = ([traj.times] + [occ[c] for c in modes] + [traj.survival]
-                + [traj.channel_probs[c] for c in BARE_MODES])
-        outputs = [("trajectory", cols, _row_blocks(np.column_stack(data)))]
-        totals = {c: traj.channel_probs[c][-1] for c in BARE_MODES}
-        residual = traj.survival[-1] + sum(totals.values()) - 1.0
-    else:
-        totals, outputs = result
-        residual = sum(totals.values()) - 1.0
+    totals, outputs, worst = result
     suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
     files = []
     for kind, cols, body in outputs:
         path = out_dir / f"{scn.out_base}{suffix}_{kind}.csv"
         _write_csv(path, _header(scn, params, cols, point), body)
         files.append(path)
-    if scn.run == "trajectory" and (worst := traj.conservation_residual()) > _RESIDUAL_BOUND:
+    if worst > _RESIDUAL_BOUND:
         warnings.warn(
-            f"RK4 at dt = {scn.dt} loses conservation by up to {worst:.3e} "
+            f"RK4 at dt = {scn.integrator.dt} loses conservation by up to {worst:.3e} "
             f"(bound {_RESIDUAL_BOUND:g}); take a smaller dt",
             AccuracyWarning,
         )
@@ -466,7 +467,8 @@ def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point
         # rounded first, so a total that rounds to zero prints without a sign
         + " ".join(f"{c}={round(float(totals[c]), 6) + 0.0:.6f}" for c in BARE_MODES)
     )
-    summary.append(f"conservation residual: {residual:+.3e}")
+    # a trajectory's totals also hold its survival at t_max
+    summary.append(f"conservation residual: {sum(totals.values()) - 1.0:+.3e}")
     return files, summary
 
 
@@ -476,9 +478,10 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
     Every point of a sweep is decomposed in one stacked call before the
     first point runs.  The spectra, channel totals and CSV bytes of a
     spectrum or decomposition run are computed in chunks of points (see
-    _spectral_results), and the files are written point by point.  A point
-    that cannot run raises when its turn comes, after the files of the
-    points before it.
+    _spectral_results), a trajectory is integrated at its point's turn (see
+    _trajectory_results), and the files are written point by point.  A
+    point that cannot run raises when its turn comes, after the files of
+    the points before it.
     """
     scn = parse_scenario(config_path)
     out = Path(out_dir) if out_dir is not None else Path.cwd()
@@ -487,13 +490,8 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
     decomps = eigen.full_decompositions(
         [params for _, params in scn.points], single_excitation(scn.initial)
     )
-    if scn.run == "trajectory":
-        # a trajectory integrates the bare amplitudes, so p = 0 does not stop it
-        results = [None if isinstance(decomp, (DegenerateBlock, eigen.QuasiModeDecomposition))
-                   else decomp for decomp in decomps]
-    else:
-        results = _spectral_results(scn, decomps)
-
+    results = (_trajectory_results if scn.run == "trajectory" else _spectral_results)(
+        scn, decomps)
     written = []
     for (point, point_params), decomp, result in zip(scn.points, decomps, results):
         files, summary = _run_point(scn, point_params, decomp, out, point, result)

@@ -1,10 +1,9 @@
 """Brute-force time evolution of the five amplitude equations.
 
-This module is the numerical oracle for every closed-form result in the
-package: a fixed-step classical Runge-Kutta (RK4) integrator for the
-linear no-detection evolution, with cumulative photon-detection
-probabilities accumulated per output channel alongside the amplitudes.
-Each decay channel is named after its mode in model.BARE_MODES.
+A fixed-step classical Runge-Kutta (RK4) integrator for the linear
+no-detection evolution, with cumulative photon-detection probabilities per
+output channel, each named after its mode in model.BARE_MODES.  It computes
+the trajectories of `simulate` and is the oracle of every closed form.
 """
 
 from __future__ import annotations
@@ -98,10 +97,11 @@ def _integrate(gen, y0, cfg, weights):
     A step is rejected (ConfigInvalid) when the spectral radius of the step
     matrix phi exceeds 1 by more than _RADIUS_MARGIN = 1e-12: outside its
     stability region RK4 amplifies every step, and fig3 at dt = 0.5 ends in
-    overflow.  The margin is for rounding, which moves the eigenvalues of
-    phi by about n * eps * |phi| ~ 1e-15 (6.7e-16 on a lossless set, whose
-    exact radius is at most 1).  It lets the norm grow by a factor of at
-    most (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.  A stable step must
+    overflow; a step matrix that itself overflows has radius inf.  The
+    margin is for rounding, which moves the eigenvalues of phi by about
+    n * eps * |phi| ~ 1e-15 (6.7e-16 on a lossless set, whose exact radius
+    is at most 1).  It lets the norm grow by a factor of at most
+    (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.  A stable step must
     also divide the horizon: n_steps = round(t_max / dt) steps have to end
     within 1e-9 * t_max of t_max (ConfigInvalid otherwise), or the last row
     would not be the horizon.
@@ -110,11 +110,12 @@ def _integrate(gen, y0, cfg, weights):
     dt = cfg.dt
     n_steps = max(1, int(round(cfg.t_max / dt)))
     eye = np.eye(5, dtype=complex)
-    b2 = eye + 0.5 * dt * gen
-    b3 = eye + 0.5 * dt * (gen @ b2)
-    b4 = eye + dt * (gen @ b3)
-    phi = eye + (dt / 6.0) * (gen @ (eye + 2 * b2 + 2 * b3 + b4))
-    radius = np.abs(np.linalg.eigvals(phi)).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        b2 = eye + 0.5 * dt * gen
+        b3 = eye + 0.5 * dt * (gen @ b2)
+        b4 = eye + dt * (gen @ b3)
+        phi = eye + (dt / 6.0) * (gen @ (eye + 2 * b2 + 2 * b3 + b4))
+    radius = np.abs(np.linalg.eigvals(phi)).max() if np.isfinite(phi).all() else np.inf
     if not radius <= 1.0 + _RADIUS_MARGIN:
         raise ConfigInvalid(
             f"dt = {dt} is outside the RK4 stability region: the step matrix "

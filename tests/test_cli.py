@@ -209,6 +209,21 @@ def test_sweep_later_point_failure_keeps_exit_code_and_message(tmp_path, capsys,
     assert written and all(name.startswith("sweep_g7_") for name in written)
 
 
+def test_trajectory_sweep_later_point_failure_keeps_exit_code_and_message(tmp_path, capsys):
+    # g = 1000 puts dt = 5e-3 outside the RK4 stability region; the sweep
+    # fails at that point's turn, after the g = 7 file, as the point alone does
+    text = BASE.format(kind="trajectory").replace("dt = 1e-3", "dt = 5e-3")
+    single = write_cfg(tmp_path, text.replace("g = 7", "g = 1000"), "one.cfg")
+    assert main([str(single), "--out", str(tmp_path / "one")]) == 2
+    alone = capsys.readouterr().err
+    assert "spectral radius 1 + 20.5" in alone
+    text += "\n[sweep]\nparameter = g\nvalues = 7, 1000, 2\n"
+    cfg = write_cfg(tmp_path, text, "sweep.cfg")
+    assert main([str(cfg), "--out", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err == alone
+    assert [p.name for p in (tmp_path / "sweep").glob("*.csv")] == ["sweep_g7_trajectory.csv"]
+
+
 def test_sweep_middle_point_that_cannot_decay_fails_at_its_turn(tmp_path, capsys):
     # gamma = kappa_b = 0 leaves the excited cavity-dark mode lossless; the
     # points on both sides decay, and the one after it never runs
@@ -364,6 +379,7 @@ def test_non_finite_integrator_setting_exits_2(tmp_path, capsys, setting):
     [
         ("1.0", "0.1", "exceeds the horizon"),  # one step would run past t_max
         ("0.06", "20", "stability region"),  # RK4 step radius 1 + 0.344
+        ("1e100", "1e100", "spectral radius 1 + inf"),  # the step matrix overflows
     ],
 )
 def test_bad_time_step_exits_2(tmp_path, capsys, dt, t_max, message):
@@ -579,6 +595,19 @@ def test_shipped_scenarios_run_quickly(name, tmp_path):
     assert files and all(f.exists() for f in files)
     for f in files:  # outputs are byte-identical to the recorded ones
         assert hashlib.sha256(f.read_bytes()).hexdigest() == DIGESTS[f.name], f.name
+
+
+# eigenvalue and channel-total lines each shipped scenario prints (the
+# conservation residuals are rounding noise and left out)
+SUMMARIES = json.loads((ROOT / "tests" / "data" / "shipped_summaries.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.cfg")))
+def test_shipped_scenarios_print_their_recorded_summaries(name, tmp_path, capsys):
+    run_scenario(SCENARIO_DIR / f"{name}.cfg", out_dir=tmp_path)
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert [line for line in lines
+            if line.startswith(("== ", "eigenvalues:", "channel totals:"))] == SUMMARIES[name]
 
 
 # --- CSV writer: the bytes of np.savetxt(fmt="%.12e", delimiter=",") --------
