@@ -18,6 +18,7 @@ from .errors import (
     DegenerateBlock,
     DivergentIntegral,
     GridInvalid,
+    InaccurateRoots,
     LabelAmbiguous,
     RegimeWarning,
     UnlabeledModes,

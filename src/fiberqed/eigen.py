@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBlock, LabelAmbiguous
+from .errors import DegenerateBlock, InaccurateRoots, LabelAmbiguous
 from .model import (ANTI_ROWS, SYM_ROWS, SystemParams, _amplitudes, derive_rates,
                     mode_matrices, single_excitation, symmetric_generator)
 
@@ -184,7 +184,39 @@ def _cubic_roots(c2, c1, c0, a, p, q, disc) -> np.ndarray:
     # return it as a tiny number of either sign, which decides whether it decays
     exact = np.flatnonzero(c0[:, 0] == 0)
     roots[exact, np.argmin(_modulus(roots[exact]), axis=1)] = 0
+    # c2 = 0 (kappa = kappa_b = gamma = 0) leaves the block lossless and every root imaginary
+    roots.real[c2[:, 0] == 0] = 0
     return roots
+
+
+def _trace_errors(coeffs, roots, checked) -> dict:
+    """{index: InaccurateRoots} of the checked points whose roots break the trace identity.
+
+    The roots of the computed cubic p sum to -c2 exactly.  A root that is
+    exact for p with every coefficient c_k (c_3 = 1) off by at most
+    gamma_6 = 6u relative, the backward error of Horner's rule at degree 3,
+    has a real part within gamma_6 K_j of the exact one to first order,
+    K_j = sum_k |c_k Re(lambda_j^k / p'(lambda_j))|.  Adding the three real
+    parts to c2 rounds by at most 3u (c2 + sum_j |Re lambda_j|).  A larger
+    gap means rounding swamped the real parts, as it does once zeta exceeds
+    the decay rates by about 1e37, or when the rates span ten decades.
+    """
+    u = np.finfo(float).eps / 2
+    c2, c1, c0 = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+    dp = (3.0 * roots + 2.0 * c2[:, None]) * roots + c1[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = sum(np.abs(c[:, None] * (roots**m / dp).real)
+                for m, c in enumerate((c0, c1, c2, np.ones_like(c2))))
+    gap = np.abs(roots.real.sum(axis=1) + c2)
+    bound = 6 * u * k.sum(axis=1) + 3 * u * (c2 + np.abs(roots.real).sum(axis=1))
+    return {
+        int(i): InaccurateRoots(
+            f"the real parts of the symmetric block's roots miss their sum "
+            f"-(Gamma_S+ + Gamma_D) = {-c2[i]:.6g} by {gap[i]:.2g}, where rounding "
+            f"allows {bound[i]:.2g}"
+        )
+        for i in np.flatnonzero(checked & (gap > bound))
+    }
 
 
 def _modulus(z) -> np.ndarray:
@@ -296,7 +328,9 @@ def _symmetric_blocks(rates) -> tuple:
         )
     if coincident.size:
         eigenvalues[coincident], right[coincident] = np.linalg.eig(gen[coincident])
-    left, failed = _inverse(right)
+    left, singular = _inverse(right)
+    # the dense eigensolve of coincident roots is backward stable on its own
+    failed = {**singular, **_trace_errors(coeffs, roots, labeled)}
     return eigenvalues, right, left, labeled, failed
 
 

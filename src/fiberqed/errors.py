@@ -9,6 +9,10 @@ class DegenerateBlock(ValueError):
     """A mode block is defective (p = 0) and has no eigenbasis."""
 
 
+class InaccurateRoots(DegenerateBlock):
+    """The symmetric block's computed roots break the trace identity beyond rounding."""
+
+
 class GridInvalid(ValueError):
     """Frequency grid is empty or not strictly increasing."""
 

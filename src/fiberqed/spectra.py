@@ -11,8 +11,8 @@ channels of many parameter points are evaluated in one pass
 (:func:`channel_spectra`) and one channel of one point is the case
 N = 1 (:func:`channel_spectrum`).  The Lorentzian and interference
 integrals are read from one (5, 5) pair matrix of closed forms; the
-integrated spectrum of every channel comes from the Gramian of the bare
-generator, one stacked linear solve for many points.
+integrated spectrum of every channel, single or stacked, comes from the
+Gramian of the bare generator, one stacked linear solve for many points.
 """
 
 from __future__ import annotations
@@ -134,9 +134,8 @@ class SpectrumDecomposition:
     The arrays may carry leading axes, as they do for the (points,
     channels) stack of :func:`channel_spectra`: chi (..., P), eigenvalues
     and omega_grid broadcasting against it, prefactor (..., 1); every grid
-    array then gains the same axes.  decomp is the decomposition a single
-    channel was taken from, whose Gramian gives its integrated spectrum;
-    it is None for a stack and for a spectrum given only by its poles.
+    array then gains the same axes.  decomps holds each point's decomposition,
+    for the integrated spectra; None for a spectrum given only by its poles.
     """
 
     channel: str | tuple
@@ -145,7 +144,7 @@ class SpectrumDecomposition:
     chi: np.ndarray
     eigenvalues: np.ndarray
     omega_grid: np.ndarray
-    decomp: QuasiModeDecomposition | None = field(default=None, repr=False)
+    decomps: tuple | None = field(default=None, repr=False)
 
     @cached_property
     def pairs(self) -> tuple:
@@ -226,7 +225,7 @@ def channel_spectrum(
     grid = _check_grid(omega_grid)
     return SpectrumDecomposition(
         channel, prefactor, decomp.labels, decomp.chi_coeffs[index], decomp.eigenvalues, grid,
-        decomp,
+        (decomp,),
     )
 
 
@@ -252,24 +251,25 @@ def channel_spectra(decomps, channels, omega_grid=None) -> SpectrumDecomposition
         labels.pop() if len(labels) == 1 else None,
         np.array([d.chi_coeffs[rows] for d in decomps]),
         np.array([d.eigenvalues for d in decomps])[:, None, :],
-        grid,
+        grid, tuple(decomps),
     )
 
 
 def integrated_spectrum(spec: SpectrumDecomposition) -> float | np.ndarray:
     """Closed-form frequency integral of the full channel spectrum.
 
-    For a spectrum of a decomposition this is its channel's entry of
-    :func:`channel_totals`; a spectrum given only by its poles sums its
-    pair_integrals.  A stack of :func:`channel_spectra` gives the
-    (points, channels) array of the integrals of its entries.
+    The entries of :func:`stacked_totals` of its decompositions for its
+    channels: a float for one channel, the (points, channels) array for a
+    stack.  Raises the DivergentIntegral of the first point that has one, and
+    ValueError for a spectrum given only by its poles, which has no decompositions.
     """
-    if spec.decomp is not None:
-        return channel_totals(spec.decomp)[spec.channel]
-    integrals = spec.pair_integrals.sum(axis=(-2, -1))
-    if integrals.ndim == 0:
-        return spec.prefactor * float(integrals)
-    return spec.prefactor[..., 0] * integrals
+    if spec.decomps is None:
+        raise ValueError("a spectrum given only by its poles: sum its pair_integrals instead")
+    totals = stacked_totals(spec.decomps)
+    for error in (t for t in totals if isinstance(t, Exception)):
+        raise error
+    table = np.array(totals)[:, _channel_rows(np.atleast_1d(spec.channel))]
+    return float(table[0, 0]) if isinstance(spec.channel, str) else table
 
 
 def channel_totals(decomp: QuasiModeDecomposition) -> dict:

@@ -35,6 +35,13 @@ ALL_FIGURE_SETS = {
     "fig10": FIG10,
 }
 
+# near the fiber-dark block's critical damping p = 0 and at the symmetric
+# block's double root, where chi grows without bound
+NEAR_EP = {
+    "critical": dict(g=0.95, v=4, kappa=0.7, kappa_b=0.01, gamma=5.2),
+    "double-root": dict(g=0.5132798211629388, v=1, kappa=1, kappa_b=8, gamma=0.5),
+}
+
 
 @lru_cache(maxsize=64)
 def atom1_oracle(params, t_max, dt=1e-4, record_every=1):

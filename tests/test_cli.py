@@ -29,6 +29,8 @@ from fiberqed import (
 from fiberqed.cli import _csv_bodies, _write_csv, main, parse_scenario, run_scenario
 from fiberqed.model import BARE_MODES, flux_weights
 
+from conftest import NEAR_EP
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
 # sha256 of every CSV the shipped scenarios write
@@ -293,12 +295,6 @@ def test_sweep_points_echo_the_params_of_single_runs(tmp_path, rate):
 # Near exceptional points, where the chi of the quasi modes grow without bound
 # and cancel: the fiber-dark block 1.8e-8 (relative) from critical damping, and
 # the symmetric block at a double root of its cubic (LabelAmbiguous)
-NEAR_EP = {
-    "critical": dict(g=0.95, v=4, kappa=0.7, kappa_b=0.01, gamma=5.2),
-    "double-root": dict(g=0.5132798211629388, v=1, kappa=1, kappa_b=8, gamma=0.5),
-}
-
-
 @pytest.mark.parametrize("name", sorted(NEAR_EP))
 def test_near_exceptional_point_totals_match_lyapunov(tmp_path, capsys, name):
     values = NEAR_EP[name]
@@ -535,6 +531,34 @@ def test_rate_whose_cubic_overflows_exits_2(tmp_path, capsys, section, rate, val
     assert err == (f"config error: [{section}] {rate} must be below 2.12e+51, where the cubic "
                    f"of the symmetric block overflows, got {float(value)}\n")
     assert not list(tmp_path.glob("*.csv"))
+
+
+# zeta = 1e48 swamps the bright decay rate 1.8, and the cubic returns Re(QBS+) = -256
+ROUNDED_AWAY = BASE.replace("g = 7", "g = 1e48")
+# rates over ten decades: the cubic's roots miss the dense eigenvalues by 0.5
+SPREAD = BASE.replace("g = 7", "g = 0.06397547078659621").replace(
+    "v = 4", "v = 4.1215479160856986e-05").replace("kappa = 1", "kappa = 58890.27754347677").replace(
+    "kappa_b = 0.01", "kappa_b = 0.00035742831429840357").replace(
+    "gamma = 5.2", "gamma = 0.0015896637784815761")
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "decomposition"])
+@pytest.mark.parametrize("base", [ROUNDED_AWAY, SPREAD], ids=["g=1e48", "spread"])
+def test_roots_lost_to_rounding_exit_3(tmp_path, capsys, base, kind):
+    cfg = write_cfg(tmp_path, base.format(kind=kind))
+    assert main([str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: the real parts of the symmetric block's roots miss")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_roots_lost_to_rounding_trajectory_runs(tmp_path, capsys):
+    # RK4 integrates the bare amplitudes and needs no roots, as at p = 0
+    text = SPREAD.format(kind="trajectory").replace("t_max = 1.0", "t_max = 1e-3").replace(
+        "dt = 1e-3", "dt = 1e-5")
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "case_trajectory.csv").exists()
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Quasi-mode diagonalization: blocks, labels, weights and reconstruction."""
 
 import warnings
+from collections import Counter
+from itertools import permutations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,10 +18,12 @@ from fiberqed import (
     derive_rates,
     fiber_dark_amplitudes,
     full_decomposition,
+    full_decompositions,
     normal_generator,
     normal_mode_matrix,
     symmetric_block,
 )
+from fiberqed.model import symmetric_generator
 
 from conftest import FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, atom1_oracle
 
@@ -514,3 +519,80 @@ class TestBatchedKernel:
         assert np.isnan(inv[1]).all()
         for i in (0, 2):
             assert inv[i].tobytes() == np.linalg.inv(mats[i]).tobytes()
+
+
+def _cubic_terms(r, num):
+    """The terms that eigen._cubic_coefficients adds up to c2, c1 and c0, in the type num."""
+    gsp, gsm, gsd, gd, zeta = (num(x) for x in (
+        r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d, r.zeta))
+    sm = gsm / 2
+    shared = [gsp**2 / 4, zeta**2, -sm**2]
+    return ([gsp, gd], shared + [gd * gsp, -2 * gsd**2],
+            [gd * t for t in shared] + [-gsd**2 * gsp, 2 * gsd**2 * sm])
+
+
+def _matched_ratio(lam, ref, bound) -> float:
+    """max_j |lam_j - ref_j| / bound_j over the best pairing of lam with ref;
+    a root equal to its reference counts 0, also where its bound is 0."""
+    def worst(pm):
+        miss = np.abs(lam[list(pm)] - ref)
+        with np.errstate(divide="ignore"):
+            return float(np.max(np.divide(miss, bound, out=np.zeros_like(miss), where=miss > 0)))
+    return min(worst(pm) for pm in permutations(range(len(ref))))
+
+
+class TestRootContract:
+    """Each symmetric block answers with roots as accurate as their conditioning allows,
+    or is refused with DegenerateBlock (p = 0) or InaccurateRoots."""
+
+    U = np.finfo(float).eps / 2
+
+    @staticmethod
+    def draws(n=4000):
+        # log-uniform over 1e-5 ... 1e5, each rate exactly 0 with probability 0.1
+        rng = np.random.default_rng(7)
+        rates = np.exp(rng.uniform(np.log(1e-5), np.log(1e5), (n, 5)))
+        rates[rng.random((n, 5)) < 0.1] = 0.0
+        return [SystemParams(*map(float, x)) for x in rates if x[0] or x[1]]
+
+    def test_roots_are_right_or_refused(self):
+        points = self.draws()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LabelAmbiguous)
+            results = full_decompositions(points)
+        answered = [(p, d) for p, d in zip(points, results) if not isinstance(d, DegenerateBlock)]
+        for params, decomp in answered:
+            assert not isinstance(decomp, Exception), f"{params}: {decomp!r}"
+        rates = [derive_rates(p) for p, _ in answered]
+        blocks = symmetric_generator(*np.array(
+            [(r.zeta, r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d) for r in rates]).T)
+        # a backward-stable dense solve errs by about n u |B|_F kappa_j (n = 3) to
+        # first order, kappa_j = |x_j| |y_j| / |y_j x_j| from its right and left
+        # vectors; roots within twice that of it are as good as the dense solve
+        dense, right = np.linalg.eig(blocks)
+        kappa = np.linalg.norm(right, axis=1) * np.linalg.norm(np.linalg.inv(right), axis=2)
+        scale = 6 * self.U * np.linalg.norm(blocks, axis=(1, 2))[:, None] * kappa
+        worst, oracle_calls = 0.0, 0
+        for (params, decomp), r, ref, bound in zip(answered, rates, dense, scale):
+            lam = decomp.eigenvalues[:3]
+            if _matched_ratio(lam, ref, bound) <= 1:
+                continue
+            # otherwise the 50-digit roots of the cubic, within its conditioning:
+            # the coefficients carry at most 10 roundings and Horner's residual 6
+            oracle_calls += 1
+            with mpmath.workdps(50):
+                terms = _cubic_terms(r, mpmath.mpf)
+                c2, c1, c0 = (sum(t) for t in terms)
+                exact = mpmath.polyroots([1, c2, c1, c0], maxsteps=200, extraprec=200)
+                slope = np.array([complex(3 * z**2 + 2 * c2 * z + c1) for z in exact])
+            exact = np.array([complex(z) for z in exact])
+            size = [float(sum(abs(t) for t in ts)) for ts in terms]
+            mod = np.abs(exact)
+            cond = (mod**3 + size[0] * mod**2 + size[1] * mod + size[2]) / np.abs(slope)
+            ratio = _matched_ratio(lam, exact, 16 * self.U * cond)
+            worst = max(worst, ratio)
+            assert ratio <= 1, f"{params}: roots {lam}, 50-digit {exact}"
+        refused = Counter(type(d).__name__ for d in results if isinstance(d, DegenerateBlock))
+        print(f"{len(answered)} answered ({oracle_calls} held to 50 digits, worst "
+              f"{worst:.2g} of the bound), refused: {dict(refused)}")
+        assert refused["InaccurateRoots"] > 0

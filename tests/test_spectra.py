@@ -1,7 +1,6 @@
 """Channel spectra, Lorentzian + interference decomposition and integrals."""
 
 import warnings
-from dataclasses import replace
 from itertools import product
 
 import mpmath
@@ -38,7 +37,7 @@ from fiberqed import (
 from fiberqed.model import flux_weights
 from fiberqed.perturb import VARIANTS
 
-from conftest import FIG6, FIG7, FIG8, FIG10, GAMMA, atom1_oracle
+from conftest import FIG6, FIG7, FIG8, FIG10, GAMMA, NEAR_EP, atom1_oracle
 
 
 def full_line_quad(f, breakpoints):
@@ -340,8 +339,8 @@ class TestPairKernel:
                 # term, and a dark channel's total can cancel to rounding size
                 scale = spec.prefactor * sum(self.per_term(spec)[0])
                 # the pair kernel sums the same rounded chi as the per-term forms
-                poles = replace(spec, decomp=None)
-                assert abs(integrated_spectrum(poles) - self.per_term_total(spec)) <= 1e-12 * scale
+                kernel = spec.prefactor * spec.pair_integrals.sum()
+                assert abs(kernel - self.per_term_total(spec)) <= 1e-12 * scale
                 # the totals come from the Gramian, not from chi, so they are held to
                 # the exact solution instead: both chi-based sums of the g = v = 0.01
                 # fiber channel are off by 1.0e-11 * scale, as chi is rounded there
@@ -364,11 +363,14 @@ class TestPairKernel:
         assert str(kernel.value) == str(per_term.value)
         # a growing mode with chi = 0 takes no part in the integral
         quiet = spec_of([1.0, 0.0], [complex(-0.5, -1.0), complex(0.2, 1.0)])
-        assert integrated_spectrum(quiet) == pytest.approx(np.pi / 0.5, rel=1e-15)
+        assert quiet.pair_integrals.sum() == pytest.approx(np.pi / 0.5, rel=1e-15)
         # with chi != 0 the growing mode's Lorentzian diverges first
         loud = spec_of([1.0, 1.0], [complex(-0.5, -1.0), complex(0.2, 1.0)])
         with pytest.raises(DivergentIntegral, match="eta = -0.2 <= 0"):
-            integrated_spectrum(loud)
+            loud.pair_integrals
+        # a spectrum given only by its poles has no Gramian to integrate
+        with pytest.raises(ValueError, match="pair_integrals"):
+            integrated_spectrum(quiet)
 
 
 class TestStackedKernel:
@@ -432,18 +434,28 @@ class TestStackedKernel:
         assert results[4][[0, 1, 4]].tolist() == [0.0, 0.0, 0.0]
 
 
-    def test_stacked_integrals_are_those_of_the_entries(self, rng):
-        decomps = self.decompositions(rng)[:2]
-        channels = ("cavity2", "atom1", "fiber")
+    @staticmethod
+    def assert_integrals_are_the_totals(decomps):
+        # entry [i, c] of a stack, the single spectrum and the Gramian total agree
+        # bit for bit, whatever the pair integrals of the same entry sum to
+        channels = ("cavity2", "atom1", "fiber", "atom2", "cavity1")
         grid = np.linspace(-1.0, 1.0, 3)
         stack = channel_spectra(decomps, channels, grid)
         integrals = integrated_spectrum(stack)
-        assert integrals.shape == (2, 3)
+        assert integrals.shape == (len(decomps), len(channels))
         for i, decomp in enumerate(decomps):
+            totals = channel_totals(decomp)
             for c, channel in enumerate(channels):
-                single = replace(channel_spectrum(decomp, channel, grid), decomp=None)
+                single = channel_spectrum(decomp, channel, grid)
                 assert stack.pair_integrals[i, c].tobytes() == single.pair_integrals.tobytes()
-                assert integrals[i, c] == integrated_spectrum(single)
+                bits = {np.float64(x).tobytes() for x in
+                        (integrals[i, c], integrated_spectrum(single), totals[channel])}
+                assert len(bits) == 1, channel
+
+    def test_stacked_integrals_are_those_of_the_entries(self, rng):
+        decomps = self.decompositions(rng)
+        self.assert_integrals_are_the_totals(decomps)
+        channels, grid = ("cavity2", "atom1", "fiber"), np.linspace(-1.0, 1.0, 3)
         # a point that cannot decay raises, wherever it sits in the stack
         lossless = full_decomposition(SystemParams(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0))
         for stacked in ([decomps[0], lossless], [lossless, decomps[1]]):
@@ -459,6 +471,14 @@ class TestNearExceptionalPoints:
         c0 = single_excitation("atom1")
         gramian = solve_continuous_lyapunov(bare_generator(params), -np.outer(c0, c0.conj()))
         return flux_weights(params) * gramian.diagonal().real
+
+    @pytest.mark.parametrize("name", sorted(NEAR_EP))
+    def test_stacked_integrals_are_the_totals(self, name):
+        # a stack that summed its chi pair integrals was off by up to 0.295 here
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LabelAmbiguous)
+            decomp = full_decomposition(SystemParams(**NEAR_EP[name]))
+        TestStackedKernel.assert_integrals_are_the_totals([decomp])
 
     def test_critical_damping_approached(self):
         # g = g_c (1 + r) with g_c = |gamma/2 - kappa| / 2: |p| ~ g_c sqrt(2 r); the
