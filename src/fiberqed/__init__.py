@@ -21,6 +21,7 @@ from .errors import (
     InaccurateRoots,
     LabelAmbiguous,
     RegimeWarning,
+    SingularMatrix,
     UnlabeledModes,
 )
 from .model import (
@@ -59,7 +60,6 @@ from .spectra import (
     SpectrumDecomposition,
     channel_spectra,
     channel_spectrum,
-    channel_totals,
     default_omega_grid,
     integrated_spectrum,
     lorentzian_approximation,

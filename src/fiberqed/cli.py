@@ -21,7 +21,7 @@ import sys
 import warnings
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import combinations, repeat
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,8 @@ RUN_KINDS = ("trajectory", "spectrum", "decomposition")
 # the [params] keys and [sweep] parameters: the fields of SystemParams
 RATES = tuple(f.name for f in fields(SystemParams))
 _FMT = "%.12e"
-# largest conservation residual of a trajectory whose totals, printed to six
-# decimals, are right to half a unit in the last digit
+# largest conservation residual of totals that, printed to six decimals,
+# are right to half a unit in the last digit
 _RESIDUAL_BOUND = 5e-7
 _UNLABELED = ("coincident eigenvalues in the symmetric block leave the quasi modes "
               "unlabeled; a decomposition run needs the labels")
@@ -346,17 +346,16 @@ def _write_csv(path: Path, header, body) -> None:
 
 
 def _spectral_results(scn: Scenario, decomps):
-    """Per point of a spectrum or decomposition run, the error it raises at
-    its turn, or (channel totals, files, 0.0) with (kind, columns, CSV body)
-    per file; 0.0 is the RK4 conservation residual, which closed forms lack.
+    """Per point of a spectrum or decomposition run, its outcome (see _run_point).
 
     A point's error is its decomposition error, then, in a decomposition
-    run, UnlabeledModes, then the DivergentIntegral of its totals.  The
-    points go in chunks of at most _CELLS CSV cells (at least one point).
-    The runnable points of a chunk get their totals from one stacked Gramian
-    solve, their spectra from one stacked kernel call and their CSV bytes
-    from one _format_rows call; a chunk is evaluated when its first point
-    is asked for, so memory does not grow with the sweep.
+    run, UnlabeledModes, then the error of its totals (see
+    spectra.stacked_totals); its residual is |sum of totals - 1|, 0 by the
+    Gramian's trace identity.  The points go in chunks of at most _CELLS CSV
+    cells (at least one point).  The runnable points of a chunk get their
+    totals from one stacked Gramian solve, their spectra from one stacked
+    kernel call and their CSV bytes from one _format_rows call; a chunk is
+    evaluated when its first point is asked for, so memory does not grow.
     """
     decomposition = scn.run == "decomposition"
     if decomposition:  # every labeled decomposition carries MODE_LABELS
@@ -369,6 +368,8 @@ def _spectral_results(scn: Scenario, decomps):
     n_rows = (scn.omega_grid.size if scn.omega_grid is not None
               else spectra._GRID_POINTS)
     per_chunk = max(1, _CELLS // (n_rows * sum(len(cols) for _, cols in layout)))
+    source = ("the Gramian solve of the channel totals",
+              "a decay rate far below the generator's scale is lost to rounding")
     for start in range(0, len(decomps), per_chunk):
         chunk = decomps[start:start + per_chunk]
         results = [decomp if isinstance(decomp, Exception)
@@ -376,38 +377,44 @@ def _spectral_results(scn: Scenario, decomps):
                    else None for decomp in chunk]
         ok = [i for i, error in enumerate(results) if error is None]
         for i, totals in zip(ok, spectra.stacked_totals([chunk[i] for i in ok])):
-            results[i] = totals  # a DivergentIntegral stays as the result
+            results[i] = totals  # an error stays as the result
         ok = [i for i in ok if not isinstance(results[i], Exception)]
         if ok:
             bodies = iter(_csv_bodies(_chunk_rows(scn, [chunk[i] for i in ok])))
             for i in ok:
-                files = [(kind, cols, next(bodies)) for kind, cols in layout]
-                results[i] = dict(zip(BARE_MODES, results[i].tolist())), files, 0.0
+                totals = dict(zip(BARE_MODES, results[i].tolist()))
+                results[i] = ((chunk[i].eigenvalues, chunk[i].labels), totals,
+                              [(kind, cols, next(bodies)) for kind, cols in layout],
+                              abs(sum(totals.values()) - 1.0), source)
         yield from results
 
 
 def _trajectory_results(scn: Scenario, decomps):
-    """Per point of a trajectory run, the error it raises at its turn, or
-    (channel totals and survival at t_max, files, largest conservation residual).
+    """Per point of a trajectory run, its outcome (see _run_point): the totals
+    also hold the survival at t_max, and the residual is the grid's largest.
 
-    RK4 integrates the bare amplitudes, so the p = 0 DegenerateBlock does
-    not stop a point, while any other decomposition error does.  A point is
-    integrated when it is asked for.
+    RK4 integrates the bare amplitudes, so a DegenerateBlock (p = 0 or
+    InaccurateRoots) does not stop a point, whose summary then gives the
+    bare generator's eigenvalues unlabeled; any other decomposition error
+    does.  A point is integrated when it is asked for.
     """
     modes = (*BARE_MODES, *NORMAL_MODES)
     cols = ["t", *modes, "survival"] + [f"p_{c}" for c in BARE_MODES]
+    source = (f"RK4 at dt = {scn.integrator.dt}", "take a smaller dt")
     for (_, params), decomp in zip(scn.points, decomps):
         if isinstance(decomp, Exception) and not isinstance(decomp, DegenerateBlock):
             yield decomp
             continue
+        eig = ((decomp.eigenvalues, decomp.labels) if not isinstance(decomp, Exception)
+               else (np.linalg.eigvals(bare_generator(params)), None))
         traj = dynamics.evolve_bare(params, single_excitation(scn.initial), scn.integrator)
         occ = dynamics.occupations(traj)
         data = ([traj.times] + [occ[c] for c in modes] + [traj.survival]
                 + [traj.channel_probs[c] for c in BARE_MODES])
         totals = {c: traj.channel_probs[c][-1] for c in BARE_MODES}
-        yield ({**totals, "survival": traj.survival[-1]},
+        yield (eig, {**totals, "survival": traj.survival[-1]},
                [("trajectory", cols, _row_blocks(np.column_stack(data)))],
-               traj.conservation_residual())
+               traj.conservation_residual(), source)
 
 
 def _chunk_rows(scn: Scenario, decomps) -> np.ndarray:
@@ -427,49 +434,35 @@ def _chunk_rows(scn: Scenario, decomps) -> np.ndarray:
     return data.transpose(0, 2, 1)
 
 
-def _run_point(scn: Scenario, params: SystemParams, decomp, out_dir: Path, point, result):
+def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point, result):
     """Write one parameter point's files; returns (files, summary lines).
 
-    decomp is the point's entry of eigen.full_decompositions: the
-    decomposition, or the error its computation raised.  result is the
-    point's entry of _spectral_results or _trajectory_results: the error the
-    point raises, or (totals, files, largest conservation residual).
+    result is the point's outcome from _spectral_results or
+    _trajectory_results: the error it raises at its turn, or ((eigenvalues,
+    labels or None), totals, (kind, columns, CSV body) per file,
+    conservation residual, (source, hint)).  A residual above
+    _RESIDUAL_BOUND warns AccuracyWarning once the files are written.
     """
     if isinstance(result, Exception):
         raise result
-    if isinstance(decomp, Exception):
-        # at the critical point p = 0 there is no eigenbasis; a trajectory
-        # uses the decomposition only for this summary line
-        eigenvalues, labels = np.linalg.eigvals(bare_generator(params)), None
-    else:
-        eigenvalues, labels = decomp.eigenvalues, decomp.labels
-    if labels is not None:
-        lam = ", ".join(f"{lbl}: {eigenvalues[j]:.6g}" for j, lbl in enumerate(labels))
-    else:
-        lam = ", ".join(f"{x:.6g}" for x in eigenvalues)
-    summary = [f"eigenvalues: {lam}"]
-
-    totals, outputs, worst = result
+    (eigenvalues, labels), totals, outputs, residual, (source, hint) = result
     suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
     files = []
     for kind, cols, body in outputs:
         path = out_dir / f"{scn.out_base}{suffix}_{kind}.csv"
         _write_csv(path, _header(scn, params, cols, point), body)
         files.append(path)
-    if worst > _RESIDUAL_BOUND:
-        warnings.warn(
-            f"RK4 at dt = {scn.integrator.dt} loses conservation by up to {worst:.3e} "
-            f"(bound {_RESIDUAL_BOUND:g}); take a smaller dt",
-            AccuracyWarning,
-        )
-    summary.append(
-        "channel totals: "
-        # rounded first, so a total that rounds to zero prints without a sign
-        + " ".join(f"{c}={round(float(totals[c]), 6) + 0.0:.6f}" for c in BARE_MODES)
-    )
-    # a trajectory's totals also hold its survival at t_max
-    summary.append(f"conservation residual: {sum(totals.values()) - 1.0:+.3e}")
-    return files, summary
+    if residual > _RESIDUAL_BOUND:
+        warnings.warn(f"{source} loses conservation by up to {residual:.3e} "
+                      f"(bound {_RESIDUAL_BOUND:g}); {hint}", AccuracyWarning)
+    names = (f"{lbl}: " for lbl in labels) if labels is not None else repeat("")
+    # rounded first, so a total that rounds to zero prints without a sign
+    rounded = " ".join(f"{c}={round(float(totals[c]), 6) + 0.0:.6f}" for c in BARE_MODES)
+    return files, [
+        "eigenvalues: " + ", ".join(f"{name}{x:.6g}" for name, x in zip(names, eigenvalues)),
+        f"channel totals: {rounded}",
+        # a trajectory's totals also hold its survival at t_max
+        f"conservation residual: {sum(totals.values()) - 1.0:+.3e}"]
 
 
 def run_scenario(config_path, out_dir=None, quiet=False) -> list:
@@ -493,8 +486,8 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
     results = (_trajectory_results if scn.run == "trajectory" else _spectral_results)(
         scn, decomps)
     written = []
-    for (point, point_params), decomp, result in zip(scn.points, decomps, results):
-        files, summary = _run_point(scn, point_params, decomp, out, point, result)
+    for (point, point_params), result in zip(scn.points, results):
+        files, summary = _run_point(scn, point_params, out, point, result)
         written.extend(files)
         if not quiet:
             tag = f" [{point[0]}={point[1]:g}]" if point is not None else ""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBlock, InaccurateRoots, LabelAmbiguous
+from .errors import DegenerateBlock, InaccurateRoots, LabelAmbiguous, SingularMatrix
 from .model import (ANTI_ROWS, SYM_ROWS, SystemParams, _amplitudes, derive_rates,
                     mode_matrices, single_excitation, symmetric_generator)
 
@@ -247,19 +247,23 @@ def _null_vectors(b) -> np.ndarray:
         return best / _norm(best)[..., None]
 
 
-def _inverse(mats) -> tuple:
-    """Stacked inverse plus {index: LinAlgError} for the singular matrices.
+def _inverse(mats, rhs=None) -> tuple:
+    """Stacked solutions of mats x = rhs, (N, n, n) and (N, n, k), or the
+    inverses for rhs None, plus {index: SingularMatrix} of the singular mats.
 
     A singular matrix gets NaN entries instead of failing the whole stack.
+    It has a zero pivot in the solve's LU, where slogdet's sign is 0; det,
+    sign * exp(logdet), also reads 0 where a determinant underflows.
     """
+    if rhs is None:  # the bits of np.linalg.inv, which solves against I
+        rhs = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape)
     try:
-        return np.linalg.inv(mats), {}
+        return np.linalg.solve(mats, rhs), {}
     except np.linalg.LinAlgError:
-        singular = np.linalg.det(mats) == 0  # the same LU pivots as inv
-    inv = np.full_like(mats, np.nan)
-    inv[~singular] = np.linalg.inv(mats[~singular])
-    failed = {int(i): np.linalg.LinAlgError("Singular matrix") for i in np.flatnonzero(singular)}
-    return inv, failed
+        singular = np.linalg.slogdet(mats)[0] == 0
+    x = np.full(rhs.shape, np.nan, np.result_type(mats, rhs))
+    x[~singular] = np.linalg.solve(mats[~singular], rhs[~singular])
+    return x, {int(i): SingularMatrix("Singular matrix") for i in np.flatnonzero(singular)}
 
 
 def symmetric_block(params: SystemParams) -> EigenBlock:
@@ -391,7 +395,7 @@ def full_decompositions(points, initial=None) -> list:
     Entry i is the decomposition of points[i], or the error that
     full_decomposition(points[i], initial) raises, so one bad point does
     not stop the others: the derive_rates error of a g = v = 0 point,
-    DegenerateBlock at p = 0, or LinAlgError for a singular set of
+    DegenerateBlock at p = 0, or SingularMatrix for a singular set of
     symmetric-block vectors.  Each entry has the bits of the single call;
     the stacked arithmetic keeps them by four rules:
 

@@ -21,6 +21,10 @@ class DivergentIntegral(ValueError):
     """Requested frequency integral does not converge (eta_j + eta_k <= 0)."""
 
 
+class SingularMatrix(ValueError):
+    """A point's matrix in a stacked solve is singular: its LU has a zero pivot."""
+
+
 class UnlabeledModes(ValueError):
     """Output named by quasi-mode labels was asked of an unlabeled decomposition."""
 

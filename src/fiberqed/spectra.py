@@ -23,8 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .eigen import QuasiModeDecomposition
-from .errors import DivergentIntegral, GridInvalid
+from .eigen import QuasiModeDecomposition, _inverse
+from .errors import DivergentIntegral, GridInvalid, SingularMatrix
 from .model import BARE_MODES, SystemParams, bare_generator, derive_rates, flux_weights
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "channel_spectrum",
     "channel_spectra",
     "integrated_spectrum",
-    "channel_totals",
     "stacked_totals",
     "lorentzian_approximation",
 ]
@@ -260,7 +259,7 @@ def integrated_spectrum(spec: SpectrumDecomposition) -> float | np.ndarray:
 
     The entries of :func:`stacked_totals` of its decompositions for its
     channels: a float for one channel, the (points, channels) array for a
-    stack.  Raises the DivergentIntegral of the first point that has one, and
+    stack.  Raises the error of the first point that has one, and
     ValueError for a spectrum given only by its poles, which has no decompositions.
     """
     if spec.decomps is None:
@@ -272,17 +271,6 @@ def integrated_spectrum(spec: SpectrumDecomposition) -> float | np.ndarray:
     return float(table[0, 0]) if isinstance(spec.channel, str) else table
 
 
-def channel_totals(decomp: QuasiModeDecomposition) -> dict:
-    """Integrated spectrum of every decay channel: the N = 1 case of :func:`stacked_totals`.
-
-    Raises DivergentIntegral when a mode that carries weight does not decay.
-    """
-    (totals,) = stacked_totals([decomp])
-    if isinstance(totals, Exception):
-        raise totals
-    return dict(zip(BARE_MODES, totals.tolist()))
-
-
 def stacked_totals(decomps) -> list:
     """Integrated spectrum of every channel at many points, from one stacked solve.
 
@@ -291,12 +279,15 @@ def stacked_totals(decomps) -> list:
     generator G and the initial state c0 solves G X + X G^+ = -c0 c0^+.
     With no eigenvectors in it, it stays exact at exceptional points, where
     the chi of the pair matrices grow without bound and cancel.  Its trace
-    gives sum_c w_c X_cc = |c0|^2, since G + G^+ = -diag(w).
+    gives sum_c w_c X_cc = |c0|^2, since G + G^+ = -diag(w), so how far a
+    point's totals miss |c0|^2 is an error of its solve.
 
     Entry i is the (5,) array of totals of decomps[i] in BARE_MODES order,
-    or its DivergentIntegral (see :func:`_divergences`).  A mode that does
-    not decay makes the equation singular; where every such mode carries no
-    weight (exact zero rates), the pair matrices give the totals instead.
+    or its error: DivergentIntegral (see :func:`_divergences`), or
+    SingularMatrix where rounding swamps a decay rate in the solve.  A mode
+    that does not decay makes the equation singular; where every such mode
+    carries no weight (exact zero rates), the pair matrices give the totals
+    instead.
     """
     n = len(decomps)
     chi = np.array([d.chi_coeffs for d in decomps]).reshape(n, 5, 5)
@@ -309,7 +300,12 @@ def stacked_totals(decomps) -> list:
     if solved.size:
         gen = np.array([bare_generator(decomps[i].params) for i in solved])
         c0 = np.array([decomps[i].initial for i in solved])
-        totals[solved] = weights[solved] * _gramian_diagonals(gen, c0)
+        diagonals, singular = _gramian_diagonals(gen, c0)
+        totals[solved] = weights[solved] * diagonals
+        for i in solved[list(singular)].tolist():
+            failed[i] = SingularMatrix(
+                f"the Gramian equation of the channel totals is singular: the slowest "
+                f"decay rate, {-lam[i].real.max():.3g}, is lost to rounding in the solve")
     for i in np.flatnonzero(~decaying):
         if i not in failed:
             pairs = _pair_integrals(chi[i], lam[i]).sum(axis=(1, 2))
@@ -317,8 +313,9 @@ def stacked_totals(decomps) -> list:
     return [failed.get(i, totals[i]) for i in range(n)]
 
 
-def _gramian_diagonals(gen, c0) -> np.ndarray:
-    """Diagonals (N, 5) of the solutions X of G X + X G^+ = -c0 c0^+.
+def _gramian_diagonals(gen, c0) -> tuple:
+    """Diagonals (N, 5) of the solutions X of G X + X G^+ = -c0 c0^+, NaN
+    at the singular points, and the {index: SingularMatrix} of those.
 
     gen (N, 5, 5) holds the generators and c0 (N, 5) the initial states.
     The equation is linear in the rows of X laid end to end:
@@ -329,8 +326,8 @@ def _gramian_diagonals(gen, c0) -> np.ndarray:
     op = (gen[:, :, None, :, None] * eye[None, None, :, None, :]
           + eye[None, :, None, :, None] * gen.conj()[:, None, :, None, :])
     rhs = -(c0[:, :, None] * c0.conj()[:, None, :])
-    x = np.linalg.solve(op.reshape(n, 25, 25), rhs.reshape(n, 25, 1)).reshape(n, 5, 5)
-    return np.diagonal(x, axis1=1, axis2=2).real
+    x, singular = _inverse(op.reshape(n, 25, 25), rhs.reshape(n, 25, 1))
+    return np.diagonal(x.reshape(n, 5, 5), axis1=1, axis2=2).real, singular
 
 
 def lorentzian_approximation(spec: SpectrumDecomposition) -> np.ndarray:

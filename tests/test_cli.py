@@ -360,6 +360,70 @@ def test_sweep_unlabeled_point_inside_a_chunk_fails_at_its_turn(tmp_path, capsys
     ]
 
 
+# kappa = kappa_b = 0 and a large v: only the atoms decay, and the bright pair
+# decays at 3.9e-17, below rounding at the generator's scale (zeta = 5734), so
+# the LU of this point's Gramian equation meets an exactly zero pivot
+SINGULAR_GRAMIAN = """\
+[params]
+g = 0.0003299426394885256
+v = 4054.840835000334
+kappa = 0
+kappa_b = 0
+gamma = 0.04841964414462772
+
+[run]
+type = spectrum
+initial = atom1
+omega_min = -30
+omega_max = 30
+omega_points = 41
+"""
+
+
+def test_sweep_singular_gramian_point_fails_at_its_turn(tmp_path, capsys):
+    # the four points fit one chunk, whose totals come from one stacked solve;
+    # kappa = 1 and 2 decay fast, kappa = 0 is the point above, kappa = 3 never runs
+    single = write_cfg(tmp_path, SINGULAR_GRAMIAN, "one.cfg")
+    assert main([str(single), "--out", str(tmp_path / "one")]) == 3
+    alone = capsys.readouterr().err
+    assert alone.startswith("domain error: the Gramian equation of the channel totals is "
+                            "singular: the slowest decay rate, 3.92e-17,")
+    cfg = write_cfg(tmp_path, SINGULAR_GRAMIAN + "\n[sweep]\nparameter = kappa\n"
+                    "values = 1, 2, 0, 3\n", "sweep.cfg")
+    assert main([str(cfg), "--out", str(tmp_path / "sweep")]) == 3
+    assert capsys.readouterr().err == alone
+    assert sorted(p.name for p in (tmp_path / "sweep").glob("*.csv")) == [
+        "sweep_kappa1_spectrum.csv", "sweep_kappa2_spectrum.csv",
+    ]
+
+
+# kappa = kappa_b = 0 and a large v again: the bright pair decays at 2.7e-14,
+# 8.1e-12 and 1e-19, and rounding in the Gramian solve moves the totals off
+# their sum 1 by +0.214, +3.9e-3 and -1.5e-3 (one total is -7.5e-4)
+@pytest.mark.parametrize("g, v, gamma, initial", [
+    (0.00021312706334039415, 784.4589056445554, 2.945555839864667, "cavity2"),
+    (0.024458706005858758, 9201.330439383044, 9.118725064728329, "fiber"),
+    (5.99318476087952e-06, 258202.66307877563, 0.010654483225453803, "atom1"),
+], ids=["v=784", "v=9201", "v=258203"])
+def test_totals_that_miss_conservation_warn_after_writing(tmp_path, capsys, g, v, gamma,
+                                                          initial):
+    cfg = write_cfg(tmp_path, f"[params]\ng = {g!r}\nv = {v!r}\nkappa = 0\nkappa_b = 0\n"
+                    f"gamma = {gamma!r}\n\n[run]\ntype = spectrum\ninitial = {initial}\n")
+    message = (r"the Gramian solve of the channel totals loses conservation by up to "
+               r"(\S+) \(bound 5e-07\)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        with pytest.raises(AccuracyWarning, match=message) as caught:
+            main([str(cfg), "--out", str(tmp_path / "strict")])
+    assert (tmp_path / "strict" / "case_spectrum.csv").exists()  # written before the warning
+    with pytest.warns(AccuracyWarning, match=message):
+        assert main([str(cfg), "--out", str(tmp_path)]) == 0
+    printed = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
+    residual = float(re.search(message, str(caught.value)).group(1))
+    print(f"{initial}: residual {residual:.3e} (bound 5e-07)")
+    assert residual == float(f"{abs(printed):.3e}") and residual > 5e-7
+
+
 @pytest.mark.parametrize("setting", ["dt = inf", "t_max = inf", "dt = nan"])
 def test_non_finite_integrator_setting_exits_2(tmp_path, capsys, setting):
     key = setting.split()[0]

@@ -12,6 +12,7 @@ from fiberqed import (
     MODE_LABELS,
     DegenerateBlock,
     LabelAmbiguous,
+    SingularMatrix,
     SystemParams,
     antisymmetric_block,
     bare_generator,
@@ -519,6 +520,19 @@ class TestBatchedKernel:
         assert np.isnan(inv[1]).all()
         for i in (0, 2):
             assert inv[i].tobytes() == np.linalg.inv(mats[i]).tobytes()
+
+    def test_singular_means_a_zero_pivot_not_a_tiny_determinant(self):
+        from fiberqed.eigen import _inverse
+
+        # det(1e-200 I) = 1e-600 underflows to 0, but its LU has no zero pivot
+        mats = np.array([1e-200 * np.eye(3), np.ones((3, 3))], dtype=complex)
+        inv, failed = _inverse(mats)
+        assert list(failed) == [1] and isinstance(failed[1], SingularMatrix)
+        assert inv[0].tobytes() == np.linalg.inv(mats[0]).tobytes()
+        rhs = np.arange(12.0).reshape(2, 3, 2)
+        x, failed = _inverse(mats, rhs)
+        assert list(failed) == [1] and np.isnan(x[1]).all()
+        assert x[0].tobytes() == np.linalg.solve(mats[0], rhs[0]).tobytes()
 
 
 def _cubic_terms(r, num):
