@@ -4,9 +4,11 @@ Covers the two dominated-coupling limits (atom-cavity coupling far above
 fiber-cavity coupling, and the reverse) plus the perturbative treatment of
 the symmetric manifold when the couplings are comparable, in three
 variants of increasing sophistication.  Each variant gives three quasi
-modes as arrays: their eigenvalues and t = 0 amplitudes, so every
-quasi-mode time function is the damped exponential a * exp(lambda * t);
-the perturbative chi of the cavity spectra are read off them.
+modes as arrays in eigen.MODE_LABELS order (QBS+, QBS-, QCD): their
+eigenvalues and t = 0 amplitudes, so every quasi-mode time function is
+the damped exponential a * exp(lambda * t); the perturbative chi of the
+cavities are read off them, laid out like full_decomposition's.  A
+RegimeWarning marks zeta < 10 |Gamma_SD| or v < g/2.
 """
 
 from __future__ import annotations
@@ -64,44 +66,46 @@ def fiber_dominated_solution(params: SystemParams, t) -> tuple:
 
 @dataclass
 class PerturbativeModes:
-    """First-order quasi modes of the symmetric manifold.
+    """First-order quasi modes of the symmetric manifold, per-mode arrays
+    of shape (3,) in eigen.MODE_LABELS order (QBS+, QBS-, QCD).
 
     delta_s_plus / delta_s_minus : bright <-> cavity-dark mixing amplitudes
-    eigenvalues : estimates per quasi mode {QBS+, QBS-, QCD} for the variant
+    eigenvalues : the variant's estimate of each quasi-mode eigenvalue
     amplitudes : t = 0 values (f+, f-, g) of the quasi-mode time functions
     bs_cross : bright <-> bright first-order cross coefficient (refined only)
-    second_order_shifts : eigenvalue corrections (refined only)
+    second_order_shifts : eigenvalue corrections, in eigenvalues (refined only)
     """
 
     variant: str
     delta_s_plus: complex
     delta_s_minus: complex
-    eigenvalues: dict
+    eigenvalues: np.ndarray
     amplitudes: np.ndarray
     bs_cross: complex = 0.0
-    second_order_shifts: dict | None = None
+    second_order_shifts: np.ndarray | None = None
 
-    def time_functions(self, t) -> tuple:
-        """(f+, f-, g) at the given times: a * exp(lambda * t) per quasi mode."""
+    def time_functions(self, t) -> np.ndarray:
+        """(f+, f-, g) at the given times, a row a * exp(lambda * t) per mode."""
         t = np.asarray(t, dtype=float)
-        lams = self.eigenvalues.values()
+        modes = zip(self.amplitudes.tolist(), self.eigenvalues.tolist())
         # a Python scalar times an array per mode: numpy's array product of a
         # stacked amplitudes[:, None] * exp(...) may fuse multiply-add
-        return tuple(a * np.exp(lam * t) for a, lam in zip(self.amplitudes.tolist(), lams))
+        return np.array([a * np.exp(lam * t) for a, lam in modes])
 
-    def symmetric_amplitudes(self, t) -> tuple:
-        """(S+, S-, D) reconstructed from the quasi-mode time functions."""
+    def symmetric_amplitudes(self, t) -> np.ndarray:
+        """(S+, S-, D) rows reconstructed from the quasi-mode time functions."""
         fp, fm, gd = self.time_functions(t)
         dp, dm = self.delta_s_plus, self.delta_s_minus
-        return fp - dp * gd, fm - dm * gd, gd + dp * fp + dm * fm
+        return np.array([fp - dp * gd, fm - dm * gd, gd + dp * fp + dm * fm])
 
 
 def perturbative_symmetric(params: SystemParams, variant: str = "standard") -> PerturbativeModes:
     """Treat the bright <-> cavity-dark coupling as a perturbation.
 
-    standard            : Gamma_D kept in the unperturbed generator;
-                          Delta_S+- = Gamma_SD / (Gamma_D - Gamma_S+/2 -+ i zeta)
-    appendix_alternative: Gamma_D moved into the perturbation; the
+    All three variants mix with Delta_S+- = Gamma_SD / (d - Gamma_S+/2 -+ i zeta):
+
+    standard            : d = Gamma_D, kept in the unperturbed generator
+    appendix_alternative: d = 0, Gamma_D moved into the perturbation; the
                           cavity-dark eigenvalue is recovered only as a
                           first-order shift, which costs accuracy
     appendix_refined    : standard placement plus the bright-bright cross
@@ -112,38 +116,27 @@ def perturbative_symmetric(params: SystemParams, variant: str = "standard") -> P
     r = derive_rates(params)
     g, v = params.g, params.v
     zeta, gsp, gsm, gsd, gd = r.zeta, r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d
-    if zeta < 10 * gsd or v < g / 2:
+    # Gamma_SD < 0 once kappa_b > gamma/2, so its size is compared
+    if zeta < 10 * abs(gsd) or v < g / 2:
         warnings.warn(
             f"perturbation regime is weak (zeta={zeta:.3g}, Gamma_SD={gsd:.3g}, "
             f"v/g={v / g if g else np.inf:.3g})",
             RegimeWarning,
         )
 
-    lam_bs_plus = -(gsp / 2 + 1j * zeta)
-    lam_bs_minus = -(gsp / 2 - 1j * zeta)
     # the alternative variant reaches -Gamma_D as zeroth order 0 plus the
     # first-order shift -Gamma_D; the others keep it in the unperturbed generator
-    lam_cd = -gd
-    shifts = None
-    cross = 0.0
-    if variant == "appendix_alternative":
-        dp = gsd / (-gsp / 2 - 1j * zeta)
-        dm = gsd / (-gsp / 2 + 1j * zeta)
-    else:
-        dp = gsd / (gd - gsp / 2 - 1j * zeta)
-        dm = gsd / (gd - gsp / 2 + 1j * zeta)
-        if variant == "appendix_refined":
-            shifts = {
-                "QBS+": 1j * gsm**2 / (8 * zeta) + gsd * dp,
-                "QBS-": -1j * gsm**2 / (8 * zeta) + gsd * dm,
-                "QCD": -gsd * (dp + dm),
-            }
-            lam_bs_plus += shifts["QBS+"]
-            lam_bs_minus += shifts["QBS-"]
-            lam_cd += shifts["QCD"]
-            cross = -1j * gsm / (4 * zeta)
+    d = 0.0 if variant == "appendix_alternative" else gd
+    dp = gsd / (d - gsp / 2 - 1j * zeta)
+    dm = gsd / (d - gsp / 2 + 1j * zeta)
+    eigenvalues = np.array([-(gsp / 2 + 1j * zeta), -(gsp / 2 - 1j * zeta), -gd])
+    shifts, cross = None, 0.0
+    if variant == "appendix_refined":
+        shifts = np.array([1j * gsm**2 / (8 * zeta) + gsd * dp,
+                           -1j * gsm**2 / (8 * zeta) + gsd * dm, -gsd * (dp + dm)])
+        eigenvalues = eigenvalues + shifts
+        cross = -1j * gsm / (4 * zeta)
 
-    eigenvalues = {"QBS+": lam_bs_plus, "QBS-": lam_bs_minus, "QCD": lam_cd}
     amplitudes = np.array(
         [(g / 2 - v * dp) / zeta, (g / 2 - v * dm) / zeta, (-(g / 2) * (dp + dm) - v) / zeta]
     )
@@ -152,9 +145,9 @@ def perturbative_symmetric(params: SystemParams, variant: str = "standard") -> P
 
 def perturbative_cavity_amplitudes(
     params: SystemParams, t, variant: str = "standard"
-) -> tuple:
-    """(alpha1, alpha2) combining the perturbative symmetric manifold with
-    the exact fiber-dark amplitudes.
+) -> np.ndarray:
+    """(alpha1, alpha2) rows combining the perturbative symmetric manifold
+    with the exact fiber-dark amplitudes, critical point p = 0 included.
 
     Both are cavity projections of the normal amplitudes,
     alpha1,2 = (S+ - S-)/2 +- (A+ - A-)/2: the cavity difference
@@ -165,11 +158,12 @@ def perturbative_cavity_amplitudes(
     a_plus, a_minus = fiber_dark_amplitudes(params, t)
     sym = 0.5 * (s_plus - s_minus)
     anti = 0.5 * (a_plus - a_minus)
-    return sym + anti, sym - anti
+    return np.array([sym + anti, sym - anti])
 
 
-def cavity_coefficients(params: SystemParams, variant: str = "standard") -> dict:
-    """Perturbative chi coefficients of both cavity channels per quasi mode.
+def cavity_coefficients(params: SystemParams, variant: str = "standard") -> np.ndarray:
+    """Perturbative chi of both cavity channels, a (2, 5) array laid out
+    like full_decomposition(params).chi_coeffs[2:4].
 
     The cavity projection alpha1 = (S+ - S-)/2 + (A+ - A-)/2 read per
     quasi mode.  S+ - S- = f+ - f- - (Delta_S+ - Delta_S-) g_D, with
@@ -186,13 +180,6 @@ def cavity_coefficients(params: SystemParams, variant: str = "standard") -> dict
     if r.p == 0:
         raise DegenerateBlock(_CRITICAL_POINT)
     f_plus, f_minus, g_cd = modes.amplitudes.tolist()
-    sym = {
-        "QBS+": f_plus / 2,
-        "QBS-": -f_minus / 2,
-        "QCD": -(modes.delta_s_plus - modes.delta_s_minus) * g_cd / 2,
-    }
+    sym = [f_plus / 2, -f_minus / 2, -(modes.delta_s_plus - modes.delta_s_minus) * g_cd / 2]
     chi_fd = params.g / (4 * r.p)
-    return {
-        "cavity1": dict(sym, **{"QFD+": chi_fd, "QFD-": -chi_fd}),
-        "cavity2": dict(sym, **{"QFD+": -chi_fd, "QFD-": chi_fd}),
-    }
+    return np.array([sym + [chi_fd, -chi_fd], sym + [-chi_fd, chi_fd]])

@@ -12,9 +12,9 @@ from fiberqed import (
     derive_rates,
     fiber_dark_amplitudes,
     fiber_dominated_solution,
+    full_decomposition,
     perturbative_cavity_amplitudes,
     perturbative_symmetric,
-    symmetric_block,
 )
 
 from conftest import FIG3, FIG4, FIG5, GAMMA, atom1_oracle
@@ -112,8 +112,9 @@ class TestPerturbativeSymmetric:
         modes = perturbative_symmetric(params)
         assert modes.delta_s_plus == 0 and modes.delta_s_minus == 0
         r = derive_rates(params)
-        assert modes.eigenvalues["QBS+"] == pytest.approx(-r.gamma_s_plus / 2 - 1j * r.zeta)
-        assert modes.eigenvalues["QCD"] == pytest.approx(-r.gamma_d)
+        bs_plus, _, cd = modes.eigenvalues
+        assert bs_plus == pytest.approx(-r.gamma_s_plus / 2 - 1j * r.zeta)
+        assert cd == pytest.approx(-r.gamma_d)
         # pure decaying oscillations: |S_+(t)| has a constant envelope ratio
         t = np.linspace(0, 2, 50)
         s_plus, _, d = modes.symmetric_amplitudes(t)
@@ -143,7 +144,7 @@ class TestPerturbativeSymmetric:
             r.gamma_sd / (-r.gamma_s_plus / 2 - 1j * r.zeta)
         )
         # first-order shift recovers -Gamma_D from a zeroth-order zero
-        assert modes.eigenvalues["QCD"] == pytest.approx(-r.gamma_d)
+        assert modes.eigenvalues[2] == pytest.approx(-r.gamma_d)  # QCD
         assert modes.second_order_shifts is None
 
     def test_refined_variant_terms(self):
@@ -152,29 +153,25 @@ class TestPerturbativeSymmetric:
         dp = r.gamma_sd / (r.gamma_d - r.gamma_s_plus / 2 - 1j * r.zeta)
         dm = np.conj(dp)
         assert modes.bs_cross == pytest.approx(-1j * r.gamma_s_minus / (4 * r.zeta))
-        shifts = modes.second_order_shifts
-        assert shifts["QCD"] == pytest.approx(-r.gamma_sd * (dp + dm))
-        assert shifts["QBS+"] == pytest.approx(
+        bs_plus, _, cd = modes.second_order_shifts
+        assert cd == pytest.approx(-r.gamma_sd * (dp + dm))
+        assert bs_plus == pytest.approx(
             1j * r.gamma_s_minus**2 / (8 * r.zeta) + r.gamma_sd * dp
         )
 
     def test_fig5_eigenvalues_close_to_exact(self):
-        exact = symmetric_block(FIG5)
+        exact = full_decomposition(FIG5).eigenvalues[:3]
         modes = perturbative_symmetric(FIG5)
-        for j, label in enumerate(exact.labels):
-            rel = abs(modes.eigenvalues[label] - exact.eigenvalues[j]) / abs(
-                exact.eigenvalues[j]
-            )
-            assert rel < 1e-2
+        rel = np.abs(modes.eigenvalues - exact) / np.abs(exact)
+        assert rel.max() < 1e-2
 
     def test_refined_beats_standard_at_fig5(self):
-        exact = symmetric_block(FIG5)
+        exact = full_decomposition(FIG5).eigenvalues[:3]
         std = perturbative_symmetric(FIG5, "standard")
         ref = perturbative_symmetric(FIG5, "appendix_refined")
-        for j, label in enumerate(exact.labels):
-            err_std = abs(std.eigenvalues[label] - exact.eigenvalues[j])
-            err_ref = abs(ref.eigenvalues[label] - exact.eigenvalues[j])
-            assert err_ref <= err_std
+        err_std = np.abs(std.eigenvalues - exact)
+        err_ref = np.abs(ref.eigenvalues - exact)
+        assert np.all(err_ref <= err_std)
 
     def test_regime_warning(self):
         with pytest.warns(RegimeWarning):
@@ -182,6 +179,18 @@ class TestPerturbativeSymmetric:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RegimeWarning)
             perturbative_symmetric(FIG5)  # comfortably inside: no warning
+
+    @pytest.mark.parametrize("kappa_b", [20.0, 100.0])
+    def test_regime_warning_when_gamma_sd_is_negative(self, kappa_b):
+        # kappa_b > gamma/2 makes Gamma_SD negative, and the standard variant
+        # misses an exact eigenvalue by over 10 %
+        params = SystemParams(g=7.0, v=4.0, kappa=1.0, kappa_b=kappa_b, gamma=GAMMA)
+        r = derive_rates(params)
+        assert r.gamma_sd < 0 and r.zeta < 10 * abs(r.gamma_sd)
+        with pytest.warns(RegimeWarning):
+            modes = perturbative_symmetric(params)
+        exact = full_decomposition(params).eigenvalues[:3]
+        assert (np.abs(modes.eigenvalues - exact) / np.abs(exact)).max() > 0.1
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
@@ -205,6 +214,18 @@ class TestPerturbativeCavityAmplitudes:
         a1, a2 = perturbative_cavity_amplitudes(FIG5, t)
         a_plus, a_minus = fiber_dark_amplitudes(FIG5, t)
         assert np.abs((a1 - a2) - (a_plus - a_minus)).max() < 1e-14
+
+    def test_critical_damping_is_the_limit_of_the_generic_form(self):
+        # p = 0, where cavity_coefficients raises DegenerateBlock, still answers
+        g = abs(GAMMA / 2 - 1.0) / 2
+        critical = SystemParams(g=g, v=7.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
+        nearby = SystemParams(g=np.sqrt(g**2 + 1e-8), v=7.0, kappa=1.0, kappa_b=0.01,
+                              gamma=GAMMA)
+        assert derive_rates(critical).p == 0
+        t = np.linspace(0.0, 1.4, 400)
+        lim = perturbative_cavity_amplitudes(critical, t)
+        assert np.isfinite(lim).all()
+        assert np.abs(lim - perturbative_cavity_amplitudes(nearby, t)).max() < 1e-8
 
     def test_fig5_matches_oracle(self):
         traj = atom1_oracle(FIG5, t_max=1.4, dt=2e-5, record_every=100)
