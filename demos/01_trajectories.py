@@ -15,6 +15,7 @@ from fiberqed import (
     occupations,
     single_excitation,
 )
+from fiberqed.model import BARE_MODES, NORMAL_MODES
 
 GAMMA = 5.2  # atomic decay, 2*pi*MHz
 
@@ -40,21 +41,21 @@ if plt is not None:
 for col, (tag, params) in enumerate(REGIMES.items()):
     cfg = IntegratorConfig(dt=5e-5, t_max=2.0, record_every=40)
     traj = evolve_bare(params, single_excitation("atom1"), cfg)
-    occ = occupations(traj)
+    occ = occupations(traj)  # columns (*BARE_MODES, *NORMAL_MODES)
 
     print(f"\n=== {tag}")
     print(f"  survival at t={traj.times[-1]:.1f}: {traj.survival[-1]:.4f}")
-    for channel, series in traj.channel_probs.items():
-        print(f"  detected via {channel:8s}: {series[-1]:.4f}")
-    print(f"  peak fiber occupation |beta|^2: {occ['fiber'].max():.4f}")
-    print(f"  peak cavity-2 occupation      : {occ['cavity2'].max():.4f}")
+    for channel, detected in zip(BARE_MODES, traj.channel_probs[-1]):
+        print(f"  detected via {channel:8s}: {detected:.4f}")
+    print(f"  peak fiber occupation |beta|^2: {occ[:, BARE_MODES.index('fiber')].max():.4f}")
+    print(f"  peak cavity-2 occupation      : {occ[:, BARE_MODES.index('cavity2')].max():.4f}")
 
     if plt is not None:
         top, bottom = axes[0, col], axes[1, col]
-        for key in ("atom1", "atom2", "cavity1", "cavity2", "fiber"):
-            top.plot(traj.times, occ[key], label=key, lw=0.8)
-        for key in ("bs_plus", "bs_minus", "fd_plus", "fd_minus", "cd"):
-            bottom.plot(traj.times, occ[key], label=key, lw=0.8)
+        for key, series in zip(BARE_MODES, occ[:, :5].T):
+            top.plot(traj.times, series, label=key, lw=0.8)
+        for key, series in zip(NORMAL_MODES, occ[:, 5:].T):
+            bottom.plot(traj.times, series, label=key, lw=0.8)
         top.set_title(tag, fontsize=9)
         bottom.set_xlabel("t")
         if col == 0:

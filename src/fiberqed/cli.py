@@ -398,8 +398,7 @@ def _trajectory_results(scn: Scenario, decomps):
     bare generator's eigenvalues unlabeled; any other decomposition error
     does.  A point is integrated when it is asked for.
     """
-    modes = (*BARE_MODES, *NORMAL_MODES)
-    cols = ["t", *modes, "survival"] + [f"p_{c}" for c in BARE_MODES]
+    cols = ["t", *BARE_MODES, *NORMAL_MODES, "survival"] + [f"p_{c}" for c in BARE_MODES]
     source = (f"RK4 at dt = {scn.integrator.dt}", "take a smaller dt")
     for (_, params), decomp in zip(scn.points, decomps):
         if isinstance(decomp, Exception) and not isinstance(decomp, DegenerateBlock):
@@ -408,12 +407,10 @@ def _trajectory_results(scn: Scenario, decomps):
         eig = ((decomp.eigenvalues, decomp.labels) if not isinstance(decomp, Exception)
                else (np.linalg.eigvals(bare_generator(params)), None))
         traj = dynamics.evolve_bare(params, single_excitation(scn.initial), scn.integrator)
-        occ = dynamics.occupations(traj)
-        data = ([traj.times] + [occ[c] for c in modes] + [traj.survival]
-                + [traj.channel_probs[c] for c in BARE_MODES])
-        totals = {c: traj.channel_probs[c][-1] for c in BARE_MODES}
-        yield (eig, {**totals, "survival": traj.survival[-1]},
-               [("trajectory", cols, _row_blocks(np.column_stack(data)))],
+        data = np.column_stack((traj.times, dynamics.occupations(traj), traj.survival,
+                                traj.channel_probs))
+        totals = dict(zip(BARE_MODES, traj.channel_probs[-1]), survival=traj.survival[-1])
+        yield (eig, totals, [("trajectory", cols, _row_blocks(data))],
                traj.conservation_residual(), source)
 
 

@@ -2,7 +2,7 @@
 
 A fixed-step classical Runge-Kutta (RK4) integrator for the linear
 no-detection evolution, with cumulative photon-detection probabilities per
-output channel, each named after its mode in model.BARE_MODES.  It computes
+output channel, one column per mode in model.BARE_MODES order.  It computes
 the trajectories of `simulate` and is the oracle of every closed form.
 """
 
@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigInvalid
-from .model import (BARE_MODES, NORMAL_MODES, SystemParams, _amplitudes, bare_generator,
-                    flux_weights, normal_mode_matrix)
+from .model import SystemParams, _amplitudes, bare_generator, flux_weights, normal_mode_matrix
 
 __all__ = ["IntegratorConfig", "Trajectory", "evolve_bare", "occupations"]
 
@@ -38,6 +37,9 @@ class IntegratorConfig:
     record_every: int = 1
 
     def validate(self) -> None:
+        """Raise ConfigInvalid unless the settings make a grid of steps whose
+        last, the round(t_max / dt)-th, ends within 1e-9 * t_max of t_max.
+        Whether dt is stable depends on the generator: see _integrate."""
         if not (0 < self.dt < np.inf):
             raise ConfigInvalid(f"dt must be finite and > 0, got {self.dt}")
         if not (0 < self.t_max < np.inf):
@@ -46,6 +48,12 @@ class IntegratorConfig:
             raise ConfigInvalid(f"dt = {self.dt} exceeds the horizon t_max = {self.t_max}")
         if self.record_every < 1:
             raise ConfigInvalid(f"record_every must be >= 1, got {self.record_every}")
+        n_steps = round(self.t_max / self.dt)  # >= 1, as dt <= t_max
+        if abs(n_steps * self.dt - self.t_max) > 1e-9 * self.t_max:
+            raise ConfigInvalid(
+                f"t_max = {self.t_max} is not a whole number of steps dt = {self.dt}: "
+                f"the last step would end at t = {n_steps * self.dt:.9g}"
+            )
 
 
 @dataclass
@@ -54,21 +62,22 @@ class Trajectory:
 
     states holds one row of bare amplitudes (xi1, xi2, alpha1, alpha2, beta)
     per time point; :func:`occupations` projects them onto the normal modes.
-    channel_probs maps each decay channel to the cumulative probability
-    that the photon was detected there by time t; survival is the remaining
-    norm^2.  At every grid point survival + sum(channel_probs) = 1 up to
-    integration error.  params is the parameter set that was evolved.
+    channel_probs[:, c] is the cumulative probability that the photon was
+    detected in channel c by time t, in BARE_MODES order like the entries of
+    spectra.stacked_totals; survival is the remaining norm^2.  At every grid
+    point survival + channel_probs.sum(1) = 1 up to integration error.
+    params is the parameter set that was evolved.
     """
 
     times: np.ndarray
     states: np.ndarray
-    channel_probs: dict
+    channel_probs: np.ndarray
     survival: np.ndarray
     params: SystemParams = field(repr=False)
 
     def conservation_residual(self) -> float:
         """Max deviation of survival + detected from 1 over the grid."""
-        detected = sum(self.channel_probs[c] for c in BARE_MODES)
+        detected = sum(self.channel_probs.T)  # channel by channel, in BARE_MODES order
         return float(np.abs(self.survival + detected - 1.0).max())
 
 
@@ -101,14 +110,13 @@ def _integrate(gen, y0, cfg, weights):
     margin is for rounding, which moves the eigenvalues of phi by about
     n * eps * |phi| ~ 1e-15 (6.7e-16 on a lossless set, whose exact radius
     is at most 1).  It lets the norm grow by a factor of at most
-    (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.  A stable step must
-    also divide the horizon: n_steps = round(t_max / dt) steps have to end
-    within 1e-9 * t_max of t_max (ConfigInvalid otherwise), or the last row
-    would not be the horizon.
+    (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.  cfg.validate() runs
+    first.  Returns the times, states, channel_probs and survival of a
+    Trajectory.
     """
     cfg.validate()
     dt = cfg.dt
-    n_steps = max(1, int(round(cfg.t_max / dt)))
+    n_steps = round(cfg.t_max / dt)  # >= 1, as dt <= t_max
     eye = np.eye(5, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         b2 = eye + 0.5 * dt * gen
@@ -120,11 +128,6 @@ def _integrate(gen, y0, cfg, weights):
         raise ConfigInvalid(
             f"dt = {dt} is outside the RK4 stability region: the step matrix "
             f"has spectral radius 1 + {radius - 1.0:.3g}"
-        )
-    if abs(n_steps * dt - cfg.t_max) > 1e-9 * cfg.t_max:
-        raise ConfigInvalid(
-            f"t_max = {cfg.t_max} is not a whole number of steps dt = {dt}: "
-            f"the last step would end at t = {n_steps * dt:.9g}"
         )
 
     block = min(_BLOCK, n_steps)
@@ -179,8 +182,7 @@ def _integrate(gen, y0, cfg, weights):
 
     times = rec_set.astype(float) * dt
     survival = np.sum(np.abs(states) ** 2, axis=1)
-    channel_probs = {name: probs[:, i] for i, name in enumerate(BARE_MODES)}
-    return times, states, channel_probs, survival
+    return times, states, probs, survival
 
 
 def evolve_bare(params: SystemParams, initial, cfg: IntegratorConfig) -> Trajectory:
@@ -197,17 +199,13 @@ def evolve_bare(params: SystemParams, initial, cfg: IntegratorConfig) -> Traject
     return Trajectory(times, states, probs, surv, params)
 
 
-def occupations(traj: Trajectory) -> dict:
-    """Per-mode |amplitude|^2 series for a trajectory.
+def occupations(traj: Trajectory) -> np.ndarray:
+    """Per-mode |amplitude|^2 series for a trajectory, one row per time point.
 
-    Returns the five physical occupations and, projected with
-    :func:`normal_mode_matrix`, the five normal-mode occupations (keys
-    NORMAL_MODES), which are missing only for g = v = 0.
+    The (rows, 10) columns are (*BARE_MODES, *NORMAL_MODES), the column
+    order of the trajectory CSV: the five physical occupations, then the
+    five normal-mode occupations, projected with :func:`normal_mode_matrix`.
+    g = v = 0 has no normal basis and raises its ValueError.
     """
-    result = {k: np.abs(traj.states[:, i]) ** 2 for i, k in enumerate(BARE_MODES)}
-    try:
-        normal = traj.states @ normal_mode_matrix(traj.params).T
-    except ValueError:  # g = v = 0: no normal basis
-        return result
-    result.update({k: np.abs(normal[:, i]) ** 2 for i, k in enumerate(NORMAL_MODES)})
-    return result
+    normal = traj.states @ normal_mode_matrix(traj.params).T
+    return np.abs(np.concatenate([traj.states, normal], axis=1)) ** 2

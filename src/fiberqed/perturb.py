@@ -72,7 +72,6 @@ class PerturbativeModes:
     delta_s_plus / delta_s_minus : bright <-> cavity-dark mixing amplitudes
     eigenvalues : the variant's estimate of each quasi-mode eigenvalue
     amplitudes : t = 0 values (f+, f-, g) of the quasi-mode time functions
-    bs_cross : bright <-> bright first-order cross coefficient (refined only)
     second_order_shifts : eigenvalue corrections, in eigenvalues (refined only)
     """
 
@@ -81,7 +80,6 @@ class PerturbativeModes:
     delta_s_minus: complex
     eigenvalues: np.ndarray
     amplitudes: np.ndarray
-    bs_cross: complex = 0.0
     second_order_shifts: np.ndarray | None = None
 
     def time_functions(self, t) -> np.ndarray:
@@ -108,8 +106,8 @@ def perturbative_symmetric(params: SystemParams, variant: str = "standard") -> P
     appendix_alternative: d = 0, Gamma_D moved into the perturbation; the
                           cavity-dark eigenvalue is recovered only as a
                           first-order shift, which costs accuracy
-    appendix_refined    : standard placement plus the bright-bright cross
-                          term and second-order eigenvalue shifts
+    appendix_refined    : standard placement plus the second-order
+                          eigenvalue shifts
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
@@ -130,17 +128,16 @@ def perturbative_symmetric(params: SystemParams, variant: str = "standard") -> P
     dp = gsd / (d - gsp / 2 - 1j * zeta)
     dm = gsd / (d - gsp / 2 + 1j * zeta)
     eigenvalues = np.array([-(gsp / 2 + 1j * zeta), -(gsp / 2 - 1j * zeta), -gd])
-    shifts, cross = None, 0.0
+    shifts = None
     if variant == "appendix_refined":
         shifts = np.array([1j * gsm**2 / (8 * zeta) + gsd * dp,
                            -1j * gsm**2 / (8 * zeta) + gsd * dm, -gsd * (dp + dm)])
         eigenvalues = eigenvalues + shifts
-        cross = -1j * gsm / (4 * zeta)
 
     amplitudes = np.array(
         [(g / 2 - v * dp) / zeta, (g / 2 - v * dm) / zeta, (-(g / 2) * (dp + dm) - v) / zeta]
     )
-    return PerturbativeModes(variant, dp, dm, eigenvalues, amplitudes, cross, shifts)
+    return PerturbativeModes(variant, dp, dm, eigenvalues, amplitudes, shifts)
 
 
 def perturbative_cavity_amplitudes(

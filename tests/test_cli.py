@@ -18,6 +18,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from fiberqed import (
     AccuracyWarning,
+    ConfigInvalid,
     LabelAmbiguous,
     SystemParams,
     bare_generator,
@@ -438,7 +439,7 @@ def test_non_finite_integrator_setting_exits_2(tmp_path, capsys, setting):
     "dt, t_max, message",
     [
         ("1.0", "0.1", "exceeds the horizon"),  # one step would run past t_max
-        ("0.06", "20", "stability region"),  # RK4 step radius 1 + 0.344
+        ("0.06", "24", "stability region"),  # RK4 step radius 1 + 0.344
         ("1e100", "1e100", "spectral radius 1 + inf"),  # the step matrix overflows
     ],
 )
@@ -461,6 +462,10 @@ def test_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
     assert "t_max = 0.1 is not a whole number of steps dt = 0.04" in err
     assert "t = 0.08" in err
     assert not list(tmp_path.glob("*.csv"))
+    # a rule of the step grid alone, so the scenario is refused when it is parsed
+    with pytest.raises(ConfigInvalid) as caught:
+        parse_scenario(cfg)
+    assert f"config error: {caught.value}" in err
 
 
 def test_stable_coarse_time_step_runs(tmp_path, capsys):

@@ -152,7 +152,6 @@ class TestPerturbativeSymmetric:
         r = derive_rates(FIG5)
         dp = r.gamma_sd / (r.gamma_d - r.gamma_s_plus / 2 - 1j * r.zeta)
         dm = np.conj(dp)
-        assert modes.bs_cross == pytest.approx(-1j * r.gamma_s_minus / (4 * r.zeta))
         bs_plus, _, cd = modes.second_order_shifts
         assert cd == pytest.approx(-r.gamma_sd * (dp + dm))
         assert bs_plus == pytest.approx(

@@ -273,7 +273,7 @@ class TestIntegrals:
         freq_total = integrated_spectrum(spec)
         eta_min = (-decomp.eigenvalues.real).min()
         traj = atom1_oracle(FIG8, t_max=round(10 / eta_min, 6), record_every=5000)
-        time_total = traj.channel_probs["cavity1"][-1]
+        time_total = traj.channel_probs[-1, BARE_MODES.index("cavity1")]
         assert abs(freq_total - time_total) / time_total < 1e-4
 
     def test_all_channels_account_for_the_whole_excitation(self):
