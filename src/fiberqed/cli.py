@@ -188,6 +188,11 @@ def parse_scenario(path) -> Scenario:
                 raise ConfigInvalid(f"[sweep] {exc}") from None
             points.append(((parameter, value), point_params))
 
+    out_base = raw_run.get("out", path.stem)
+    if not out_base or os.path.basename(out_base) != out_base:
+        raise ConfigInvalid(f"[run] out = {out_base!r} is not a file name prefix: "
+                            "it is empty or holds a path separator")
+
     return Scenario(
         name=path.stem,
         initial=initial,
@@ -196,7 +201,7 @@ def parse_scenario(path) -> Scenario:
         integrator=integrator,
         omega_grid=omega_grid,
         points=tuple(points),
-        out_base=raw_run.get("out", path.stem),
+        out_base=out_base,
     )
 
 
@@ -309,23 +314,18 @@ def _open_untruncated(path, flags):
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _row_blocks(rows: np.ndarray):
-    """The bytes of rows (n, columns), formatted in blocks of at most _CELLS cells."""
-    step = max(1, _CELLS // rows.shape[1])
-    for start in range(0, len(rows), step):
-        yield _format_rows(rows[start:start + step])
-
-
 def _csv_bodies(data: np.ndarray) -> list:
     """The CSV body of each file of data (files, rows, columns), as byte pieces.
 
     Files that fit _CELLS together are formatted in one _format_rows call,
     whose bytes are split after the last row of each file; the files of a
-    larger stack are formatted one at a time, in blocks, as they are written.
+    larger stack are formatted one at a time, in blocks of rows of at most
+    _CELLS cells, as they are written.
     """
     n_files, n_rows, n_cols = data.shape
     if data.size > _CELLS:
-        return [_row_blocks(rows) for rows in data]
+        step = max(1, _CELLS // n_cols)
+        return [map(_format_rows, np.split(rows, range(step, n_rows, step))) for rows in data]
     text = _format_rows(data.reshape(n_files * n_rows, n_cols))
     newlines = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))
     ends = (newlines[n_rows - 1::n_rows] + 1).tolist()
@@ -337,12 +337,17 @@ def _write_csv(path: Path, header, body) -> None:
     """Write the header lines, then the byte pieces of the body (see _csv_bodies).
 
     An existing file is overwritten in place and then cut to the new length,
-    so it ends up with the same bytes as one opened with truncation.
+    so it ends up with the same bytes as one opened with truncation.  An
+    OSError names path, also one from a write or flush, which names no file.
     """
-    with open(path, "wb", opener=_open_untruncated) as fh:
-        fh.write(("\n".join(header) + "\n").encode())
-        fh.writelines(body)
-        fh.truncate()
+    try:
+        with open(path, "wb", opener=_open_untruncated) as fh:
+            fh.write(("\n".join(header) + "\n").encode())
+            fh.writelines(body)
+            fh.truncate()
+    except OSError as exc:
+        exc.filename = path
+        raise
 
 
 def _spectral_results(scn: Scenario, decomps):
@@ -363,8 +368,20 @@ def _spectral_results(scn: Scenario, decomps):
         columns = (["omega", "total"] + [f"lorentzian_{n}" for n in labels]
                    + [f"w_{j}_{k}" for j, k in combinations(labels, 2)] + ["lorentzian_sum"])
         layout = [(f"decomposition_{c}", columns) for c in scn.channels]
+
+        def columns_of(spec, grid):  # one file per point and channel
+            prefactor = spec.prefactor[..., None]
+            data = np.concatenate([
+                grid[:, :, None], spec.spectrum[:, :, None],
+                prefactor * spec.lorentzians, prefactor * spec.interferences,
+                spectra.lorentzian_approximation(spec)[:, :, None],
+            ], axis=2)  # (points, C, columns, G)
+            return data.reshape(-1, *data.shape[2:])
     else:
         layout = [("spectrum", ["omega", *scn.channels])]
+
+        def columns_of(spec, grid):  # one file per point
+            return np.concatenate([grid[:, :1], spec.spectrum], axis=1)
     n_rows = (scn.omega_grid.size if scn.omega_grid is not None
               else spectra._GRID_POINTS)
     per_chunk = max(1, _CELLS // (n_rows * sum(len(cols) for _, cols in layout)))
@@ -380,7 +397,10 @@ def _spectral_results(scn: Scenario, decomps):
             results[i] = totals  # an error stays as the result
         ok = [i for i in ok if not isinstance(results[i], Exception)]
         if ok:
-            bodies = iter(_csv_bodies(_chunk_rows(scn, [chunk[i] for i in ok])))
+            spec = spectra.channel_spectra([chunk[i] for i in ok], scn.channels, scn.omega_grid)
+            grid = np.broadcast_to(spec.omega_grid, spec.amplitude.shape)
+            # (files, columns, G) to the rows of each file
+            bodies = iter(_csv_bodies(columns_of(spec, grid).transpose(0, 2, 1)))
             for i in ok:
                 totals = dict(zip(BARE_MODES, results[i].tolist()))
                 results[i] = ((chunk[i].eigenvalues, chunk[i].labels), totals,
@@ -410,25 +430,8 @@ def _trajectory_results(scn: Scenario, decomps):
         data = np.column_stack((traj.times, dynamics.occupations(traj), traj.survival,
                                 traj.channel_probs))
         totals = dict(zip(BARE_MODES, traj.channel_probs[-1]), survival=traj.survival[-1])
-        yield (eig, totals, [("trajectory", cols, _row_blocks(data))],
+        yield (eig, totals, [("trajectory", cols, _csv_bodies(data[None])[0])],
                traj.conservation_residual(), source)
-
-
-def _chunk_rows(scn: Scenario, decomps) -> np.ndarray:
-    """CSV rows (files, grid points, columns) of runnable spectral points, in file order."""
-    spec = spectra.channel_spectra(decomps, scn.channels, scn.omega_grid)
-    grid = np.broadcast_to(spec.omega_grid, spec.amplitude.shape)
-    if scn.run == "spectrum":
-        data = np.concatenate([grid[:, :1], spec.spectrum], axis=1)  # (points, columns, G)
-    else:
-        prefactor = spec.prefactor[..., None]
-        data = np.concatenate([
-            grid[:, :, None], spec.spectrum[:, :, None],
-            prefactor * spec.lorentzians, prefactor * spec.interferences,
-            spectra.lorentzian_approximation(spec)[:, :, None],
-        ], axis=2)  # (points, C, columns, G): one file per point and channel
-        data = data.reshape(-1, *data.shape[2:])
-    return data.transpose(0, 2, 1)
 
 
 def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point, result):
@@ -513,6 +516,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # creating the output directory or writing a file
+        print(f"output error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -8,11 +8,12 @@ positivity of the total.  A channel is held as arrays: its labels, its
 row of chi coefficients and the five eigenvalues.  Its grid arrays come
 from one broadcast pole kernel, stacked over leading axes, so the
 channels of many parameter points are evaluated in one pass
-(:func:`channel_spectra`) and one channel of one point is the case
-N = 1 (:func:`channel_spectrum`).  The Lorentzian and interference
-integrals are read from one (5, 5) pair matrix of closed forms; the
-integrated spectrum of every channel, single or stacked, comes from the
-Gramian of the bare generator, one stacked linear solve for many points.
+(:func:`channel_spectra`), the one place a spectrum is built; one
+channel of one point (:func:`channel_spectrum`) is its entry [0, 0].
+The Lorentzian and interference integrals are read from one (5, 5) pair
+matrix of closed forms; the integrated spectrum of every channel, single
+or stacked, comes from the Gramian of the bare generator, one stacked
+linear solve for many points.
 """
 
 from __future__ import annotations
@@ -52,11 +53,6 @@ def spectral_function(omega, lam) -> np.ndarray:
     return 1.0 / (-lam.real - 1j * (omega + lam.imag))
 
 
-def _channel_prefactors(params: SystemParams) -> np.ndarray:
-    # spectral density per unit angular frequency: the channel's flux weight / 2 pi
-    return flux_weights(params) / (2 * np.pi)
-
-
 def default_omega_grid(params: SystemParams) -> np.ndarray:
     """Uniform grid spanning [-2 zeta - 5 Gamma_max, +2 zeta + 5 Gamma_max]."""
     r = derive_rates(params)
@@ -66,15 +62,6 @@ def default_omega_grid(params: SystemParams) -> np.ndarray:
     )
     half = 2 * r.zeta + 5 * gamma_max
     return np.linspace(-half, half, _GRID_POINTS)
-
-
-def _check_grid(omega_grid) -> np.ndarray:
-    grid = np.asarray(omega_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise GridInvalid("omega grid must be a non-empty 1-d array")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise GridInvalid("omega grid must be strictly increasing")
-    return grid
 
 
 def _divergences(chi, lam) -> dict:
@@ -214,17 +201,14 @@ def channel_spectrum(
 
     Atom channels carry the prefactor gamma/2pi, cavities kappa_i/pi and
     the fiber kappa_b/pi; the squared Laplace transform is evaluated in
-    closed form from the chi coefficients and eigenvalues.  This is the
-    N = 1 case of :func:`channel_spectra`, with the bits of its entry.
+    closed form from the chi coefficients and eigenvalues.  This is entry
+    [0, 0] of channel_spectra([decomp], [channel], omega_grid): its arrays
+    without the leading axes, a float prefactor and a str channel.
     """
-    (index,) = _channel_rows([channel])
-    prefactor = float(_channel_prefactors(decomp.params)[index])
-    if omega_grid is None:
-        omega_grid = default_omega_grid(decomp.params)
-    grid = _check_grid(omega_grid)
+    spec = channel_spectra([decomp], [channel], omega_grid)
     return SpectrumDecomposition(
-        channel, prefactor, decomp.labels, decomp.chi_coeffs[index], decomp.eigenvalues, grid,
-        (decomp,),
+        channel, float(spec.prefactor[0, 0, 0]), spec.labels, spec.chi[0, 0],
+        spec.eigenvalues[0, 0], spec.omega_grid.ravel(), spec.decomps,
     )
 
 
@@ -242,11 +226,16 @@ def channel_spectra(decomps, channels, omega_grid=None) -> SpectrumDecomposition
     if omega_grid is None:
         grid = np.stack([default_omega_grid(d.params) for d in decomps])[:, None, :]
     else:
-        grid = _check_grid(omega_grid)
+        grid = np.asarray(omega_grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0:
+            raise GridInvalid("omega grid must be a non-empty 1-d array")
+        if grid.size > 1 and not np.all(np.diff(grid) > 0):
+            raise GridInvalid("omega grid must be strictly increasing")
     labels = {d.labels for d in decomps}
     return SpectrumDecomposition(
         tuple(channels),
-        np.array([_channel_prefactors(d.params)[rows] for d in decomps])[..., None],
+        # spectral density per unit angular frequency: the channel's flux weight / 2 pi
+        np.array([flux_weights(d.params)[rows] / (2 * np.pi) for d in decomps])[..., None],
         labels.pop() if len(labels) == 1 else None,
         np.array([d.chi_coeffs[rows] for d in decomps]),
         np.array([d.eigenvalues for d in decomps])[:, None, :],

@@ -641,6 +641,66 @@ def test_unknown_run_type_exits_2(tmp_path, capsys):
     assert "hologram" in capsys.readouterr().err
 
 
+SWEEP = "\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+
+
+# (run type, edit of BASE, the whole stderr line); {cfg} is the config's path
+@pytest.mark.parametrize("kind, edit, message", [
+    ("spectrum", lambda t: t.replace("gamma = 5.2\n", ""), "[params] missing key gamma"),
+    ("spectrum", lambda t: t.replace("g = 7\n", "g = 7\ng = 8\n"),
+     "cannot parse {cfg}: While reading from {cfg!r} [line  3]: "
+     "option 'g' in section 'params' already exists"),
+    ("spectrum", lambda t: t + "\n[x]\nk = 1\n", "unknown section [x]"),
+    ("spectrum", lambda t: t.replace("initial = atom1", "initial = photon"),
+     "[run] initial = 'photon' is not a mode name"),
+    ("spectrum", lambda t: t.replace("record_every = 10", "record_every = 2.5"),
+     "[run] record_every = '2.5' is not an integer"),
+    ("trajectory", lambda t: t.replace("t_max = 1.0\n", ""),
+     "[run] missing key t_max (required for trajectory runs)"),
+    ("spectrum", lambda t: t + "omega_min = -5\nomega_points = 11\n",
+     "[run] omega_min, omega_max and omega_points must be given together"),
+    ("spectrum", lambda t: t + SWEEP.format(parameter="detuning", values="1"),
+     "[sweep] parameter = 'detuning' is not one of g, v, kappa, kappa_b, gamma"),
+    ("spectrum", lambda t: t + SWEEP.format(parameter="g", values=","),
+     "[sweep] values must be a non-empty list of finite numbers"),
+    ("spectrum", lambda t: t + SWEEP.format(parameter="g", values="1, inf"),
+     "[sweep] values must be a non-empty list of finite numbers"),
+], ids=["missing-rate", "duplicate-key", "unknown-section", "initial", "record_every",
+        "t_max", "partial-grid", "sweep-parameter", "sweep-empty", "sweep-inf"])
+def test_config_refusal_exits_2_with_its_line(tmp_path, capsys, kind, edit, message):
+    cfg = write_cfg(tmp_path, edit(BASE.format(kind=kind)))
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(cfg=cfg)}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("out", ["sub/dir/x", ""])
+def test_out_that_is_not_a_file_name_prefix_exits_2(tmp_path, capsys, out):
+    cfg = write_cfg(tmp_path, BASE.format(kind="spectrum") + f"out = {out}\n")
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"config error: [run] out = {out!r} is not a file "
+                                       "name prefix: it is empty or holds a path separator\n")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_out_directory_that_is_a_file_exits_4(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE.format(kind="spectrum"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([str(cfg), "--out", str(taken)]) == 4
+    assert capsys.readouterr().err == f"output error: {taken}: File exists\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+def test_failed_write_names_its_file_and_exits_4(tmp_path, capsys):
+    # a write to /dev/full fails with ENOSPC; the OSError of a write names no file
+    cfg = write_cfg(tmp_path, BASE.format(kind="spectrum"))
+    target = tmp_path / "case_spectrum.csv"
+    target.symlink_to("/dev/full")
+    assert main([str(cfg), "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == f"output error: {target}: No space left on device\n"
+
+
 @pytest.mark.parametrize("kind", ["trajectory", "spectrum", "decomposition"])
 def test_uncoupled_run_exits_3(tmp_path, capsys, kind):
     text = BASE.format(kind=kind).replace("g = 7", "g = 0").replace("v = 4", "v = 0")

@@ -3,8 +3,12 @@
 The draws span twelve decades of every rate, exact zeros included, with
 kappa = kappa_b = 0 over-weighted: there only the atoms decay, a large v
 leaves the bright pair a decay rate far below the generator's scale, and
-the Gramian solve of the channel totals can lose it to rounding.  The
-contract pinned here is what the package promises today:
+the Gramian solve of the channel totals can lose it to rounding.  Four
+seeded draw classes go to the edges of the domain: the fiber-dark block's
+critical damping p = 0, approached to 1e-15 and met exactly; the cubic's
+double roots, found by bisection in g; the overdamped regime of both
+blocks; and one rate just below the 2.12e51 bound.  The contract pinned
+here is what the package promises today:
 
 - a draw ends in an answer, an error typed in fiberqed.errors, or the
   ValueError of derive_rates where g^2 + 2 v^2 is 0 (g = v = 0 or underflow);
@@ -27,10 +31,12 @@ from fiberqed import (
     SystemParams,
     channel_spectra,
     cli,
+    derive_rates,
     full_decomposition,
     single_excitation,
 )
-from fiberqed.model import BARE_MODES
+from fiberqed.eigen import _cubic_coefficients
+from fiberqed.model import _RATE_BOUND, BARE_MODES
 from fiberqed.spectra import stacked_totals
 
 N_DRAWS = 1000
@@ -88,9 +94,11 @@ def _flagged(totals):
     return abs(sum(totals.tolist()) - 1.0) > cli._RESIDUAL_BOUND
 
 
-def test_every_draw_answers_or_fails_typed(sample):
+def _tally(draws) -> Counter:
+    """Outcome counts of (params, initial, outcome name, totals, warnings) draws,
+    each held to the in-process contract."""
     tally = Counter()
-    for params, initial, name, totals, caught in sample:
+    for params, initial, name, totals, caught in draws:
         tally[name] += 1
         others = [w for w in caught if not issubclass(w.category, LabelAmbiguous)]
         assert not others, (params, initial, [str(w.message) for w in others])
@@ -102,13 +110,11 @@ def test_every_draw_answers_or_fails_typed(sample):
         if totals.min() < -1e-9:
             tally["answer: a negative total"] += 1
             assert _flagged(totals), (params, initial, totals)
-    print(f"{N_DRAWS} draws: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())))
+    return tally
 
 
-def test_cli_draws_exit_0_or_3_and_warn_on_their_residual(sample, tmp_path, capsys):
-    # the first draws whose totals the CLI must flag, then every 100th draw
-    flagged = [draw for draw in sample if draw[3] is not None and _flagged(draw[3])]
-    draws = flagged[:N_CLI // 2] + sample[::N_DRAWS // (N_CLI // 2)]
+def _cli_tally(draws, tmp_path, capsys) -> Counter:
+    """Exit counts of the draws run as spectrum scenarios, each held to the CLI contract."""
     tally = Counter()
     for k, (params, initial, name, _, _) in enumerate(draws):
         rates = "".join(f"{key} = {getattr(params, key)!r}\n" for key in cli.RATES)
@@ -130,4 +136,109 @@ def test_cli_draws_exit_0_or_3_and_warn_on_their_residual(sample, tmp_path, caps
         else:
             assert not warned and printed.err.startswith("domain error: "), printed.err
         tally[f"exit {code}" + (", AccuracyWarning" if warned else "")] += 1
+    return tally
+
+
+def test_every_draw_answers_or_fails_typed(sample):
+    tally = _tally(sample)
+    print(f"{N_DRAWS} draws: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())))
+
+
+def test_cli_draws_exit_0_or_3_and_warn_on_their_residual(sample, tmp_path, capsys):
+    # the first draws whose totals the CLI must flag, then every 100th draw
+    flagged = [draw for draw in sample if draw[3] is not None and _flagged(draw[3])]
+    draws = flagged[:N_CLI // 2] + sample[::N_DRAWS // (N_CLI // 2)]
+    tally = _cli_tally(draws, tmp_path, capsys)
     print(f"{len(draws)} CLI draws: " + ", ".join(f"{k} {v}" for k, v in sorted(tally.items())))
+
+
+# --- draw classes at the edges of the domain -------------------------------
+
+N_EDGE = 80  # draws per class
+N_EDGE_CLI = 4  # of which the first ones also run through the CLI
+
+
+def _log_uniform(rng, lo, hi, size):
+    return (10.0 ** rng.uniform(lo, hi, size)).tolist()
+
+
+def _p_zero_draws(rng):
+    """g = g_c (1 + r) with p = 0 at g_c = |gamma/2 - kappa| / 2, |r| in 1e-15 ... 1e-3,
+    and r = 0 exactly with probability 0.1."""
+    for _ in range(N_EDGE):
+        v, kappa, kappa_b, gamma = _log_uniform(rng, -3, 3, 4)
+        r = 0.0 if rng.random() < 0.1 else rng.choice([-1, 1]) * 10.0 ** -rng.uniform(3, 15)
+        params = SystemParams(g=abs(gamma / 2 - kappa) / 2 * (1 + r), v=v, kappa=kappa,
+                              kappa_b=kappa_b, gamma=gamma)
+        assert abs(derive_rates(params).p) <= 1e-1 * params.g, params
+        yield params
+
+
+def _conjugate_pair(params) -> bool:
+    # the sign of the cubic's discriminant: a conjugate pair, or three real roots
+    return _cubic_coefficients(derive_rates(params))[6] > 0
+
+
+def _double_root_draws(rng):
+    """The two floats of g on either side of a sign change of the cubic's discriminant,
+    found by bisection from the first change on a log grid of g."""
+    found = 0
+    while found < N_EDGE:
+        v, kappa, kappa_b, gamma = _log_uniform(rng, -3, 3, 4)
+        at = lambda g: SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
+        grid = max(kappa, kappa_b, gamma) * np.logspace(-4, 2, 25)
+        pair = [_conjugate_pair(at(g)) for g in grid.tolist()]
+        change = next((i for i in range(len(grid) - 1) if pair[i] != pair[i + 1]), None)
+        if change is None:
+            continue
+        lo, hi = grid[change:change + 2].tolist()
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            lo, hi = (mid, hi) if _conjugate_pair(at(mid)) == pair[change] else (lo, mid)
+        assert np.nextafter(lo, np.inf) == hi
+        found += 2
+        yield at(lo)
+        yield at(hi)
+
+
+def _overdamped_draws(rng):
+    """Couplings 1e-4 ... 1e-1 of the smallest loss scale, kept where both blocks
+    are overdamped: p imaginary and three real roots of the cubic."""
+    found = 0
+    while found < N_EDGE:
+        kappa, kappa_b, gamma = _log_uniform(rng, -2, 2, 3)
+        low = min(kappa, kappa_b, gamma, abs(gamma / 2 - kappa) / 2)
+        g, v = (low * x for x in _log_uniform(rng, -4, -1, 2))
+        params = SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
+        if derive_rates(params).p.imag > 0 and not _conjugate_pair(params):
+            found += 1
+            yield params
+
+
+def _near_bound_draws(rng):
+    """One rate (1 - 10^-u) times the 2.12e51 bound, u in 1 ... 15; the others as in
+    the main draws without zeros."""
+    for _ in range(N_EDGE):
+        rates = _log_uniform(rng, *DECADES, 5)
+        rates[rng.integers(5)] = _RATE_BOUND * (1 - 10.0 ** -rng.uniform(1, 15))
+        yield SystemParams(*rates)
+
+
+EDGE_CLASSES = {
+    "p=0": _p_zero_draws,
+    "double-root": _double_root_draws,
+    "overdamped": _overdamped_draws,
+    "near-rate-bound": _near_bound_draws,
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_CLASSES))
+def test_edge_draws_answer_or_fail_typed(name, tmp_path, capsys):
+    rng = np.random.default_rng(20261019)
+    draws = []
+    for params in EDGE_CLASSES[name](rng):
+        initial = BARE_MODES[rng.integers(5)]
+        draws.append((params, initial, *_outcome(params, initial)))
+    tally = _tally(draws)
+    cli_tally = _cli_tally(draws[:N_EDGE_CLI], tmp_path, capsys)
+    print(f"{name}, {len(draws)} draws: "
+          + ", ".join(f"{k} {v}" for k, v in sorted((tally + cli_tally).items())))

@@ -11,6 +11,7 @@ import pytest
 from fiberqed import (
     MODE_LABELS,
     DegenerateBlock,
+    InaccurateRoots,
     LabelAmbiguous,
     SingularMatrix,
     SystemParams,
@@ -501,6 +502,22 @@ class TestBatchedKernel:
         traj = atom1_oracle(COINCIDENT, t_max=3.0, record_every=100)
         recon = decomp.bare_amplitudes(traj.times).T
         assert np.abs(recon - traj.states).max() < 1e-8
+
+    def test_unlabeled_decomposition_has_no_index(self):
+        with pytest.warns(LabelAmbiguous):
+            decomp = full_decomposition(COINCIDENT)
+        with pytest.raises(LookupError, match="decomposition is unlabeled"):
+            decomp.index("QCD")
+
+    def test_single_block_raises_its_points_inaccurate_roots(self):
+        # zeta = 1e48 swamps the bright decay rate, as in the batch
+        rounded_away = SystemParams(g=1e48, v=FIG8.v, kappa=FIG8.kappa,
+                                    kappa_b=FIG8.kappa_b, gamma=FIG8.gamma)
+        (batched,) = full_decompositions([rounded_away])
+        assert isinstance(batched, InaccurateRoots)
+        with pytest.raises(InaccurateRoots) as raised:
+            symmetric_block(rounded_away)
+        assert str(raised.value) == str(batched)
 
     def test_one_failing_point_does_not_fail_the_batch(self):
         from fiberqed import full_decompositions
