@@ -19,7 +19,8 @@ import os
 import re
 import sys
 import warnings
-from configparser import ConfigParser, Error as ConfigParserError
+from configparser import (ConfigParser, DuplicateOptionError, DuplicateSectionError,
+                          Error as ConfigParserError, MissingSectionHeaderError)
 from dataclasses import dataclass, fields
 from itertools import combinations, repeat
 from pathlib import Path
@@ -81,14 +82,26 @@ def _section(cp: ConfigParser, name, allowed, required) -> dict:
     return raw
 
 
+def _read_error(exc: ConfigParserError) -> str:
+    """A ConfigParser read error as 'line n: fault', one line without the file name."""
+    if isinstance(exc, DuplicateOptionError):
+        return f"line {exc.lineno}: option {exc.option!r} in section {exc.section!r} already exists"
+    if isinstance(exc, DuplicateSectionError):
+        return f"line {exc.lineno}: section {exc.section!r} already exists"
+    if isinstance(exc, MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line.strip()!r} comes before the first [section] header"
+    # a ParsingError: (number, text) of each line, the text a repr in some Python versions
+    return f"line {exc.errors[0][0]}: not a [section] header or a key = value line"
+
+
 def parse_scenario(path) -> Scenario:
     """Parse and validate a scenario file; ConfigInvalid names bad keys."""
     path = Path(path)
-    cp = ConfigParser(inline_comment_prefixes=("#",))
+    cp = ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         read = cp.read(path)
     except ConfigParserError as exc:
-        raise ConfigInvalid(f"cannot parse {path}: {exc}") from None
+        raise ConfigInvalid(f"cannot parse {path}: {_read_error(exc)}") from None
     if not read:
         raise ConfigInvalid(f"config file {path} not found")
     for section in cp.sections():
@@ -222,32 +235,18 @@ def _header(scn: Scenario, params: SystemParams, columns, point=None) -> list:
 # CSV cells formatted per _format_rows call and per chunk of sweep points:
 # bounds the stacked spectra, the byte slots (~0.4 MB) and their temporaries.
 _CELLS = 1 << 14
-# A cell is formatted into a 24-byte slot of native-order words: (pad, sign,
-# leading digit, "."), three 4-digit groups, then ("e", exponent sign,
-# hundreds digit, tens, ones, delimiter, pad, pad); pads are 0 and dropped.
-_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-_DIGITS4 = np.empty((10, 10, 10, 10, 4), np.uint8)  # "0000" ... "9999"
-_DIGITS4[..., 0] = _DIGIT[:, None, None, None]
-_DIGITS4[..., 1] = _DIGIT[:, None, None]
-_DIGITS4[..., 2] = _DIGIT[:, None]
-_DIGITS4[..., 3] = _DIGIT
-_DIGITS4 = _DIGITS4.reshape(10_000, 4)
-_HEAD = np.zeros((20, 4), np.uint8)  # row 10 * signbit(x) + leading digit
-_HEAD[10:, 1] = ord("-")
-_HEAD[:, 2] = np.arange(20) % 10 + ord("0")
-_HEAD[:, 3] = ord(".")
-_EXPONENT = np.zeros((601, 8), np.uint8)  # row e + 300
-_EXPONENT[:, 0] = ord("e")
-_EXPONENT[:, 1] = np.where(np.arange(601) < 300, ord("-"), ord("+"))
-_EXPONENT[:, 2:5] = _DIGITS4[np.abs(np.arange(-300, 301)), 1:]
-_EXPONENT[201:400, 2] = 0  # |e| < 100 prints two digits
-_EXPONENT[:, 5] = ord(",")
-_HEAD = _HEAD.view(np.uint32).ravel()
-_GROUP = _DIGITS4.view(np.uint32).ravel()
-_EXPONENT = _EXPONENT.view(np.uint64).ravel()
+# A cell is formatted into a 24-byte slot of native-order words: _HEAD row
+# 10 * signbit(x) + leading digit (pad, sign, digit, "."), three _GROUP rows
+# "0000" ... "9999", then _EXPONENT row e + 300 ("e", "%+03d" % e with a pad
+# for the hundreds digit of |e| < 100, delimiter, pad, pad); pads are 0 and dropped.
+_GROUP = (np.stack(np.indices((10,) * 4, np.uint8), -1)  # [a, b, c, d] = (a, b, c, d)
+          + ord("0")).reshape(-1, 4).view(np.uint32)[:, 0]
+_HEAD = np.frombuffer(b"".join(b"\0%c%d." % (c, d) for c in b"\0-" for d in range(10)), np.uint32)
+_EXPONENT = np.frombuffer(b"".join(b"e%c%s,\0\0" % (x[0], x[1:].rjust(3, b"\0"))
+                                   for x in [b"%+03d" % e for e in range(-300, 301)]), np.uint64)
 # 10**k correctly rounded (the float parser rounds correctly), row k + 300
 _POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
-# s - floor(s) must be this far from 1/2 for rint(s) to be the correct mantissa
+# s must be this far from a half-integer for rint(s) to be the correct mantissa
 _TIE_GUARD = 2.0 ** -8
 
 
@@ -263,7 +262,7 @@ def _format_rows(rows: np.ndarray) -> bytes:
     |s - s_exact| <= (2u + u**2) s < 2.3e-3 for s <= 1e13 (u = 2**-53), and
     rint(s) is the correctly rounded mantissa unless s lies that close to a
     half-integer. A signed zero is exact: mantissa 0, exponent +00. Cells
-    with s within _TIE_GUARD = 2**-8 of a half-integer, non-finite values
+    with |s - m| >= 1/2 - _TIE_GUARD (s - m is exact), non-finite values
     and nonzero magnitudes outside the range are formatted by `_FMT % x`.
     """
     n_rows, n_cols = rows.shape
@@ -277,7 +276,7 @@ def _format_rows(rows: np.ndarray) -> bytes:
     e += (s >= 1e13).astype(np.int64) - (s < 1e12)
     s = a * _POW10[312 - e]
     m = np.rint(s)
-    fast &= np.abs(s - np.floor(s) - 0.5) > _TIE_GUARD
+    fast &= np.abs(s - m) < 0.5 - _TIE_GUARD
     fast |= zero
     carry = m == 1e13
     m = np.where(carry, 1e12, m)

@@ -74,6 +74,21 @@ def antisymmetric_block(params: SystemParams) -> EigenBlock:
     return EigenBlock(("QFD+", "QFD-"), lam[0], right[0], left[0])
 
 
+def _fiber_dark_roots(params: SystemParams, r) -> tuple:
+    """The fiber-dark eigenvalues (QFD+, QFD-) = -Gamma_A+/2 -+ i p, Python complex.
+
+    Overdamped (p = i|p|), QFD+ is the slow root -Gamma_A+/2 + |p|, which
+    cancels when g is small and one loss dominates; it is taken from the
+    product of the roots, g^2 + kappa gamma/2, over the fast one instead.
+    """
+    half, p = r.gamma_a_plus / 2, r.p
+    if p.imag == 0:
+        return -half - 1j * p, -half + 1j * p
+    product = params.g * params.g + params.kappa * params.gamma / 2
+    # 0.0 - keeps an exact zero root (g = 0 with kappa or gamma 0) +0.0
+    return complex(0.0 - product / (half + p.imag)), complex(-half - p.imag)
+
+
 def _antisymmetric_blocks(points, rates) -> tuple:
     """Stacked fiber-dark blocks: eigenvalues (N, 2), right and left (N, 2, 2).
 
@@ -84,8 +99,7 @@ def _antisymmetric_blocks(points, rates) -> tuple:
     """
     rows, failed = [], {}
     for i, (params, r) in enumerate(zip(points, rates)):
-        g = params.g
-        gp, gm, p = r.gamma_a_plus, r.gamma_a_minus, r.p
+        g, gm, p = params.g, r.gamma_a_minus, r.p
         if p == 0:
             failed[i] = DegenerateBlock(_CRITICAL_POINT)
             rows.append((np.nan,) * 10)
@@ -99,7 +113,7 @@ def _antisymmetric_blocks(points, rates) -> tuple:
                 -1j * gm / (4 * p), (p - g) / (2 * p),
                 1j * gm / (4 * p), (p + g) / (2 * p),
             )
-        rows.append((-gp / 2 - 1j * p, -gp / 2 + 1j * p, *vectors))
+        rows.append((*_fiber_dark_roots(params, r), *vectors))
     table = np.array(rows, dtype=complex).reshape(len(rows), 10)
     n = len(rows)
     return table[:, :2], table[:, 2:6].reshape(n, 2, 2), table[:, 6:].reshape(n, 2, 2), failed
@@ -112,7 +126,8 @@ def fiber_dark_amplitudes(params: SystemParams, t) -> tuple:
     The block is M = mu I + N with mu = -Gamma_A+/2 and N^2 = -p^2 I, so
     e^(Mt) = e^(mu t) [cos(pt) I + t sinc(pt) N] and
     A+- = e^(mu t)/2 [cos(pt) - t sinc(pt) (Gamma_A-/2 +- i g)].
-    Both factors are written over the slower exponent e^((mu - ip) t):
+    Both factors are written over the slower exponent e^((mu - ip) t),
+    mu - ip the QFD+ root of _fiber_dark_roots:
     cos(pt) = e^(-ipt) (1 + E/2) and t sinc(pt) = e^(-ipt) t E/z, with
     z = 2ipt, E = expm1(z) and E/z = 1 at z = 0.  No factor overflows for
     imaginary p (overdamped), and nothing cancels as p -> 0.
@@ -123,7 +138,7 @@ def fiber_dark_amplitudes(params: SystemParams, t) -> tuple:
     e = np.expm1(z)
     with np.errstate(divide="ignore", invalid="ignore"):  # z = 0 is replaced
         t_sinc = t * np.where(z == 0, 1.0, e / z)
-    env = 0.5 * np.exp((-r.gamma_a_plus / 2 - 1j * r.p) * t)
+    env = 0.5 * np.exp(_fiber_dark_roots(params, r)[0] * t)
     cos = 1 + e / 2
     half = r.gamma_a_minus / 2
     a_plus = env * (cos - t_sinc * (half + 1j * params.g))

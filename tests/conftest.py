@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,6 +42,17 @@ NEAR_EP = {
     "critical": dict(g=0.95, v=4, kappa=0.7, kappa_b=0.01, gamma=5.2),
     "double-root": dict(g=0.5132798211629388, v=1, kappa=1, kappa_b=8, gamma=0.5),
 }
+
+
+def exact_fiber_dark_roots(params) -> list:
+    """The fiber-dark roots (QFD+, QFD-), -Gamma_A+/2 -+ i p, of the float rates at
+    150 digits: the slow root of an overdamped pair cancels down to 1e-56 of
+    Gamma_A+/2 near the 2.12e51 rate bound, and p^2 spans 114 decades."""
+    with mpmath.workdps(150):
+        g, kappa, gamma = (mpmath.mpf(getattr(params, k)) for k in ("g", "kappa", "gamma"))
+        half = (gamma / 2 + kappa) / 2
+        p = mpmath.sqrt(mpmath.mpc(g * g - ((gamma / 2 - kappa) / 2) ** 2))
+        return [-half - 1j * p, -half + 1j * p]
 
 
 @lru_cache(maxsize=64)

@@ -648,8 +648,17 @@ SWEEP = "\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
 @pytest.mark.parametrize("kind, edit, message", [
     ("spectrum", lambda t: t.replace("gamma = 5.2\n", ""), "[params] missing key gamma"),
     ("spectrum", lambda t: t.replace("g = 7\n", "g = 7\ng = 8\n"),
-     "cannot parse {cfg}: While reading from {cfg!r} [line  3]: "
-     "option 'g' in section 'params' already exists"),
+     "cannot parse {cfg}: line 3: option 'g' in section 'params' already exists"),
+    ("spectrum", lambda t: t + "\n[params]\n",
+     "cannot parse {cfg}: line 16: section 'params' already exists"),
+    ("spectrum", lambda t: "g = 7\n" + t,
+     "cannot parse {cfg}: line 1: 'g = 7' comes before the first [section] header"),
+    ("spectrum", lambda t: t + "cavity1\n",
+     "cannot parse {cfg}: line 15: not a [section] header or a key = value line"),
+    # values are literal text: no %-interpolation
+    ("spectrum", lambda t: t.replace("g = 7\n", "g = 5%\n"), "[params] g = '5%' is not a number"),
+    ("spectrum", lambda t: t.replace("g = 7\n", "g = %(v)s\n"),
+     "[params] g = '%(v)s' is not a number"),
     ("spectrum", lambda t: t + "\n[x]\nk = 1\n", "unknown section [x]"),
     ("spectrum", lambda t: t.replace("initial = atom1", "initial = photon"),
      "[run] initial = 'photon' is not a mode name"),
@@ -665,8 +674,9 @@ SWEEP = "\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
      "[sweep] values must be a non-empty list of finite numbers"),
     ("spectrum", lambda t: t + SWEEP.format(parameter="g", values="1, inf"),
      "[sweep] values must be a non-empty list of finite numbers"),
-], ids=["missing-rate", "duplicate-key", "unknown-section", "initial", "record_every",
-        "t_max", "partial-grid", "sweep-parameter", "sweep-empty", "sweep-inf"])
+], ids=["missing-rate", "duplicate-key", "duplicate-section", "no-section-header",
+        "not-key-value", "percent", "interpolation", "unknown-section", "initial",
+        "record_every", "t_max", "partial-grid", "sweep-parameter", "sweep-empty", "sweep-inf"])
 def test_config_refusal_exits_2_with_its_line(tmp_path, capsys, kind, edit, message):
     cfg = write_cfg(tmp_path, edit(BASE.format(kind=kind)))
     assert main([str(cfg), "--out", str(tmp_path)]) == 2

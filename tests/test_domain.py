@@ -17,11 +17,16 @@ here is what the package promises today:
   with totals that miss their sum 1 by more than the CLI's AccuracyWarning
   bound, so a run flags it;
 - through the CLI, a draw exits 0 or 3, and warns AccuracyWarning exactly
-  when its printed conservation residual exceeds that bound.
+  when its printed conservation residual exceeds that bound;
+- the fiber-dark roots QFD+- of an answered draw are within the rounding
+  bound of their 150-digit values.
 """
 
 import warnings
 from collections import Counter
+from functools import cache
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +34,7 @@ from fiberqed import (
     AccuracyWarning,
     LabelAmbiguous,
     SystemParams,
+    antisymmetric_block,
     channel_spectra,
     cli,
     derive_rates,
@@ -38,6 +44,8 @@ from fiberqed import (
 from fiberqed.eigen import _cubic_coefficients
 from fiberqed.model import _RATE_BOUND, BARE_MODES
 from fiberqed.spectra import stacked_totals
+
+from conftest import exact_fiber_dark_roots
 
 N_DRAWS = 1000
 N_CLI = 20
@@ -231,14 +239,53 @@ EDGE_CLASSES = {
 }
 
 
-@pytest.mark.parametrize("name", list(EDGE_CLASSES))
-def test_edge_draws_answer_or_fail_typed(name, tmp_path, capsys):
+@cache
+def _edge_sample(name) -> list:
+    """The seeded draws of one edge class with their in-process outcomes (see sample)."""
     rng = np.random.default_rng(20261019)
     draws = []
     for params in EDGE_CLASSES[name](rng):
         initial = BARE_MODES[rng.integers(5)]
         draws.append((params, initial, *_outcome(params, initial)))
+    return draws
+
+
+@pytest.mark.parametrize("name", list(EDGE_CLASSES))
+def test_edge_draws_answer_or_fail_typed(name, tmp_path, capsys):
+    draws = _edge_sample(name)
     tally = _tally(draws)
     cli_tally = _cli_tally(draws[:N_EDGE_CLI], tmp_path, capsys)
     print(f"{name}, {len(draws)} draws: "
           + ", ".join(f"{k} {v}" for k, v in sorted((tally + cli_tally).items())))
+
+
+@pytest.mark.parametrize("name", ["main", *EDGE_CLASSES])
+def test_answered_fiber_dark_roots_match_high_precision(name, sample):
+    # The roots -Gamma_A+/2 -+ i p from the float rates, to first order in the
+    # unit roundoff u: Gamma_A+/2 rounds once (u Gamma_A+/2); Gamma_A-^2/4 carries
+    # 3u, g^2 u, and their difference d = p^2 one more rounding, so
+    # |delta d| <= 4u (g^2 + Gamma_A-^2/4), and |sqrt(d + delta d) - sqrt(d)| <=
+    # |delta d| / |p| on either side of p = 0; the square root adds u |p|.  The
+    # fast overdamped root adds u (Gamma_A+/2 + |p|); the slow one, the product
+    # g^2 + kappa gamma/2 (2u) over the sum Gamma_A+/2 + |p| (u), divided (u), is
+    # at most that sum in size: 5u (Gamma_A+/2 + |p| + (g^2 + Gamma_A-^2/4) / |p|)
+    # bounds every case.
+    draws = sample if name == "main" else _edge_sample(name)
+    answered = [params for params, _, outcome, _, _ in draws if outcome == "answer"]
+    u = np.finfo(float).eps / 2
+    checked = []  # (error / bound, error, bound, params)
+    for params in answered:
+        lam = antisymmetric_block(params).eigenvalues
+        exact = exact_fiber_dark_roots(params)
+        with mpmath.workdps(150):
+            p = abs(exact[1] - exact[0]) / 2
+            half = -(exact[0] + exact[1]).real / 2
+            g, kappa, gamma = (mpmath.mpf(getattr(params, k)) for k in ("g", "kappa", "gamma"))
+            scale = half + p + (g**2 + (gamma / 2 - kappa) ** 2 / 4) / p
+            err = max(abs(x - y) for x, y in zip(lam.tolist(), exact))
+            bound = 5 * u * scale
+        checked.append((float(err / bound), float(err), float(bound), params))
+    ratio, err, bound, params = max(checked, key=lambda c: c[0])
+    print(f"{name}: {len(answered)} answered draws, worst |lambda - exact| = {err:.3g} "
+          f"(bound {bound:.3g}) at {params}")
+    assert ratio <= 1

@@ -27,13 +27,26 @@ from fiberqed import (
 )
 from fiberqed.model import symmetric_generator
 
-from conftest import FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, atom1_oracle
+from conftest import FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, atom1_oracle, exact_fiber_dark_roots
+
+U = np.finfo(float).eps / 2  # unit roundoff
 
 
 def random_symmetric(rng):
     g, v = rng.uniform(0.5, 20, 2)
     kappa, kappa_b = rng.uniform(0.0, 3, 2)
     return SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=GAMMA)
+
+
+# overdamped fiber-dark pairs with one dominant loss and a small g: two points
+# in the domain sampler's range and a draw near the 2.12e51 rate bound
+SLOW_ROOTS = {
+    "kappa=1e6": SystemParams(g=1e-7, v=1.0, kappa=1e6, kappa_b=1.0, gamma=1e-6),
+    "kappa=1e4": SystemParams(g=1e-5, v=1.0, kappa=1e4, kappa_b=1.0, gamma=1e-4),
+    "near-bound": SystemParams(g=0.0004911013397148218, v=28.263913844086286,
+                               kappa=2.043224987691307e+51, kappa_b=621109.8233976194,
+                               gamma=0.00011079843771262597),
+}
 
 
 class TestAntisymmetricBlock:
@@ -93,6 +106,21 @@ class TestAntisymmetricBlock:
         assert derive_rates(params).p == 0
         with pytest.raises(DegenerateBlock):
             antisymmetric_block(params)
+
+    @pytest.mark.parametrize("params", SLOW_ROOTS.values(), ids=SLOW_ROOTS)
+    def test_overdamped_slow_root_does_not_cancel(self, params):
+        # -Gamma_A+/2 + |p| is two nearly equal numbers here.  The slow root is
+        # the product of the roots, g^2 + kappa gamma/2 (2u), over minus the fast
+        # one, Gamma_A+/2 (u) + |p| (3u from Gamma_A-^2/4 with g^2 << Gamma_A-^2/4,
+        # 4u from the difference, and the square root), added (u) and divided
+        # (u): 7u relative to first order.  The fast root adds one rounding.
+        assert derive_rates(params).p.imag > 0
+        lam = antisymmetric_block(params).eigenvalues
+        err = [float(abs(x - y) / abs(y)) for x, y in zip(lam, exact_fiber_dark_roots(params))]
+        bound = 7 * U
+        print(f"QFD+ = {lam[0].real:.14g}: relative errors {err[0]:.2g}, {err[1]:.2g} "
+              f"(bound {bound:.2g})")
+        assert max(err) <= bound
 
 
 class TestFiberDarkAmplitudes:
@@ -159,6 +187,29 @@ class TestFiberDarkAmplitudes:
         err = max((np.abs(a - b) / np.abs(b)).max() for a, b in zip((a_plus, a_minus), ref))
         bound = np.finfo(float).eps * np.abs(decomp.eigenvalues).max() * t[-1]
         print(f"max relative |A - eigen-sum| = {err:.2g} (bound {bound:.2g})")
+        assert err <= bound
+
+    def test_overdamped_slow_amplitude_does_not_cancel(self):
+        # A+- = e^(lambda_slow t)/2 [1 + E/2 - t E/z (Gamma_A-/2 +- i g)] with
+        # z = 2ipt and E = expm1(z) = -1 at t = 1/|lambda_slow|.  The exponent
+        # lambda_slow t carries the slow root's 7u (see TestAntisymmetricBlock)
+        # and its product's u, exp one more: 9u.  t E/z carries |p|'s 3u, the
+        # product 2ipt, the quotient and the product by t: 6u; times
+        # Gamma_A-/2 +- i g (u), a complex product (u), then added to 1/2 with
+        # the like sign (u): 9u.  The product of the two factors adds 2u: 20u.
+        params = SLOW_ROOTS["kappa=1e6"]
+        slow, fast = exact_fiber_dark_roots(params)
+        t = float(-1 / slow.real)
+        amplitudes = fiber_dark_amplitudes(params, np.array([t]))
+        with mpmath.workdps(150):
+            z = (fast - slow) * t
+            e = mpmath.expm1(z)
+            half = (mpmath.mpf(params.gamma) / 2 - params.kappa) / 2
+            exact = [mpmath.exp(slow * t) / 2 * (1 + e / 2 - t * e / z * (half + 1j * g))
+                     for g in (params.g, -params.g)]
+            err = max(float(abs(a[0] - b) / abs(b)) for a, b in zip(amplitudes, exact))
+        bound = 20 * U
+        print(f"max relative |A - exact| = {err:.2g} (bound {bound:.2g})")
         assert err <= bound
 
 

@@ -584,7 +584,7 @@ class TestCavityCoefficients:
 
     def test_coefficients_sum_to_perturbative_amplitudes(self, rng):
         # alpha_c(t) = sum_j chi_cj e^(lambda_j t) over the variant's three
-        # eigenvalues and the exact fiber-dark pair -Gamma_A+/2 -+ i p.  Each
+        # eigenvalues and the exact decomposition's fiber-dark pair.  Each
         # side rounds each term |chi_j e^(lambda_j t)| <= |chi_j| a few times
         # (t >= 0, every lambda decays), so they agree to a few eps sum |chi_j|.
         eps = np.finfo(float).eps
@@ -595,8 +595,7 @@ class TestCavityCoefficients:
                 g, v = np.exp(rng.uniform(np.log(0.1), np.log(100.0), 2))
                 kappa, kappa_b, gamma = np.exp(rng.uniform(np.log(0.01), np.log(10.0), 3))
                 params = SystemParams(g=g, v=v, kappa=kappa, kappa_b=kappa_b, gamma=gamma)
-                r = derive_rates(params)
-                fiber_dark = [-r.gamma_a_plus / 2 - 1j * r.p, -r.gamma_a_plus / 2 + 1j * r.p]
+                fiber_dark = full_decomposition(params).eigenvalues[3:]
                 for variant in VARIANTS:
                     sym = perturbative_symmetric(params, variant).eigenvalues
                     if sym.real.max() >= 0:
