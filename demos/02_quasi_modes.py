@@ -10,7 +10,6 @@ import numpy as np
 from fiberqed import (
     IntegratorConfig,
     SystemParams,
-    antisymmetric_block,
     derive_rates,
     evolve_bare,
     fiber_dark_amplitudes,
@@ -30,7 +29,8 @@ for g in (2.0, 0.95, 0.8, 0.5):
         lam = "double eigenvalue -Gamma_A+/2 = -1.8"
     else:
         regime = "underdamped" if p.imag == 0 else "overdamped"
-        lam = ", ".join(f"{x:.4f}" for x in antisymmetric_block(params).eigenvalues)
+        qfd = full_decomposition(params).eigenvalues[3:]  # QFD+, QFD- in MODE_LABELS order
+        lam = ", ".join(f"{x:.4f}" for x in qfd)
     print(f"g = {g:4.2f}: p = {p:.4f}  -> {regime:35s} eigenvalues: {lam}")
 
 print("\n=== five-mode decomposition at g=7, v=4 ===")

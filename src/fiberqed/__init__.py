@@ -42,11 +42,9 @@ from .dynamics import (
 from .eigen import (
     MODE_LABELS,
     QuasiModeDecomposition,
-    antisymmetric_block,
     fiber_dark_amplitudes,
     full_decomposition,
     full_decompositions,
-    symmetric_block,
 )
 from .perturb import (
     PerturbativeModes,
@@ -58,13 +56,11 @@ from .perturb import (
 )
 from .spectra import (
     SpectrumDecomposition,
-    channel_spectra,
     channel_spectrum,
     default_omega_grid,
     integrated_spectrum,
     lorentzian_approximation,
     spectral_function,
-    stacked_totals,
 )
 
 __version__ = "0.1.0"

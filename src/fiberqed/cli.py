@@ -99,9 +99,12 @@ def parse_scenario(path) -> Scenario:
     path = Path(path)
     cp = ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
-        read = cp.read(path)
+        read = cp.read(path, encoding="utf-8")
     except ConfigParserError as exc:
         raise ConfigInvalid(f"cannot parse {path}: {_read_error(exc)}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"cannot parse {path}: byte {exc.object[exc.start]:#x} "
+                            "is not UTF-8") from None
     if not read:
         raise ConfigInvalid(f"config file {path} not found")
     for section in cp.sections():
@@ -354,7 +357,7 @@ def _spectral_results(scn: Scenario, decomps):
 
     A point's error is its decomposition error, then, in a decomposition
     run, UnlabeledModes, then the error of its totals (see
-    spectra.stacked_totals); its residual is |sum of totals - 1|, 0 by the
+    spectra.integrated_spectrum); its residual is |sum of totals - 1|, 0 by the
     Gramian's trace identity.  The points go in chunks of at most _CELLS CSV
     cells (at least one point).  The runnable points of a chunk get their
     totals from one stacked Gramian solve, their spectra from one stacked
@@ -392,11 +395,11 @@ def _spectral_results(scn: Scenario, decomps):
                    else UnlabeledModes(_UNLABELED) if decomposition and decomp.labels is None
                    else None for decomp in chunk]
         ok = [i for i, error in enumerate(results) if error is None]
-        for i, totals in zip(ok, spectra.stacked_totals([chunk[i] for i in ok])):
+        for i, totals in zip(ok, spectra.integrated_spectrum([chunk[i] for i in ok])):
             results[i] = totals  # an error stays as the result
         ok = [i for i in ok if not isinstance(results[i], Exception)]
         if ok:
-            spec = spectra.channel_spectra([chunk[i] for i in ok], scn.channels, scn.omega_grid)
+            spec = spectra.channel_spectrum([chunk[i] for i in ok], scn.channels, scn.omega_grid)
             grid = np.broadcast_to(spec.omega_grid, spec.amplitude.shape)
             # (files, columns, G) to the rows of each file
             bodies = iter(_csv_bodies(columns_of(spec, grid).transpose(0, 2, 1)))
@@ -422,15 +425,15 @@ def _trajectory_results(scn: Scenario, decomps):
     for (_, params), decomp in zip(scn.points, decomps):
         if isinstance(decomp, Exception) and not isinstance(decomp, DegenerateBlock):
             yield decomp
-            continue
-        eig = ((decomp.eigenvalues, decomp.labels) if not isinstance(decomp, Exception)
-               else (np.linalg.eigvals(bare_generator(params)), None))
-        traj = dynamics.evolve_bare(params, single_excitation(scn.initial), scn.integrator)
-        data = np.column_stack((traj.times, dynamics.occupations(traj), traj.survival,
-                                traj.channel_probs))
-        totals = dict(zip(BARE_MODES, traj.channel_probs[-1]), survival=traj.survival[-1])
-        yield (eig, totals, [("trajectory", cols, _csv_bodies(data[None])[0])],
-               traj.conservation_residual(), source)
+        else:
+            eig = ((decomp.eigenvalues, decomp.labels) if not isinstance(decomp, Exception)
+                   else (np.linalg.eigvals(bare_generator(params)), None))
+            traj = dynamics.evolve_bare(params, single_excitation(scn.initial), scn.integrator)
+            data = np.column_stack((traj.times, dynamics.occupations(traj), traj.survival,
+                                    traj.channel_probs))
+            totals = dict(zip(BARE_MODES, traj.channel_probs[-1]), survival=traj.survival[-1])
+            yield (eig, totals, [("trajectory", cols, _csv_bodies(data[None])[0])],
+                   traj.conservation_residual(), source)
 
 
 def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point, result):

@@ -64,8 +64,8 @@ class Trajectory:
     per time point; :func:`occupations` projects them onto the normal modes.
     channel_probs[:, c] is the cumulative probability that the photon was
     detected in channel c by time t, in BARE_MODES order like the entries of
-    spectra.stacked_totals; survival is the remaining norm^2.  At every grid
-    point survival + channel_probs.sum(1) = 1 up to integration error.
+    spectra.integrated_spectrum; survival is the remaining norm^2.  At every
+    grid point survival + channel_probs.sum(1) = 1 up to integration error.
     params is the parameter set that was evolved.
     """
 

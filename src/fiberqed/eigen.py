@@ -7,9 +7,9 @@ g = v = 0 has no normal modes and is refused with the error of
 :func:`fiberqed.model.derive_rates`.  Left and right eigenvectors are
 kept as a bi-orthogonal pair, V^-1 V = I.
 
-All of it is one kernel stacked over a leading axis of parameter points
-(:func:`full_decompositions`); a single point is the case N = 1, and N
-points give the bits of N single calls.
+One kernel, stacked over a leading axis of points, does all of it:
+:func:`full_decompositions`, with the blocks :func:`symmetric_block` and
+:func:`antisymmetric_block`; N points give the bits of N single points.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import (ANTI_ROWS, SYM_ROWS, SystemParams, _amplitudes, derive_rates
 
 __all__ = [
     "MODE_LABELS",
-    "EigenBlock",
     "QuasiModeDecomposition",
     "antisymmetric_block",
     "symmetric_block",
@@ -49,31 +48,6 @@ _CUBE_ROOT_OF_UNITY = np.exp(2j * np.pi / 3.0)
 _CRITICAL_POINT = "p = 0: the anti-symmetric block is critically damped and defective"
 
 
-@dataclass
-class EigenBlock:
-    """Eigenvalues plus right (columns) / left (rows) vectors of one block."""
-
-    labels: tuple
-    eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
-
-
-def antisymmetric_block(params: SystemParams) -> EigenBlock:
-    """Quasi fiber-dark modes of the 2x2 anti-symmetric block.
-
-    Vectors are expressed over (FD+, FD-) and kept unnormalized,
-    |QFD+-> = 2i(g +- p)/Gamma_A- |FD+> + |FD->; the left vectors absorb
-    the scale so that left @ right = I.  By continuity from the decoupled
-    limit, QFD+ (the continuation of FD+, which oscillates at +g) carries
-    the eigenvalue -Gamma_A+/2 - i p.
-    """
-    lam, right, left, failed = _antisymmetric_blocks([params], [derive_rates(params)])
-    if failed:
-        raise failed[0]
-    return EigenBlock(("QFD+", "QFD-"), lam[0], right[0], left[0])
-
-
 def _fiber_dark_roots(params: SystemParams, r) -> tuple:
     """The fiber-dark eigenvalues (QFD+, QFD-) = -Gamma_A+/2 -+ i p, Python complex.
 
@@ -89,13 +63,18 @@ def _fiber_dark_roots(params: SystemParams, r) -> tuple:
     return complex(0.0 - product / (half + p.imag)), complex(-half - p.imag)
 
 
-def _antisymmetric_blocks(points, rates) -> tuple:
-    """Stacked fiber-dark blocks: eigenvalues (N, 2), right and left (N, 2, 2).
+def antisymmetric_block(points, rates) -> tuple:
+    """Quasi fiber-dark modes of the 2x2 anti-symmetric blocks, a stacked
+    kernel of :func:`full_decompositions`.
 
-    The closed forms are evaluated per point in Python complex arithmetic,
-    which divides by a real Gamma_A- where numpy would multiply by its
-    reciprocal.  Points at p = 0 get NaN entries and a DegenerateBlock in
-    the returned {index: error} map.
+    points and their derive_rates give eigenvalues (N, 2) in (QFD+, QFD-)
+    order, right (columns) and left (rows) vectors (N, 2, 2) over (FD+, FD-)
+    and an {index: DegenerateBlock} map of the points at p = 0, whose
+    entries are NaN.  Vectors are unnormalized, |QFD+-> = 2i(g +- p)/Gamma_A-
+    |FD+> + |FD->, and left @ right = I.  QFD+, the continuation of FD+
+    (which oscillates at +g), has the eigenvalue -Gamma_A+/2 - i p.  The
+    closed forms are evaluated in Python complex arithmetic, which divides
+    by a real Gamma_A- where numpy would multiply by its reciprocal.
     """
     rows, failed = [], {}
     for i, (params, r) in enumerate(zip(points, rates)):
@@ -281,29 +260,20 @@ def _inverse(mats, rhs=None) -> tuple:
     return x, {int(i): SingularMatrix("Singular matrix") for i in np.flatnonzero(singular)}
 
 
-def symmetric_block(params: SystemParams) -> EigenBlock:
-    """Quasi bright + cavity-dark modes of the symmetric 3x3 block.
+def symmetric_block(rates) -> tuple:
+    """Quasi bright + cavity-dark modes of the symmetric 3x3 blocks, a
+    stacked kernel of :func:`full_decompositions`.
 
-    Eigenvalues come from the closed-form cubic, whose real coefficients
-    give either a conjugate pair plus a real root or three real roots.  A
-    pair is the bright QBS+- (QBS+ oscillates at +zeta, Im lambda < 0) and
-    the real root is QCD.  With three real roots (the bright pair is
-    overdamped) QCD is the root whose vector has the largest D component,
-    and QBS+ is the slower of the other two, continuing Im lambda < 0 as
-    QFD+ does for imaginary p.  If two eigenvalues coincide within 1e-5 of
-    the largest |lambda| a LabelAmbiguous warning is emitted and the block
-    is returned unlabeled, from a dense eigensolve.
-    """
-    lam, right, left, labeled, failed = _symmetric_blocks([derive_rates(params)])
-    if failed:
-        raise failed[0]
-    labels = ("QBS+", "QBS-", "QCD") if labeled[0] else None
-    return EigenBlock(labels, lam[0], right[0], left[0])
-
-
-def _symmetric_blocks(rates) -> tuple:
-    """Stacked symmetric blocks: eigenvalues (N, 3), right and left (N, 3, 3),
-    a labeled mask (N,) and an {index: error} map (see :func:`symmetric_block`).
+    The derive_rates of N points give eigenvalues (N, 3) in (QBS+, QBS-,
+    QCD) order, right (columns) and left (rows) vectors (N, 3, 3) over
+    (S+, S-, D), a labeled mask (N,) and an {index: SingularMatrix or
+    InaccurateRoots} map.  The closed-form cubic gives a conjugate pair,
+    the bright QBS+- (QBS+ oscillates at +zeta, Im lambda < 0), plus the
+    real QCD; or three real roots (an overdamped bright pair), of which QCD
+    has the largest D component and QBS+ is the slower of the other two.
+    Roots that coincide within 1e-5 of the largest |lambda| warn
+    LabelAmbiguous and leave the point unlabeled, its block from a dense
+    eigensolve.
     """
     n = len(rates)
     coeffs = np.array([_cubic_coefficients(r) for r in rates]).reshape(n, 7)
@@ -397,6 +367,9 @@ def full_decomposition(params: SystemParams, initial=None) -> QuasiModeDecomposi
     :func:`fiberqed.model.derive_rates`.  initial is array-like, 5 finite
     complex amplitudes in BARE_MODES order (ValueError otherwise); the
     default is the excited atom 1.
+
+    The one single-point spelling of :func:`full_decompositions`, kept
+    because most callers want one decomposition that raises its error.
     """
     (result,) = full_decompositions([params], initial)
     if isinstance(result, Exception):
@@ -436,8 +409,8 @@ def full_decompositions(points, initial=None) -> list:
     if not ok:
         return results
     points = [points[i] for i in ok]
-    sym_lam, sym_right, sym_left, labeled, sym_failed = _symmetric_blocks(rates)
-    anti_lam, anti_right, anti_left, anti_failed = _antisymmetric_blocks(points, rates)
+    sym_lam, sym_right, sym_left, labeled, sym_failed = symmetric_block(rates)
+    anti_lam, anti_right, anti_left, anti_failed = antisymmetric_block(points, rates)
     n = len(points)
     right = np.zeros((n, 5, 5), dtype=complex)
     left = np.zeros((n, 5, 5), dtype=complex)

@@ -156,6 +156,7 @@ def normal_mode_matrix(params: SystemParams) -> np.ndarray:
 
     Rows are (S+, S-, A+, A-, D) expressed over columns
     (xi1, xi2, alpha1, alpha2, beta); the inverse map is the transpose.
+    Kept beside the stacked :func:`mode_matrices` for a point known by its params.
     """
     return mode_matrices(params.g, params.v, derive_rates(params).zeta)
 
@@ -200,6 +201,8 @@ def normal_generator(params: SystemParams) -> np.ndarray:
     The symmetric block sits on SYM_ROWS and the anti-symmetric (A+, A-)
     block on ANTI_ROWS.  Sign convention: dS+/dt and dS-/dt gain
     +Gamma_SD * D, and dD/dt = -Gamma_D * D + Gamma_SD * (S+ + S-).
+    Kept next to its stacked symmetric block :func:`symmetric_generator`
+    as the one dense form of the normal-mode equations.
     """
     r = derive_rates(params)
     g, gp, gm = params.g, r.gamma_a_plus, r.gamma_a_minus

@@ -8,23 +8,22 @@ positivity of the total.  A channel is held as arrays: its labels, its
 row of chi coefficients and the five eigenvalues.  Its grid arrays come
 from one broadcast pole kernel, stacked over leading axes, so the
 channels of many parameter points are evaluated in one pass
-(:func:`channel_spectra`), the one place a spectrum is built; one
-channel of one point (:func:`channel_spectrum`) is its entry [0, 0].
+(:func:`channel_spectrum`), the one place a spectrum is built.
 The Lorentzian and interference integrals are read from one (5, 5) pair
-matrix of closed forms; the integrated spectrum of every channel, single
-or stacked, comes from the Gramian of the bare generator, one stacked
-linear solve for many points.
+matrix of closed forms; the integrated spectrum of every channel
+(:func:`integrated_spectrum`) comes from the Gramian of the bare
+generator, one stacked linear solve for many points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .eigen import QuasiModeDecomposition, _inverse
+from .eigen import _inverse
 from .errors import DivergentIntegral, GridInvalid, SingularMatrix
 from .model import BARE_MODES, SystemParams, bare_generator, derive_rates, flux_weights
 
@@ -33,9 +32,7 @@ __all__ = [
     "spectral_function",
     "default_omega_grid",
     "channel_spectrum",
-    "channel_spectra",
     "integrated_spectrum",
-    "stacked_totals",
     "lorentzian_approximation",
 ]
 
@@ -118,19 +115,17 @@ class SpectrumDecomposition:
     for its integrals never touches the grid.
 
     The arrays may carry leading axes, as they do for the (points,
-    channels) stack of :func:`channel_spectra`: chi (..., P), eigenvalues
+    channels) stack of :func:`channel_spectrum`: chi (..., P), eigenvalues
     and omega_grid broadcasting against it, prefactor (..., 1); every grid
-    array then gains the same axes.  decomps holds each point's decomposition,
-    for the integrated spectra; None for a spectrum given only by its poles.
+    array then gains the same axes.
     """
 
-    channel: str | tuple
+    channel: tuple
     prefactor: float | np.ndarray
     labels: tuple | None
     chi: np.ndarray
     eigenvalues: np.ndarray
     omega_grid: np.ndarray
-    decomps: tuple | None = field(default=None, repr=False)
 
     @cached_property
     def pairs(self) -> tuple:
@@ -187,42 +182,23 @@ class SpectrumDecomposition:
         return self.interferences[..., self.pairs.index(tuple(pair)), :]
 
 
-def _channel_rows(channels) -> list:
-    for channel in channels:
-        if channel not in BARE_MODES:
-            raise ValueError(f"unknown channel {channel!r}; choose from {sorted(BARE_MODES)}")
-    return [BARE_MODES.index(c) for c in channels]
-
-
-def channel_spectrum(
-    decomp: QuasiModeDecomposition, channel: str, omega_grid=None
-) -> SpectrumDecomposition:
-    """Spectrum of one decay channel from a quasi-mode decomposition.
+def channel_spectrum(decomps, channels, omega_grid=None) -> SpectrumDecomposition:
+    """The spectra of the given channels at many points, as one stacked spectrum.
 
     Atom channels carry the prefactor gamma/2pi, cavities kappa_i/pi and
     the fiber kappa_b/pi; the squared Laplace transform is evaluated in
-    closed form from the chi coefficients and eigenvalues.  This is entry
-    [0, 0] of channel_spectra([decomp], [channel], omega_grid): its arrays
-    without the leading axes, a float prefactor and a str channel.
-    """
-    spec = channel_spectra([decomp], [channel], omega_grid)
-    return SpectrumDecomposition(
-        channel, float(spec.prefactor[0, 0, 0]), spec.labels, spec.chi[0, 0],
-        spec.eigenvalues[0, 0], spec.omega_grid.ravel(), spec.decomps,
-    )
-
-
-def channel_spectra(decomps, channels, omega_grid=None) -> SpectrumDecomposition:
-    """The spectra of the given channels at many points, as one stacked spectrum.
-
-    Its arrays carry the leading axes (points, channels): chi (N, C, 5),
-    eigenvalues (N, 1, 5), prefactor (N, C, 1) and omega_grid (G,), or
-    (N, 1, G) when each point takes its default grid (omega_grid None).
-    Entry [i, c] of every grid array has the bits of the same array of
-    channel_spectrum(decomps[i], channels[c], omega_grid).  labels are
+    closed form from the chi coefficients and eigenvalues.  The arrays
+    carry the leading axes (points, channels): chi (N, C, 5), eigenvalues
+    (N, 1, 5), prefactor (N, C, 1) and omega_grid (G,), or (N, 1, G) when
+    each point takes its default grid (omega_grid None).  Entry [i, c] of
+    every grid array has the bits of the same array of
+    channel_spectrum([decomps[i]], [channels[c]], omega_grid).  labels are
     the points' common labels, or None unless all of them share them.
     """
-    rows = _channel_rows(channels)
+    for channel in channels:
+        if channel not in BARE_MODES:
+            raise ValueError(f"unknown channel {channel!r}; choose from {sorted(BARE_MODES)}")
+    rows = [BARE_MODES.index(c) for c in channels]
     if omega_grid is None:
         grid = np.stack([default_omega_grid(d.params) for d in decomps])[:, None, :]
     else:
@@ -239,28 +215,11 @@ def channel_spectra(decomps, channels, omega_grid=None) -> SpectrumDecomposition
         labels.pop() if len(labels) == 1 else None,
         np.array([d.chi_coeffs[rows] for d in decomps]),
         np.array([d.eigenvalues for d in decomps])[:, None, :],
-        grid, tuple(decomps),
+        grid,
     )
 
 
-def integrated_spectrum(spec: SpectrumDecomposition) -> float | np.ndarray:
-    """Closed-form frequency integral of the full channel spectrum.
-
-    The entries of :func:`stacked_totals` of its decompositions for its
-    channels: a float for one channel, the (points, channels) array for a
-    stack.  Raises the error of the first point that has one, and
-    ValueError for a spectrum given only by its poles, which has no decompositions.
-    """
-    if spec.decomps is None:
-        raise ValueError("a spectrum given only by its poles: sum its pair_integrals instead")
-    totals = stacked_totals(spec.decomps)
-    for error in (t for t in totals if isinstance(t, Exception)):
-        raise error
-    table = np.array(totals)[:, _channel_rows(np.atleast_1d(spec.channel))]
-    return float(table[0, 0]) if isinstance(spec.channel, str) else table
-
-
-def stacked_totals(decomps) -> list:
+def integrated_spectrum(decomps) -> list:
     """Integrated spectrum of every channel at many points, from one stacked solve.
 
     The integral of channel c's spectrum is the photon flux out of it,

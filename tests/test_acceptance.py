@@ -51,8 +51,8 @@ def local_maxima(values):
 
 
 def pole(spec, j, omega):
-    """Pole j of a channel amplitude, chi_j L(omega, lambda_j)."""
-    return spec.chi[j] * spectral_function(omega, spec.eigenvalues[j])
+    """Pole j of the channel amplitude of a spectrum's entry [0, 0], chi_j L(omega, lambda_j)."""
+    return spec.chi[0, 0, j] * spectral_function(omega, spec.eigenvalues[0, 0, j])
 
 
 def full_line_quad(f, breakpoints):
@@ -136,10 +136,10 @@ def test_criterion_4_spectral_reconstruction_identity():
         decomp = full_decomposition(params)
         worst = 0.0
         for channel in BARE_MODES:
-            spec = channel_spectrum(decomp, channel)
-            direct = np.abs(spec.amplitude) ** 2
-            lorentzian_sum = spec.lorentzians.sum(axis=0)
-            recon = lorentzian_sum + spec.interferences.sum(axis=0)
+            spec = channel_spectrum([decomp], [channel])
+            direct = np.abs(spec.amplitude[0, 0]) ** 2
+            lorentzian_sum = spec.lorentzians[0, 0].sum(axis=0)
+            recon = lorentzian_sum + spec.interferences[0, 0].sum(axis=0)
             scale = np.maximum(direct, lorentzian_sum)
             worst = max(worst, float((np.abs(recon - direct) / scale).max()))
         check(results, f"4 {name}", worst < 1e-10, f"worst rel dev {worst:.2e} < 1e-10")
@@ -153,10 +153,10 @@ def test_criterion_5_interference_integrals():
         decomp = full_decomposition(params)
         worst = 0.0
         for channel in ("cavity1", "cavity2"):
-            spec = channel_spectrum(decomp, channel)
-            deltas = -spec.eigenvalues.imag
+            spec = channel_spectrum([decomp], [channel])
+            deltas = -spec.eigenvalues[0, 0].imag
             for j, k in spec.pairs:
-                closed = spec.pair_integrals[j, k] + spec.pair_integrals[k, j]
+                closed = spec.pair_integrals[0, 0, j, k] + spec.pair_integrals[0, 0, k, j]
 
                 def w_of(w, _s=spec, _j=j, _k=k):
                     arr = np.array([w])
@@ -183,12 +183,12 @@ def test_criterion_6_parseval_per_channel():
                             record_every=20000)
         worst = 0.0
         for i, channel in enumerate(BARE_MODES):
-            spec = channel_spectrum(decomp, channel)
-            deltas = -spec.eigenvalues.imag
+            spec = channel_spectrum([decomp], [channel])
+            deltas = -spec.eigenvalues[0, 0].imag
 
             def intensity(w, _s=spec):
                 arr = np.array([w])
-                return _s.prefactor * abs(
+                return _s.prefactor[0, 0, 0] * abs(
                     sum(pole(_s, j, arr)[0] for j in range(5))
                 ) ** 2
 
@@ -242,8 +242,8 @@ def test_criterion_8_peak_resolution_vs_coupling():
     # g = 2: a single central resonance feature, nothing resolved near +-g
     params = FIG6[2.0]
     r = derive_rates(params)
-    spec = channel_spectrum(full_decomposition(params), "cavity1")
-    grid, val = spec.omega_grid, spec.spectrum
+    spec = channel_spectrum([full_decomposition(params)], ["cavity1"])
+    grid, val = spec.omega_grid[0, 0], spec.spectrum[0, 0]
     top = abs(grid[np.argmax(val)])
     check(results, "8 g=2 central maximum", top < r.gamma_a_plus / 2,
           f"|argmax| = {top:.3f} < Gamma_A+/2 = {r.gamma_a_plus / 2:.2f}")
@@ -257,8 +257,8 @@ def test_criterion_8_peak_resolution_vs_coupling():
     params = FIG6[10.0]
     r = derive_rates(params)
     decomp = full_decomposition(params)
-    spec = channel_spectrum(decomp, "cavity1")
-    grid, val = spec.omega_grid, spec.spectrum
+    spec = channel_spectrum([decomp], ["cavity1"])
+    grid, val = spec.omega_grid[0, 0], spec.spectrum[0, 0]
     step = grid[1] - grid[0]
     for sign in (+1, -1):
         band = (np.abs(grid - sign * params.g) < 3.0)
@@ -275,10 +275,10 @@ def test_criterion_8_peak_resolution_vs_coupling():
                                    ("QBS+", bs, "+zeta", r.zeta),
                                    ("QBS-", -bs, "-zeta", -r.zeta)):
         j = decomp.index(label)
-        i_peak = int(np.argmax(spec.lorentzians[j]))
+        i_peak = int(np.argmax(spec.lorentzians[0, 0, j]))
         i_target = int(np.argmin(np.abs(grid - target)))
         gap = abs(i_peak - i_target)
-        offset = (-spec.eigenvalues[j].imag - nm) / step
+        offset = (-spec.eigenvalues[0, 0, j].imag - nm) / step
         check(results, f"8 g=10 {label} at {tag}", gap <= 1,
               f"component argmax {gap} grid steps from {target:+.4f} "
               f"(pole {offset:+.2f} steps from {tag} = {nm:+.4f})")
@@ -290,10 +290,10 @@ def test_criterion_9_interference_asymmetry():
     results = []
     decomp = full_decomposition(FIG8)
     grid = np.linspace(-0.5, 0.5, 11)
-    s1 = channel_spectrum(decomp, "cavity1", grid)
-    s2 = channel_spectrum(decomp, "cavity2", grid)
+    s1 = channel_spectrum([decomp], ["cavity1"], grid)
+    s2 = channel_spectrum([decomp], ["cavity2"], grid)
     i0 = 5  # omega = 0
-    v1, v2 = s1.spectrum[i0], s2.spectrum[i0]
+    v1, v2 = s1.spectrum[0, 0, i0], s2.spectrum[0, 0, i0]
     # At omega = 0 the amplitudes are -G^-1 e_atom1, and the five linear
     # equations give alpha1/alpha2 = -(1 + (kappa + 2g^2/gamma) kappa_b/v^2),
     # so cavity 1 lies above cavity 2 by the square of that factor.  The
@@ -307,13 +307,13 @@ def test_criterion_9_interference_asymmetry():
           f"(1 + (kappa + 2g^2/gamma) kappa_b/v^2)^2 = "
           f"{ratio:.6f}, rel dev {dev:.2e} < 1e-10")
     lossless = full_decomposition(replace(p, kappa_b=0.0))
-    e1, e2 = (channel_spectrum(lossless, c, grid).spectrum[i0]
+    e1, e2 = (channel_spectrum([lossless], [c], grid).spectrum[0, 0, i0]
               for c in ("cavity1", "cavity2"))
     dev0 = abs(e1 / e2 - 1)
     check(results, "9 resonance equal at kappa_b = 0", dev0 < 1e-10,
           f"S_cav1(0)/S_cav2(0) - 1 = {dev0:.2e} < 1e-10")
-    lor1 = s1.lorentzians.sum(axis=0)
-    lor2 = s2.lorentzians.sum(axis=0)
+    lor1 = s1.lorentzians[0, 0].sum(axis=0)
+    lor2 = s2.lorentzians[0, 0].sum(axis=0)
     rel = np.abs(lor1 - lor2).max() / lor1.max()
     check(results, "9 lorentzian-only identical", rel < 1e-12,
           f"max rel difference {rel:.2e} < 1e-12")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,10 @@ from fiberqed import (
     SystemParams,
     bare_generator,
     cli,
+    eigen,
     full_decomposition,
     single_excitation,
+    spectra,
     spectral_function,
 )
 from fiberqed.cli import _csv_bodies, _write_csv, main, parse_scenario, run_scenario
@@ -570,6 +573,15 @@ def test_bad_number_named_in_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: [params] g = '弦' is not a number\n"
 
 
+def test_undecodable_config_exits_2_with_one_line(tmp_path, capsys):
+    # configs are read as UTF-8; a byte that is not UTF-8 is a config error, not a domain error
+    cfg = tmp_path / "case.cfg"
+    cfg.write_bytes(BASE.format(kind="spectrum").encode().replace(b"g = 7", b"g = 7\xff"))
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot parse {cfg}: byte 0xff is not UTF-8\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("section", ["params", "sweep"])
 @pytest.mark.parametrize("rate", cli.RATES)
 def test_negative_rate_names_its_config_key(tmp_path, capsys, section, rate):
@@ -728,6 +740,28 @@ def test_underflowing_couplings_exit_3(tmp_path, capsys, kind):
     assert capsys.readouterr().err == ("domain error: g^2 + 2 v^2 underflows to 0 at g = 1e-300, "
                                        "v = 1e-300, so the normal modes are undefined\n")
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_run_calls_the_kernels_by_the_names_perfbench_traces(tmp_path, monkeypatch):
+    # perfbench/tracing.py times each layer by wrapping these module attributes, so a
+    # run must reach its stacked kernels through them; it also reads a .basis, which
+    # decompositions no longer have, off every full_decomposition result, so a run
+    # must never call full_decomposition
+    calls = Counter()
+    for module, name in ((spectra, "channel_spectrum"), (spectra, "integrated_spectrum"),
+                         (eigen, "symmetric_block"), (eigen, "antisymmetric_block"),
+                         (eigen, "full_decomposition")):
+        def counted(*args, _func=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    run_scenario(SCENARIO_DIR / "fig6.cfg", out_dir=tmp_path, quiet=True)
+    print(dict(calls))
+    for name in ("channel_spectrum", "integrated_spectrum", "symmetric_block",
+                 "antisymmetric_block"):
+        assert calls[name] >= 1, name
+    assert calls["full_decomposition"] == 0
 
 
 def test_console_entry_point(tmp_path):

@@ -34,16 +34,15 @@ from fiberqed import (
     AccuracyWarning,
     LabelAmbiguous,
     SystemParams,
-    antisymmetric_block,
-    channel_spectra,
+    channel_spectrum,
     cli,
     derive_rates,
     full_decomposition,
     single_excitation,
 )
-from fiberqed.eigen import _cubic_coefficients
+from fiberqed.eigen import _cubic_coefficients, antisymmetric_block
 from fiberqed.model import _RATE_BOUND, BARE_MODES
-from fiberqed.spectra import stacked_totals
+from fiberqed.spectra import integrated_spectrum
 
 from conftest import exact_fiber_dark_roots
 
@@ -74,10 +73,10 @@ def _outcome(params, initial):
         warnings.simplefilter("always")
         try:
             decomp = full_decomposition(params, single_excitation(initial))
-            (totals,) = stacked_totals([decomp])
+            (totals,) = integrated_spectrum([decomp])
             if isinstance(totals, Exception):
                 raise totals
-            spectrum = channel_spectra([decomp], BARE_MODES).spectrum
+            spectrum = channel_spectrum([decomp], BARE_MODES).spectrum
         except ValueError as exc:
             typed = type(exc).__module__ == "fiberqed.errors"
             if not typed and not (type(exc) is ValueError
@@ -275,7 +274,7 @@ def test_answered_fiber_dark_roots_match_high_precision(name, sample):
     u = np.finfo(float).eps / 2
     checked = []  # (error / bound, error, bound, params)
     for params in answered:
-        lam = antisymmetric_block(params).eigenvalues
+        (lam,), _, _, _ = antisymmetric_block([params], [derive_rates(params)])
         exact = exact_fiber_dark_roots(params)
         with mpmath.workdps(150):
             p = abs(exact[1] - exact[0]) / 2

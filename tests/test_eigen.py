@@ -15,7 +15,6 @@ from fiberqed import (
     LabelAmbiguous,
     SingularMatrix,
     SystemParams,
-    antisymmetric_block,
     bare_generator,
     derive_rates,
     fiber_dark_amplitudes,
@@ -23,8 +22,8 @@ from fiberqed import (
     full_decompositions,
     normal_generator,
     normal_mode_matrix,
-    symmetric_block,
 )
+from fiberqed.eigen import antisymmetric_block, symmetric_block
 from fiberqed.model import symmetric_generator
 
 from conftest import FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, atom1_oracle, exact_fiber_dark_roots
@@ -52,44 +51,45 @@ SLOW_ROOTS = {
 class TestAntisymmetricBlock:
     def test_lossless_pure_oscillation(self):
         params = SystemParams(g=4.0, v=1.0, kappa=0, kappa_b=0, gamma=0)
-        block = antisymmetric_block(params)
+        (lam,), _, _, _ = antisymmetric_block([params], [derive_rates(params)])
         # splitting +-g: QFD+ oscillates at +g, i.e. eigenvalue -i g
-        assert block.eigenvalues[0] == pytest.approx(-4j)
-        assert block.eigenvalues[1] == pytest.approx(+4j)
+        assert lam[0] == pytest.approx(-4j)
+        assert lam[1] == pytest.approx(+4j)
 
     def test_vanishing_cross_damping_reduces_to_normal_modes(self):
         # kappa = gamma/2 makes Gamma_A- = 0
         params = SystemParams(g=4.0, v=1.0, kappa=GAMMA / 2, kappa_b=0.01, gamma=GAMMA)
-        block = antisymmetric_block(params)
-        assert np.array_equal(block.right_vectors, np.eye(2))
+        (lam,), (right,), _, _ = antisymmetric_block([params], [derive_rates(params)])
+        assert np.array_equal(right, np.eye(2))
         gp = derive_rates(params).gamma_a_plus
-        assert block.eigenvalues[0] == pytest.approx(-gp / 2 - 4j)
-        assert block.eigenvalues[1] == pytest.approx(-gp / 2 + 4j)
+        assert lam[0] == pytest.approx(-gp / 2 - 4j)
+        assert lam[1] == pytest.approx(-gp / 2 + 4j)
 
     def test_fig6_fixed_rates_eigenvalues(self):
         # kappa=1, gamma=5.2, g=10: p = sqrt(100 - 0.64), decay Gamma_A+/2 = 1.8
-        block = antisymmetric_block(FIG6[10.0])
+        (lam,), _, _, _ = antisymmetric_block([FIG6[10.0]], [derive_rates(FIG6[10.0])])
         p = np.sqrt(99.36)
-        assert block.eigenvalues[0] == pytest.approx(-1.8 - 1j * p, abs=1e-12)
-        assert block.eigenvalues[1] == pytest.approx(-1.8 + 1j * p, abs=1e-12)
+        assert lam[0] == pytest.approx(-1.8 - 1j * p, abs=1e-12)
+        assert lam[1] == pytest.approx(-1.8 + 1j * p, abs=1e-12)
 
     def test_unnormalized_right_vectors_as_printed(self):
         r = derive_rates(FIG8)
-        block = antisymmetric_block(FIG8)
+        _, (right,), _, _ = antisymmetric_block([FIG8], [r])
         g, p, gm = FIG8.g, r.p, r.gamma_a_minus
-        assert block.right_vectors[0, 0] == pytest.approx(2j * (g + p) / gm)
-        assert block.right_vectors[0, 1] == pytest.approx(2j * (g - p) / gm)
-        assert np.all(block.right_vectors[1] == 1.0)
+        assert right[0, 0] == pytest.approx(2j * (g + p) / gm)
+        assert right[0, 1] == pytest.approx(2j * (g - p) / gm)
+        assert np.all(right[1] == 1.0)
 
     def test_biorthonormal(self, rng):
         for _ in range(20):
-            block = antisymmetric_block(random_symmetric(rng))
-            eye = block.left_vectors @ block.right_vectors
+            params = random_symmetric(rng)
+            _, (right,), (left,), _ = antisymmetric_block([params], [derive_rates(params)])
+            eye = left @ right
             assert np.abs(eye - np.eye(2)).max() < 1e-10
 
     def test_vectors_diagonalize_the_block(self):
-        block = antisymmetric_block(FIG8)
-        recon = block.right_vectors @ np.diag(block.eigenvalues) @ block.left_vectors
+        (lam,), (right,), (left,), _ = antisymmetric_block([FIG8], [derive_rates(FIG8)])
+        recon = right @ np.diag(lam) @ left
         assert np.abs(recon - _antisymmetric_generator(FIG8)).max() < 1e-12
 
     def test_conjugate_pairing_when_underdamped(self, rng):
@@ -97,15 +97,15 @@ class TestAntisymmetricBlock:
             params = random_symmetric(rng)
             if derive_rates(params).p.imag != 0:
                 continue
-            lam = antisymmetric_block(params).eigenvalues
+            (lam,), _, _, _ = antisymmetric_block([params], [derive_rates(params)])
             assert lam[0] == pytest.approx(np.conj(lam[1]), abs=1e-12)
 
     def test_degenerate_block_raises(self):
         # g = |Gamma_A-|/2 = 0.8 puts the block exactly at critical damping
         params = SystemParams(g=0.8, v=5.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         assert derive_rates(params).p == 0
-        with pytest.raises(DegenerateBlock):
-            antisymmetric_block(params)
+        *_, failed = antisymmetric_block([params], [derive_rates(params)])
+        assert isinstance(failed[0], DegenerateBlock)
 
     @pytest.mark.parametrize("params", SLOW_ROOTS.values(), ids=SLOW_ROOTS)
     def test_overdamped_slow_root_does_not_cancel(self, params):
@@ -115,7 +115,7 @@ class TestAntisymmetricBlock:
         # 4u from the difference, and the square root), added (u) and divided
         # (u): 7u relative to first order.  The fast root adds one rounding.
         assert derive_rates(params).p.imag > 0
-        lam = antisymmetric_block(params).eigenvalues
+        (lam,), _, _, _ = antisymmetric_block([params], [derive_rates(params)])
         err = [float(abs(x - y) / abs(y)) for x, y in zip(lam, exact_fiber_dark_roots(params))]
         bound = 7 * U
         print(f"QFD+ = {lam[0].real:.14g}: relative errors {err[0]:.2g}, {err[1]:.2g} "
@@ -232,49 +232,49 @@ class TestSymmetricBlock:
         )
         r = derive_rates(params)
         assert r.gamma_sd == 0.0 and r.gamma_s_minus == 0.0
-        block = symmetric_block(params)
+        (lam,), _, _, _, _ = symmetric_block([r])
         expected = [-r.gamma_s_plus / 2 - 1j * r.zeta,
                     -r.gamma_s_plus / 2 + 1j * r.zeta,
                     -r.gamma_d]
-        assert np.abs(block.eigenvalues - expected).max() < 1e-12
+        assert np.abs(lam - expected).max() < 1e-12
 
     def test_lossless_limit(self):
         params = SystemParams(g=3.0, v=7.0, kappa=0, kappa_b=0, gamma=0)
         zeta = derive_rates(params).zeta
-        block = symmetric_block(params)
-        assert np.abs(block.eigenvalues - [-1j * zeta, 1j * zeta, 0.0]).max() < 1e-12
+        (lam,), _, _, _, _ = symmetric_block([derive_rates(params)])
+        assert np.abs(lam - [-1j * zeta, 1j * zeta, 0.0]).max() < 1e-12
 
     @pytest.mark.parametrize("params", [FIG5, FIG8, FIG6[10.0]])
     def test_against_dense_five_mode_solve(self, params):
         # the full bare generator contains the same three symmetric roots
-        block = symmetric_block(params)
+        (eigenvalues,), _, _, _, _ = symmetric_block([derive_rates(params)])
         dense = np.linalg.eigvals(bare_generator(params))
-        for lam in block.eigenvalues:
+        for lam in eigenvalues:
             assert np.abs(dense - lam).min() < 1e-10
 
     def test_biorthonormal(self, rng):
         for _ in range(20):
-            block = symmetric_block(random_symmetric(rng))
-            eye = block.left_vectors @ block.right_vectors
+            _, (right,), (left,), _, _ = symmetric_block([derive_rates(random_symmetric(rng))])
+            eye = left @ right
             assert np.abs(eye - np.eye(3)).max() < 1e-10
 
     def test_labels_follow_decoupled_ancestors(self):
-        block = symmetric_block(FIG8)
-        assert block.labels == ("QBS+", "QBS-", "QCD")
         r = derive_rates(FIG8)
+        (lam,), _, _, (labeled,), _ = symmetric_block([r])
+        assert labeled  # the columns are (QBS+, QBS-, QCD)
         # QBS+ has frequency near +zeta (delta = -Im lambda), QCD near zero
-        assert -block.eigenvalues[0].imag == pytest.approx(r.zeta, abs=0.1)
-        assert abs(block.eigenvalues[2].imag) < 0.1
+        assert -lam[0].imag == pytest.approx(r.zeta, abs=0.1)
+        assert abs(lam[2].imag) < 0.1
 
     def test_three_real_roots_labels(self):
         # g = v = 0.01 overdamps the bright pair: QCD is the root whose vector
         # is richest in D (2/3 at weak coupling) and QBS+ the slower of the rest
         params = SystemParams(g=0.01, v=0.01, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
-        block = symmetric_block(params)
-        assert block.labels == ("QBS+", "QBS-", "QCD")
-        assert np.abs(block.eigenvalues.real - [-0.01020, -0.99986, -2.59994]).max() < 1e-5
-        assert np.argmax(np.abs(block.right_vectors[2])) == 2
-        eye = block.left_vectors @ block.right_vectors
+        (lam,), (right,), (left,), (labeled,), _ = symmetric_block([derive_rates(params)])
+        assert labeled  # the columns are (QBS+, QBS-, QCD)
+        assert np.abs(lam.real - [-0.01020, -0.99986, -2.59994]).max() < 1e-5
+        assert np.argmax(np.abs(right[2])) == 2
+        eye = left @ right
         assert np.abs(eye - np.eye(3)).max() < 1e-10
         traj = atom1_oracle(params, t_max=3.0, record_every=100)
         recon = full_decomposition(params).bare_amplitudes(traj.times).T
@@ -288,10 +288,10 @@ class TestSymmetricBlock:
         # g >> v far past the exceptional point: the bright pair sits near
         # -kappa and -gamma/2, and the root near -kappa_b is almost pure D
         params = SystemParams(g=0.01, v=1e-4, kappa=kappa, kappa_b=0.01, gamma=GAMMA)
-        block = symmetric_block(params)
-        assert block.labels[2] == "QCD"
-        assert abs(block.right_vectors[2, 2]) > 0.99
-        assert np.abs(block.eigenvalues.real - expected).max() < 1e-5
+        (lam,), (right,), _, (labeled,), _ = symmetric_block([derive_rates(params)])
+        assert labeled  # column 2 is QCD
+        assert abs(right[2, 2]) > 0.99
+        assert np.abs(lam.real - expected).max() < 1e-5
 
     def test_conjugate_pair_labels(self, rng):
         pairs = 0
@@ -303,7 +303,7 @@ class TestSymmetricBlock:
             if np.abs(roots.imag).max() <= 1e-8 * np.abs(roots).max():
                 continue  # three real roots
             pairs += 1
-            lam = symmetric_block(params).eigenvalues
+            (lam,), _, _, _, _ = symmetric_block([derive_rates(params)])
             scale = np.abs(lam).max()
             assert lam[0].imag < 0  # QBS+ oscillates at +zeta
             assert abs(lam[1] - np.conj(lam[0])) <= 1e-12 * scale
@@ -366,8 +366,8 @@ class TestFullDecomposition:
             params = SystemParams(
                 g=g, v=5.0, kappa=1.0 + g * delta, kappa_b=0.01, gamma=GAMMA
             )
-            block = antisymmetric_block(params)
-            lams.append(np.sort_complex(block.eigenvalues))
+            (lam,), _, _, _ = antisymmetric_block([params], [derive_rates(params)])
+            lams.append(np.sort_complex(lam))
         assert np.abs(lams[0] - lams[1]).max() < 1e-6
 
     def test_reconstruction_in_the_overdamped_regime(self):
@@ -487,17 +487,18 @@ def _reference_decomposition(params):
         minus, plus = sorted({0, 1, 2} - {qcd}, key=lambda j: roots[j].real)
     order = [plus, minus, qcd]
     sym_right = np.column_stack([vectors[j] for j in order])
-    anti = antisymmetric_block(params)
+    (anti_lam,), (anti_right,), (anti_left,), _ = antisymmetric_block(
+        [params], [derive_rates(params)])
 
     right = np.zeros((5, 5), dtype=complex)
     left = np.zeros((5, 5), dtype=complex)
     right[np.ix_([0, 1, 4], [0, 1, 2])] = sym_right
-    right[np.ix_([2, 3], [3, 4])] = anti.right_vectors
+    right[np.ix_([2, 3], [3, 4])] = anti_right
     left[np.ix_([0, 1, 2], [0, 1, 4])] = np.linalg.inv(sym_right)
-    left[np.ix_([3, 4], [2, 3])] = anti.left_vectors
+    left[np.ix_([3, 4], [2, 3])] = anti_left
     trans = normal_mode_matrix(params)
     weights = left @ (trans @ np.array([1, 0, 0, 0, 0], dtype=complex))
-    eigenvalues = np.concatenate([roots[order], anti.eigenvalues])
+    eigenvalues = np.concatenate([roots[order], anti_lam])
     return MODE_LABELS, [x.tobytes() for x in (
         eigenvalues, right, left, weights, trans.T @ (right * weights[None, :]))]
 
@@ -541,11 +542,11 @@ class TestBatchedKernel:
 
     def test_coincident_roots_fall_back_unlabeled(self):
         with pytest.warns(LabelAmbiguous):
-            block = symmetric_block(COINCIDENT)
-        assert block.labels is None
-        assert np.abs(block.left_vectors @ block.right_vectors - np.eye(3)).max() < 1e-10
+            (lam,), (right,), (left,), (labeled,), _ = symmetric_block([derive_rates(COINCIDENT)])
+        assert not labeled
+        assert np.abs(left @ right - np.eye(3)).max() < 1e-10
         sym = normal_generator(COINCIDENT)[np.ix_([0, 1, 4], [0, 1, 4])]
-        recon = block.right_vectors @ np.diag(block.eigenvalues) @ block.left_vectors
+        recon = right @ np.diag(lam) @ left
         assert np.abs(recon - sym).max() < 1e-12
         with pytest.warns(LabelAmbiguous):
             decomp = full_decomposition(COINCIDENT)
@@ -566,9 +567,9 @@ class TestBatchedKernel:
                                     kappa_b=FIG8.kappa_b, gamma=FIG8.gamma)
         (batched,) = full_decompositions([rounded_away])
         assert isinstance(batched, InaccurateRoots)
-        with pytest.raises(InaccurateRoots) as raised:
-            symmetric_block(rounded_away)
-        assert str(raised.value) == str(batched)
+        *_, failed = symmetric_block([derive_rates(rounded_away)])
+        assert isinstance(failed[0], InaccurateRoots)
+        assert str(failed[0]) == str(batched)
 
     def test_one_failing_point_does_not_fail_the_batch(self):
         from fiberqed import full_decompositions

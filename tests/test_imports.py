@@ -68,3 +68,12 @@ def test_moved_names_have_one_home():
     # the package root still exports the names it exported before they moved
     for name in ("bare_generator", "normal_generator", "cavity_coefficients"):
         assert getattr(fiberqed, name).__module__ == f"fiberqed.{MOVED[name]}"
+
+
+def test_block_kernels_are_not_exported_from_the_package_root():
+    # the quasi-mode blocks are the stacked kernels of full_decompositions, whose
+    # N = 1 spelling full_decomposition is the package's one single-point entry
+    for name in ("symmetric_block", "antisymmetric_block"):
+        assert not hasattr(fiberqed, name), name
+        assert callable(getattr(fiberqed.eigen, name)), name
+    assert "full_decomposition" in dir(fiberqed)
