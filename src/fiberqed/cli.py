@@ -97,7 +97,8 @@ def _read_error(exc: ConfigParserError) -> str:
 def parse_scenario(path) -> Scenario:
     """Parse and validate a scenario file; ConfigInvalid names bad keys."""
     path = Path(path)
-    cp = ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # no header spells the default section "", so [DEFAULT] is an unknown section
+    cp = ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     try:
         read = cp.read(path, encoding="utf-8")
     except ConfigParserError as exc:
@@ -144,9 +145,10 @@ def parse_scenario(path) -> Scenario:
         if c in channels[:i]:
             raise ConfigInvalid(f"[run] channels entry {c!r} is repeated")
 
-    dt = _floats("run", "dt", raw_run.get("dt", "1e-4"))
+    defaults = dynamics.IntegratorConfig
+    dt = _floats("run", "dt", raw_run.get("dt", defaults.dt))
     try:
-        record_every = int(raw_run.get("record_every", "1"))
+        record_every = int(raw_run.get("record_every", defaults.record_every))
     except ValueError:
         raise ConfigInvalid(f"[run] record_every = {raw_run['record_every']!r} "
                             "is not an integer") from None

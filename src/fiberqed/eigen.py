@@ -267,13 +267,15 @@ def symmetric_block(rates) -> tuple:
     The derive_rates of N points give eigenvalues (N, 3) in (QBS+, QBS-,
     QCD) order, right (columns) and left (rows) vectors (N, 3, 3) over
     (S+, S-, D), a labeled mask (N,) and an {index: SingularMatrix or
-    InaccurateRoots} map.  The closed-form cubic gives a conjugate pair,
-    the bright QBS+- (QBS+ oscillates at +zeta, Im lambda < 0), plus the
-    real QCD; or three real roots (an overdamped bright pair), of which QCD
-    has the largest D component and QBS+ is the slower of the other two.
-    Roots that coincide within 1e-5 of the largest |lambda| warn
-    LabelAmbiguous and leave the point unlabeled, its block from a dense
-    eigensolve.
+    InaccurateRoots} map.  The closed-form cubic gives a conjugate pair
+    plus a real root, or three real roots (an overdamped bright pair), and
+    one rule labels both: QCD is the root of least |Im lambda| for a pair,
+    else the one whose vector has the largest D component; the other two
+    follow one sort key, Im lambda for a pair and -Re lambda for real
+    roots (ties by Im lambda), so QBS+ is the bright member oscillating at
+    +zeta (Im lambda < 0) or the slower one.  Roots that coincide within
+    1e-5 of the largest |lambda| warn LabelAmbiguous and leave the point
+    unlabeled, its block from a dense eigensolve.
     """
     n = len(rates)
     coeffs = np.array([_cubic_coefficients(r) for r in rates]).reshape(n, 7)
@@ -285,23 +287,13 @@ def symmetric_block(rates) -> tuple:
     # vectors[:, j] spans the null space of gen - roots[:, j] I
     vectors = _null_vectors(gen[:, None] - roots[:, :, None, None] * np.eye(3))
 
-    idx = np.arange(n)
-    # a conjugate pair: QCD is the real root, QBS+ the member with Im < 0
-    by_imag = np.argsort(np.abs(roots.imag), axis=1)
-    first, second = by_imag[:, 1], by_imag[:, 2]
-    swap = roots.imag[idx, second] < roots.imag[idx, first]
-    pair_order = np.stack(
-        [np.where(swap, second, first), np.where(swap, first, second), by_imag[:, 0]], axis=1
-    )
-    # three real roots: QCD has the largest D component, QBS+ is the slower rest
-    qcd = np.argmax(_modulus(vectors[:, :, 2]), axis=1)
-    rest = np.array([[1, 2], [0, 2], [0, 1]])[qcd]
-    swap = roots.real[idx, rest[:, 1]] < roots.real[idx, rest[:, 0]]
-    real_order = np.stack(
-        [np.where(swap, rest[:, 0], rest[:, 1]), np.where(swap, rest[:, 1], rest[:, 0]), qcd],
-        axis=1,
-    )
-    order = np.where(conj_pair[:, None], pair_order, real_order)
+    # QCD last, the other two by one key with QBS+ first: Im lambda, or -Re
+    # lambda with ties (a pair that rounding put on the real side) by Im lambda
+    qcd = np.where(conj_pair, np.argmin(np.abs(roots.imag), axis=1),
+                   np.argmax(_modulus(vectors[:, :, 2]), axis=1))
+    key = np.where(conj_pair[:, None], roots.imag, -roots.real)
+    key[np.arange(n), qcd] = np.inf
+    order = np.lexsort((roots.imag, key), axis=1)
     eigenvalues = np.take_along_axis(roots, order, axis=1)
     right = np.ascontiguousarray(
         np.swapaxes(np.take_along_axis(vectors, order[:, :, None], axis=1), 1, 2)

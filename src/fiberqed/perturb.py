@@ -75,7 +75,6 @@ class PerturbativeModes:
     second_order_shifts : eigenvalue corrections, in eigenvalues (refined only)
     """
 
-    variant: str
     delta_s_plus: complex
     delta_s_minus: complex
     eigenvalues: np.ndarray
@@ -137,7 +136,7 @@ def perturbative_symmetric(params: SystemParams, variant: str = "standard") -> P
     amplitudes = np.array(
         [(g / 2 - v * dp) / zeta, (g / 2 - v * dm) / zeta, (-(g / 2) * (dp + dm) - v) / zeta]
     )
-    return PerturbativeModes(variant, dp, dm, eigenvalues, amplitudes, shifts)
+    return PerturbativeModes(dp, dm, eigenvalues, amplitudes, shifts)
 
 
 def perturbative_cavity_amplitudes(

@@ -120,7 +120,6 @@ class SpectrumDecomposition:
     array then gains the same axes.
     """
 
-    channel: tuple
     prefactor: float | np.ndarray
     labels: tuple | None
     chi: np.ndarray
@@ -194,7 +193,11 @@ def channel_spectrum(decomps, channels, omega_grid=None) -> SpectrumDecompositio
     every grid array has the bits of the same array of
     channel_spectrum([decomps[i]], [channels[c]], omega_grid).  labels are
     the points' common labels, or None unless all of them share them.
+    channels is a sequence of names; a bare string is refused.
     """
+    if isinstance(channels, str):
+        raise ValueError(f"channels must be a sequence of channel names, not the string "
+                         f"{channels!r}; write [{channels!r}] for one channel")
     for channel in channels:
         if channel not in BARE_MODES:
             raise ValueError(f"unknown channel {channel!r}; choose from {sorted(BARE_MODES)}")
@@ -209,7 +212,6 @@ def channel_spectrum(decomps, channels, omega_grid=None) -> SpectrumDecompositio
             raise GridInvalid("omega grid must be strictly increasing")
     labels = {d.labels for d in decomps}
     return SpectrumDecomposition(
-        tuple(channels),
         # spectral density per unit angular frequency: the channel's flux weight / 2 pi
         np.array([flux_weights(d.params)[rows] / (2 * np.pi) for d in decomps])[..., None],
         labels.pop() if len(labels) == 1 else None,

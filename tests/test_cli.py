@@ -672,6 +672,9 @@ SWEEP = "\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
     ("spectrum", lambda t: t.replace("g = 7\n", "g = %(v)s\n"),
      "[params] g = '%(v)s' is not a number"),
     ("spectrum", lambda t: t + "\n[x]\nk = 1\n", "unknown section [x]"),
+    # [DEFAULT] would be merged into every section, so it is refused as any other
+    ("spectrum", lambda t: t + "\n[DEFAULT]\ninitial = cavity1\n", "unknown section [DEFAULT]"),
+    ("spectrum", lambda t: t + "\n[DEFAULT]\n", "unknown section [DEFAULT]"),
     ("spectrum", lambda t: t.replace("initial = atom1", "initial = photon"),
      "[run] initial = 'photon' is not a mode name"),
     ("spectrum", lambda t: t.replace("record_every = 10", "record_every = 2.5"),
@@ -687,7 +690,8 @@ SWEEP = "\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
     ("spectrum", lambda t: t + SWEEP.format(parameter="g", values="1, inf"),
      "[sweep] values must be a non-empty list of finite numbers"),
 ], ids=["missing-rate", "duplicate-key", "duplicate-section", "no-section-header",
-        "not-key-value", "percent", "interpolation", "unknown-section", "initial",
+        "not-key-value", "percent", "interpolation", "unknown-section", "default-section",
+        "empty-default-section", "initial",
         "record_every", "t_max", "partial-grid", "sweep-parameter", "sweep-empty", "sweep-inf"])
 def test_config_refusal_exits_2_with_its_line(tmp_path, capsys, kind, edit, message):
     cfg = write_cfg(tmp_path, edit(BASE.format(kind=kind)))

@@ -19,7 +19,9 @@ here is what the package promises today:
 - through the CLI, a draw exits 0 or 3, and warns AccuracyWarning exactly
   when its printed conservation residual exceeds that bound;
 - the fiber-dark roots QFD+- of an answered draw are within the rounding
-  bound of their 150-digit values.
+  bound of their 150-digit values;
+- a labeled bright pair whose real parts are equal has QBS+ at the lower
+  Im lambda, also where rounding puts the pair on the three-real side.
 """
 
 import warnings
@@ -40,7 +42,7 @@ from fiberqed import (
     full_decomposition,
     single_excitation,
 )
-from fiberqed.eigen import _cubic_coefficients, antisymmetric_block
+from fiberqed.eigen import _cubic_coefficients, antisymmetric_block, symmetric_block
 from fiberqed.model import _RATE_BOUND, BARE_MODES
 from fiberqed.spectra import integrated_spectrum
 
@@ -288,3 +290,20 @@ def test_answered_fiber_dark_roots_match_high_precision(name, sample):
     print(f"{name}: {len(answered)} answered draws, worst |lambda - exact| = {err:.3g} "
           f"(bound {bound:.3g}) at {params}")
     assert ratio <= 1
+
+
+@pytest.mark.parametrize("name", ["main", *EDGE_CLASSES])
+def test_bright_pair_sharing_a_real_part_puts_qbs_plus_below(name, sample):
+    # QBS+ oscillates at +zeta, Im lambda < 0: for a conjugate pair, and for a
+    # pair that rounding of a double root leaves on the three-real side, where
+    # the -Re lambda key ties and Im lambda decides
+    draws = sample if name == "main" else _edge_sample(name)
+    points = [params for params, _, outcome, _, _ in draws if outcome != "no normal modes"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LabelAmbiguous)
+        lam, _, _, labeled, _ = symmetric_block([derive_rates(p) for p in points])
+    tied = labeled & (lam[:, 0].real == lam[:, 1].real)
+    real_side = tied & ~np.array([_conjugate_pair(p) for p in points])
+    print(f"{name}: {tied.sum()} labeled points whose QBS+- share a real part, "
+          f"{real_side.sum()} of them on the three-real side")
+    assert (lam[tied, 0].imag <= lam[tied, 1].imag).all()

@@ -103,7 +103,7 @@ def spec_of(chi, lam):
     """A bare channel spectrum from explicit poles, prefactor 1, as entry [0, 0] of a
     stack of one point and one channel, the layout of channel_spectrum."""
     chi, lam = np.asarray(chi, dtype=complex), np.asarray(lam, dtype=complex)
-    return SpectrumDecomposition(("atom1",), np.ones((1, 1, 1)), (None,) * len(chi),
+    return SpectrumDecomposition(np.ones((1, 1, 1)), (None,) * len(chi),
                                  chi[None, None], lam[None, None], np.zeros(1))
 
 
@@ -190,6 +190,11 @@ class TestDecomposition:
     def test_unknown_channel(self):
         with pytest.raises(ValueError, match="channel"):
             channel_spectrum([full_decomposition(FIG8)], ["mirror"])
+
+    def test_bare_string_of_channels_is_named_as_the_mistake(self):
+        # iterated by character it would be refused as the unknown channel 'c'
+        with pytest.raises(ValueError, match=r"not the string 'cavity1'; write \['cavity1'\]"):
+            channel_spectrum([full_decomposition(FIG8)], "cavity1")
 
     def test_prefactors(self):
         decomp = full_decomposition(FIG8)
