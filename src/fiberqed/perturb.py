@@ -5,10 +5,10 @@ fiber-cavity coupling, and the reverse) plus the perturbative treatment of
 the symmetric manifold when the couplings are comparable, in three
 variants of increasing sophistication.  Each variant gives three quasi
 modes as arrays in eigen.MODE_LABELS order (QBS+, QBS-, QCD): their
-eigenvalues and t = 0 amplitudes, so every quasi-mode time function is
-the damped exponential a * exp(lambda * t); the perturbative chi of the
-cavities are read off them, laid out like full_decomposition's.  A
-RegimeWarning marks zeta < 10 |Gamma_SD| or v < g/2.
+eigenvalues, t = 0 amplitudes and chi table, so every perturbative
+amplitude is chi @ exp(outer(eigenvalues, t)), as in full_decomposition's
+bare_amplitudes; the cavities' chi are read off it, laid out like
+full_decomposition's.  A RegimeWarning marks zeta < 10 |Gamma_SD| or v < g/2.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class PerturbativeModes:
     eigenvalues : the variant's estimate of each quasi-mode eigenvalue
     amplitudes : t = 0 values (f+, f-, g) of the quasi-mode time functions
     second_order_shifts : eigenvalue corrections, in eigenvalues (refined only)
+    chi : rows (S+, S-, D) over the quasi modes, so the normal amplitudes
+          are chi @ exp(outer(eigenvalues, t))
     """
 
     delta_s_plus: complex
@@ -81,19 +83,11 @@ class PerturbativeModes:
     amplitudes: np.ndarray
     second_order_shifts: np.ndarray | None = None
 
-    def time_functions(self, t) -> np.ndarray:
-        """(f+, f-, g) at the given times, a row a * exp(lambda * t) per mode."""
-        t = np.asarray(t, dtype=float)
-        modes = zip(self.amplitudes.tolist(), self.eigenvalues.tolist())
-        # a Python scalar times an array per mode: numpy's array product of a
-        # stacked amplitudes[:, None] * exp(...) may fuse multiply-add
-        return np.array([a * np.exp(lam * t) for a, lam in modes])
-
-    def symmetric_amplitudes(self, t) -> np.ndarray:
-        """(S+, S-, D) rows reconstructed from the quasi-mode time functions."""
-        fp, fm, gd = self.time_functions(t)
+    @property
+    def chi(self) -> np.ndarray:
+        """S+- = f+- - Delta_S+- g and D = g + Delta_S+ f+ + Delta_S- f-, per mode."""
         dp, dm = self.delta_s_plus, self.delta_s_minus
-        return np.array([fp - dp * gd, fm - dm * gd, gd + dp * fp + dm * fm])
+        return np.array([[1, 0, -dp], [0, 1, -dm], [dp, dm, 1]]) * self.amplitudes
 
 
 def perturbative_symmetric(params: SystemParams, variant: str = "standard") -> PerturbativeModes:
@@ -150,9 +144,9 @@ def perturbative_cavity_amplitudes(
     alpha1 - alpha2 carries only the anti-symmetric manifold.
     """
     t = np.asarray(t, dtype=float)
-    s_plus, s_minus, _ = perturbative_symmetric(params, variant).symmetric_amplitudes(t)
+    modes = perturbative_symmetric(params, variant)
+    sym = 0.5 * (modes.chi[0] - modes.chi[1]) @ np.exp(np.outer(modes.eigenvalues, t))
     a_plus, a_minus = fiber_dark_amplitudes(params, t)
-    sym = 0.5 * (s_plus - s_minus)
     anti = 0.5 * (a_plus - a_minus)
     return np.array([sym + anti, sym - anti])
 
@@ -162,9 +156,8 @@ def cavity_coefficients(params: SystemParams, variant: str = "standard") -> np.n
     like full_decomposition(params).chi_coeffs[2:4].
 
     The cavity projection alpha1 = (S+ - S-)/2 + (A+ - A-)/2 read per
-    quasi mode.  S+ - S- = f+ - f- - (Delta_S+ - Delta_S-) g_D, with
-    (f+, f-, g_D) the PerturbativeModes amplitudes at t = 0, and the exact
-    fiber-dark pair gives
+    quasi mode: (S+ - S-)/2 has the coefficients (chi[0] - chi[1])/2 of
+    the PerturbativeModes chi, and the exact fiber-dark pair gives
     A+ - A- = g/2p (e^(lambda_QFD+ t) - e^(lambda_QFD- t)).  The two
     cavities share the bright and cavity-dark coefficients and carry
     opposite-sign fiber-dark ones, so their Lorentzian decompositions
@@ -175,7 +168,6 @@ def cavity_coefficients(params: SystemParams, variant: str = "standard") -> np.n
     r = derive_rates(params)
     if r.p == 0:
         raise DegenerateBlock(_CRITICAL_POINT)
-    f_plus, f_minus, g_cd = modes.amplitudes.tolist()
-    sym = [f_plus / 2, -f_minus / 2, -(modes.delta_s_plus - modes.delta_s_minus) * g_cd / 2]
+    sym = (0.5 * (modes.chi[0] - modes.chi[1])).tolist()
     chi_fd = params.g / (4 * r.p)
     return np.array([sym + [chi_fd, -chi_fd], sym + [-chi_fd, chi_fd]])

@@ -13,11 +13,13 @@ from fiberqed import (
     fiber_dark_amplitudes,
     fiber_dominated_solution,
     full_decomposition,
+    normal_mode_matrix,
     perturbative_cavity_amplitudes,
     perturbative_symmetric,
 )
+from fiberqed.model import SYM_ROWS
 
-from conftest import FIG3, FIG4, FIG5, GAMMA, atom1_oracle
+from conftest import FIG3, FIG4, FIG5, FIG8, GAMMA, atom1_oracle
 
 
 class TestAtomDominated:
@@ -117,7 +119,7 @@ class TestPerturbativeSymmetric:
         assert cd == pytest.approx(-r.gamma_d)
         # pure decaying oscillations: |S_+(t)| has a constant envelope ratio
         t = np.linspace(0, 2, 50)
-        s_plus, _, d = modes.symmetric_amplitudes(t)
+        s_plus, _, d = modes.chi @ np.exp(np.outer(modes.eigenvalues, t))
         assert np.abs(np.abs(s_plus) - abs(s_plus[0]) * np.exp(-r.gamma_s_plus / 2 * t)).max() < 1e-12
         assert np.abs(np.abs(d) - abs(d[0]) * np.exp(-r.gamma_d * t)).max() < 1e-12
 
@@ -172,6 +174,22 @@ class TestPerturbativeSymmetric:
         err_ref = np.abs(ref.eigenvalues - exact)
         assert np.all(err_ref <= err_std)
 
+    @pytest.mark.parametrize("params", [FIG4, FIG5, FIG8], ids=["fig4", "fig5", "fig8"])
+    def test_chi_rows_follow_the_exact_normal_amplitudes(self, params):
+        # (S+, S-, D) = chi @ e^(lambda t) keeps the first order in Delta_S+-;
+        # inside the regime (no RegimeWarning) what it drops stays below the
+        # size |Delta_S+| of the first-order terms it keeps, in every row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            modes = perturbative_symmetric(params)
+        t = np.linspace(0, 1.4, 300)
+        exact = normal_mode_matrix(params) @ full_decomposition(params).bare_amplitudes(t)
+        err = np.abs(modes.chi @ np.exp(np.outer(modes.eigenvalues, t)) - exact[SYM_ROWS])
+        bound = abs(modes.delta_s_plus)
+        print(f"max |chi e^(lambda t) - (S+, S-, D)| per row: {err.max(axis=1)} "
+              f"(bound |Delta_S+| = {bound:.3g})")
+        assert err.max() < bound
+
     def test_regime_warning(self):
         with pytest.warns(RegimeWarning):
             perturbative_symmetric(FIG3)  # v/g = 0.02, far outside validity
@@ -203,7 +221,8 @@ class TestPerturbativeCavityAmplitudes:
         modes = perturbative_symmetric(params)
         a1, a2 = perturbative_cavity_amplitudes(params, t)
         a_plus, a_minus = fiber_dark_amplitudes(params, t)
-        fp, fm, _ = modes.time_functions(t)
+        assert np.array_equal(modes.chi, np.diag(modes.amplitudes))  # no mixing
+        fp, fm, _ = modes.chi @ np.exp(np.outer(modes.eigenvalues, t))
         f_diff = fp - fm
         assert np.abs(a1 - 0.5 * (f_diff + (a_plus - a_minus))).max() < 1e-14
         assert np.abs(a2 - 0.5 * (f_diff - (a_plus - a_minus))).max() < 1e-14
