@@ -50,7 +50,7 @@ class Scenario:
     initial: str
     run: str
     channels: tuple
-    integrator: dynamics.IntegratorConfig | None  # validated; None unless a trajectory run
+    integrator: dynamics.IntegratorConfig | None  # None unless a trajectory run
     omega_grid: np.ndarray | None  # None for each point's default grid
     points: tuple             # ((parameter, value) or None, SystemParams) per point
     out_base: str
@@ -158,7 +158,6 @@ def parse_scenario(path) -> Scenario:
             raise ConfigInvalid("[run] missing key t_max (required for trajectory runs)")
         t_max = _floats("run", "t_max", raw_run["t_max"])
         integrator = dynamics.IntegratorConfig(dt=dt, t_max=t_max, record_every=record_every)
-        integrator.validate()
 
     omega_grid = None
     omega_keys = [k for k in ("omega_min", "omega_max", "omega_points") if k in raw_run]
@@ -173,7 +172,11 @@ def parse_scenario(path) -> Scenario:
         if not (n.is_integer() and n >= 2):
             raise ConfigInvalid(f"[run] omega_points = {raw_run['omega_points']!r} "
                                 "is not an integer >= 2")
-        omega_grid = np.linspace(lo, hi, int(n))
+        try:
+            omega_grid = np.linspace(lo, hi, int(n))
+        except (ValueError, MemoryError) as exc:  # more samples than numpy can hold
+            raise ConfigInvalid(f"[run] omega_points = {raw_run['omega_points']!r} "
+                                f"is too many samples: {exc}") from None
         if not np.all(np.diff(omega_grid) > 0):
             raise ConfigInvalid(f"[run] omega_points = {int(n)} samples of "
                                 f"[{lo}, {hi}] are not strictly increasing")
@@ -207,9 +210,9 @@ def parse_scenario(path) -> Scenario:
             points.append(((parameter, value), point_params))
 
     out_base = raw_run.get("out", path.stem)
-    if not out_base or os.path.basename(out_base) != out_base:
+    if not out_base or os.path.basename(out_base) != out_base or "\0" in out_base:
         raise ConfigInvalid(f"[run] out = {out_base!r} is not a file name prefix: "
-                            "it is empty or holds a path separator")
+                            "it is empty or holds a path separator or a NUL")
 
     return Scenario(
         name=path.stem,
@@ -514,7 +517,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         run_scenario(args.config, out_dir=args.out, quiet=args.quiet)
-    except ConfigInvalid as exc:
+    except (ConfigInvalid, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

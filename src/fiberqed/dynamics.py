@@ -19,41 +19,49 @@ __all__ = ["IntegratorConfig", "Trajectory", "evolve_bare", "occupations"]
 
 # RK4 steps evaluated per dense matrix-power block
 _BLOCK = 4096
-# allowed excess of the RK4 step's spectral radius over 1 (see _integrate)
+# allowed excess of the RK4 step's spectral radius over 1 (see evolve_bare)
 _RADIUS_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration settings.
+    """Fixed-step integration settings, checked when built (ConfigInvalid).
 
     dt           : step size (conjugate unit of 2*pi*MHz)
-    t_max        : integration horizon
+    t_max        : integration horizon, n_steps whole steps dt to within 1e-9 * t_max
     record_every : keep every n-th step in the output (plus the final one)
+
+    Whether dt is stable depends on the generator: see evolve_bare.
     """
 
     dt: float = 1e-4
     t_max: float = 1.0
     record_every: int = 1
 
-    def validate(self) -> None:
-        """Raise ConfigInvalid unless the settings make a grid of steps whose
-        last, the round(t_max / dt)-th, ends within 1e-9 * t_max of t_max.
-        Whether dt is stable depends on the generator: see _integrate."""
+    def __post_init__(self):
         if not (0 < self.dt < np.inf):
             raise ConfigInvalid(f"dt must be finite and > 0, got {self.dt}")
         if not (0 < self.t_max < np.inf):
             raise ConfigInvalid(f"t_max must be finite and > 0, got {self.t_max}")
         if self.dt > self.t_max:
             raise ConfigInvalid(f"dt = {self.dt} exceeds the horizon t_max = {self.t_max}")
-        if self.record_every < 1:
-            raise ConfigInvalid(f"record_every must be >= 1, got {self.record_every}")
-        n_steps = round(self.t_max / self.dt)  # >= 1, as dt <= t_max
-        if abs(n_steps * self.dt - self.t_max) > 1e-9 * self.t_max:
+        # numpy counts the steps in int64
+        if not 1 <= self.record_every < 2**63:
+            raise ConfigInvalid(f"record_every must be >= 1 and below 2**63, "
+                                f"got {self.record_every}")
+        if not self.t_max / self.dt < 2.0**63:
+            raise ConfigInvalid(f"t_max = {self.t_max} over dt = {self.dt} is "
+                                f"{self.t_max / self.dt:.3g} steps, not below 2**63")
+        if abs(self.n_steps * self.dt - self.t_max) > 1e-9 * self.t_max:
             raise ConfigInvalid(
                 f"t_max = {self.t_max} is not a whole number of steps dt = {self.dt}: "
-                f"the last step would end at t = {n_steps * self.dt:.9g}"
+                f"the last step would end at t = {self.n_steps * self.dt:.9g}"
             )
+
+    @property
+    def n_steps(self) -> int:
+        """The number of steps, round(t_max / dt); >= 1, as dt <= t_max."""
+        return round(self.t_max / self.dt)
 
 
 @dataclass
@@ -81,12 +89,17 @@ class Trajectory:
         return float(np.abs(self.survival + detected - 1.0).max())
 
 
-def _integrate(gen, y0, cfg, weights):
-    """Blocked classical RK4 for dy/dt = gen @ y with flux accumulation.
+def evolve_bare(params: SystemParams, initial, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate the bare amplitude equations from the given initial state by RK4.
 
-    For a linear autonomous system the RK4 stage amplitudes are fixed
-    polynomials of the generator, so whole blocks of steps can be evaluated
-    with dense matrix products; the scheme is deterministic and
+    initial is array-like, 5 finite complex amplitudes in BARE_MODES order
+    (ValueError otherwise).  Channel probabilities accumulate as
+    dP_cav,i/dt = 2*kappa*|alpha_i|^2, dP_fib/dt = 2*kappa_b*|beta|^2 and
+    dP_atom,i/dt = gamma*|xi_i|^2, so survival + detected stays at 1.
+
+    For a linear autonomous system the classical RK4 stage amplitudes are
+    fixed polynomials of the generator, so whole blocks of steps can be
+    evaluated with dense matrix products; the scheme is deterministic and
     algebraically identical to the scalar step loop.  The photon flux
     weights[c] * |y_c|^2 is integrated with the same stages.
 
@@ -110,13 +123,12 @@ def _integrate(gen, y0, cfg, weights):
     margin is for rounding, which moves the eigenvalues of phi by about
     n * eps * |phi| ~ 1e-15 (6.7e-16 on a lossless set, whose exact radius
     is at most 1).  It lets the norm grow by a factor of at most
-    (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.  cfg.validate() runs
-    first.  Returns the times, states, channel_probs and survival of a
-    Trajectory.
+    (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.  The recorded steps are
+    allocated at once, so a grid of too many of them raises MemoryError.
     """
-    cfg.validate()
-    dt = cfg.dt
-    n_steps = round(cfg.t_max / dt)  # >= 1, as dt <= t_max
+    gen, weights = bare_generator(params), flux_weights(params)
+    y = _amplitudes(initial).copy()  # the recurrence below writes into y
+    dt, n_steps = cfg.dt, cfg.n_steps
     eye = np.eye(5, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         b2 = eye + 0.5 * dt * gen
@@ -138,13 +150,10 @@ def _integrate(gen, y0, cfg, weights):
         prev.dot(phi, nxt)  # the zgemm of prev @ phi, written in place
     flat_powers = powers.reshape(block * 5, 5)
 
-    rec_set = np.arange(0, n_steps + 1, cfg.record_every)
-    if rec_set[-1] != n_steps:
-        rec_set = np.append(rec_set, n_steps)
+    rec_set = np.union1d(np.arange(0, n_steps + 1, cfg.record_every), n_steps)
 
     states = np.empty((len(rec_set), 5), dtype=complex)
     probs = np.empty((len(rec_set), 5))
-    y = y0.astype(complex)
     acc = np.zeros(5)
     # buffers of one block, reused: the amplitudes, one stage product, its
     # |.|^2, the flux q summed over the stages and cum[c, j], the flux of
@@ -182,21 +191,7 @@ def _integrate(gen, y0, cfg, weights):
 
     times = rec_set.astype(float) * dt
     survival = np.sum(np.abs(states) ** 2, axis=1)
-    return times, states, probs, survival
-
-
-def evolve_bare(params: SystemParams, initial, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate the bare amplitude equations from the given initial state.
-
-    initial is array-like, 5 finite complex amplitudes in BARE_MODES order
-    (ValueError otherwise).  Channel probabilities accumulate as
-    dP_cav,i/dt = 2*kappa*|alpha_i|^2, dP_fib/dt = 2*kappa_b*|beta|^2 and
-    dP_atom,i/dt = gamma*|xi_i|^2, so survival + detected stays at 1.
-    """
-    times, states, probs, surv = _integrate(
-        bare_generator(params), _amplitudes(initial), cfg, flux_weights(params)
-    )
-    return Trajectory(times, states, probs, surv, params)
+    return Trajectory(times, states, probs, survival, params)
 
 
 def occupations(traj: Trajectory) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Scenario runner: parsing, exit codes, output format and determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from collections import Counter
@@ -159,17 +161,24 @@ def test_non_decaying_mode_exits_3_before_writing(tmp_path, capsys, kind):
 @pytest.mark.parametrize(
     "omega",
     [(5, -5, 101), (5, 5, 101), (-5, 5, 0), (-5, 5, 1), (-5, 5, 2.7),
-     (1, 1.0000000000000002, 5)],
-    ids=["reversed", "equal", "points0", "points1", "points2.7", "narrow"],
+     (1, 1.0000000000000002, 5), (-5, 5, "1e300"), (-5, 5, "1e15")],
+    ids=["reversed", "equal", "points0", "points1", "points2.7", "narrow",
+         "points1e300", "points1e15"],
 )
 def test_bad_omega_grid_exits_2(tmp_path, capsys, omega):
-    # "narrow": two adjacent floats cannot hold 5 strictly increasing samples
+    # "narrow": two adjacent floats cannot hold 5 strictly increasing samples;
+    # 1e300 samples are more than numpy can index, and 1e15 (7.11 PiB) more
+    # than any address space holds, so neither allocates anything
     text = BASE.format(kind="spectrum") + (
         "omega_min = {}\nomega_max = {}\nomega_points = {}\n".format(*omega)
     )
     cfg = write_cfg(tmp_path, text)
     assert main([str(cfg), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: [run] omega_")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [run] omega_") and err.count("\n") == 1
+    if isinstance(omega[2], str):  # named as written in the file
+        assert err.startswith(f"config error: [run] omega_points = {omega[2]!r} "
+                              "is too many samples: ")
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -455,6 +464,22 @@ def test_bad_time_step_exits_2(tmp_path, capsys, dt, t_max, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("t_max, dt, message", [
+    # t_max / dt overflows to inf, so no step count exists
+    ("1e300", "1e-300", "t_max = 1e+300 over dt = 1e-300 is inf steps, not below 2**63"),
+    # 1e15 + 1 recorded steps: 7.11 PiB of int64, which fails to allocate at once
+    ("1000", "1e-12", "Unable to allocate 7.11 PiB for an array with shape "
+                      "(1000000000000001,) and data type int64"),
+], ids=["overflow", "memory"])
+def test_step_grid_too_large_exits_2(tmp_path, capsys, t_max, dt, message):
+    text = (BASE.format(kind="trajectory").replace("t_max = 1.0", f"t_max = {t_max}")
+            .replace("dt = 1e-3", f"dt = {dt}").replace("record_every = 10", "record_every = 1"))
+    cfg = write_cfg(tmp_path, text)
+    assert main([str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_horizon_off_the_step_grid_exits_2(tmp_path, capsys):
     # fig4 with dt = 0.04, t_max = 0.1: round(2.5) = 2 steps would end at t = 0.08
     text = (SCENARIO_DIR / "fig4.cfg").read_text()
@@ -700,12 +725,47 @@ def test_config_refusal_exits_2_with_its_line(tmp_path, capsys, kind, edit, mess
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("out", ["sub/dir/x", ""])
+def _with_line_replaced(case):
+    """BASE's spectrum run on an 11-point grid, with line i of BASE, or the
+    value of its key, replaced by text.
+
+    A spectrum run costs the same whatever its rates, and ConfigParser refuses
+    a second omega_points, so no replacement can ask for a long run or a large
+    allocation.
+    """
+    i, text = case
+    lines = BASE.format(kind="spectrum").splitlines()
+    key, eq, _ = lines[i].partition(" = ")
+    lines[i] = f"{key} = {text}" if eq else text
+    return "\n".join(lines) + "\nomega_min = -5\nomega_max = 5\nomega_points = 11\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.one_of(
+    st.text(),
+    st.binary(),
+    st.tuples(st.integers(0, BASE.count("\n") - 1), st.text()).map(_with_line_replaced),
+))
+def test_any_config_file_exits_with_a_code_and_one_line(content):
+    # any text and any bytes give exit 0, 2, 3 or 4, never a traceback, and
+    # a refusal prints exactly one stderr line
+    data = content.encode() if isinstance(content, str) else content
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        cfg = Path(tmp, "any.cfg")
+        cfg.write_bytes(data)
+        code = main([str(cfg), "--out", tmp, "--quiet"])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["sub/dir/x", "", "a\0b"])
 def test_out_that_is_not_a_file_name_prefix_exits_2(tmp_path, capsys, out):
     cfg = write_cfg(tmp_path, BASE.format(kind="spectrum") + f"out = {out}\n")
     assert main([str(cfg), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (f"config error: [run] out = {out!r} is not a file "
-                                       "name prefix: it is empty or holds a path separator\n")
+                                       "name prefix: it is empty or holds a path separator "
+                                       "or a NUL\n")
     assert not list(tmp_path.rglob("*.csv"))
 
 

@@ -16,7 +16,6 @@ from fiberqed import (
     occupations,
     single_excitation,
 )
-from fiberqed.dynamics import _integrate
 from fiberqed.model import BARE_MODES, NORMAL_MODES, flux_weights
 
 from conftest import ALL_FIGURE_SETS, FIG3, FIG4, FIG5, FIG8, GAMMA, atom1_oracle, caption_params
@@ -176,23 +175,51 @@ def test_occupations_initial_point_and_lossless_sum():
 @pytest.mark.parametrize(
     "cfg",
     [
-        IntegratorConfig(dt=0.0, t_max=1.0),
-        IntegratorConfig(dt=1e-4, t_max=0.0),
-        IntegratorConfig(dt=1e-4, t_max=1.0, record_every=0),
-        IntegratorConfig(dt=1.0, t_max=0.1),  # would step past the horizon
-        IntegratorConfig(dt=0.06, t_max=24.0),  # RK4 step radius 1 + 0.344 on FIG3
-        IntegratorConfig(dt=0.04, t_max=0.1),  # round(2.5) = 2 steps would end at t = 0.08
+        dict(dt=0.0, t_max=1.0),
+        dict(dt=1e-4, t_max=0.0),
+        dict(dt=1e-4, t_max=1.0, record_every=0),
+        dict(dt=1.0, t_max=0.1),  # would step past the horizon
+        dict(dt=0.06, t_max=24.0),  # RK4 step radius 1 + 0.344 on FIG3
+        dict(dt=0.04, t_max=0.1),  # round(2.5) = 2 steps would end at t = 0.08
+        dict(dt=1e-3, t_max=1.0, record_every=2**63),  # beyond the int64 step index
     ],
 )
 def test_invalid_config_rejected(cfg):
+    # every rule but the stability region's is checked when the config is built
     with pytest.raises(ConfigInvalid):
+        evolve_bare(FIG3, ATOM1, IntegratorConfig(**cfg))
+
+
+# t_max / dt overflows to inf, or exceeds the int64 step index numpy counts in
+@pytest.mark.parametrize("t_max, dt, steps", [(1e300, 1e-300, "inf"), (1e16, 1e-3, "1e+19")])
+def test_step_count_beyond_int64_refused_when_built(t_max, dt, steps):
+    with pytest.raises(ConfigInvalid) as caught:
+        IntegratorConfig(dt=dt, t_max=t_max)
+    assert str(caught.value) == (f"t_max = {t_max} over dt = {dt} is {steps} steps, "
+                                 "not below 2**63")
+
+
+def test_step_grid_beyond_memory_raises_memory_error():
+    # 1e15 + 1 recorded steps are 7.11 PiB of int64, more than any address
+    # space, so the allocation fails at once
+    cfg = IntegratorConfig(dt=1e-12, t_max=1000.0)
+    assert cfg.n_steps == 10**15
+    with pytest.raises(MemoryError, match="Unable to allocate 7.11 PiB"):
         evolve_bare(FIG3, ATOM1, cfg)
+
+
+def test_initial_state_is_not_written():
+    # _amplitudes returns a complex input as is; the RK4 loop writes its state in place
+    initial = np.array([0.6, 0.8j, 0, 0, 0])
+    kept = initial.copy()
+    evolve_bare(FIG3, initial, IntegratorConfig(dt=1e-3, t_max=0.1))
+    assert np.array_equal(initial, kept)
 
 
 def _reference_integrate(gen, y0, cfg, weights):
     """The RK4 block loop as first written (one new array per product).
 
-    dynamics._integrate must give its bits: it makes the same BLAS calls
+    dynamics.evolve_bare must give its bits: it makes the same BLAS calls
     and elementwise operations in the same order, into reused buffers.
     """
     dt = cfg.dt
@@ -259,9 +286,9 @@ def test_integrate_gives_the_bits_of_the_reference_loop(name, n_steps):
     gen, weights = bare_generator(params), flux_weights(params)
     for every in sorted({1, 7, n_steps}):
         cfg = IntegratorConfig(dt=1e-4, t_max=n_steps * 1e-4, record_every=every)
-        times, states, probs, survival = _integrate(gen, y0, cfg, weights)
+        traj = evolve_bare(params, y0, cfg)
         ref = _reference_integrate(gen, y0, cfg, weights)
-        assert np.array_equal(times, ref[0])
-        assert np.array_equal(states, ref[1])
-        assert np.array_equal(probs, ref[2])
-        assert np.array_equal(survival, ref[3])
+        assert np.array_equal(traj.times, ref[0])
+        assert np.array_equal(traj.states, ref[1])
+        assert np.array_equal(traj.channel_probs, ref[2])
+        assert np.array_equal(traj.survival, ref[3])
