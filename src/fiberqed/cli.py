@@ -8,8 +8,9 @@ self-documenting and byte-identical across runs.
 A sweep runs as stacked passes: all points are decomposed in one call,
 and the spectra, channel totals and CSV bytes of a spectrum or
 decomposition run are computed for a chunk of points at a time, bounded
-by one cell budget.  Files are still written point by point, and a point
-that cannot run fails at its turn, after the files of the points before.
+by one cell budget.  Each point's outcome is its error or an Outcome, read
+by field name.  Files are still written point by point, and a point that
+cannot run fails at its turn, after the files of the points before.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import re
 import sys
 import warnings
+from collections import namedtuple
 from configparser import (ConfigParser, DuplicateOptionError, DuplicateSectionError,
                           Error as ConfigParserError, MissingSectionHeaderError)
 from dataclasses import dataclass, fields
@@ -42,6 +44,11 @@ _FMT = "%.12e"
 _RESIDUAL_BOUND = 5e-7
 _UNLABELED = ("coincident eigenvalues in the symmetric block leave the quasi modes "
               "unlabeled; a decomposition run needs the labels")
+# a runnable point's answer: its eigenvalues and labels (None if unlabeled), its
+# totals in BARE_MODES order, (kind, columns, CSV body) per file, its conservation
+# residual and, for a trajectory, its survival at t_max
+Outcome = namedtuple("Outcome", "eigenvalues labels totals outputs residual survival",
+                     defaults=(0.0,))
 
 
 @dataclass
@@ -392,8 +399,6 @@ def _spectral_results(scn: Scenario, decomps):
     n_rows = (scn.omega_grid.size if scn.omega_grid is not None
               else spectra._GRID_POINTS)
     per_chunk = max(1, _CELLS // (n_rows * sum(len(cols) for _, cols in layout)))
-    source = ("the Gramian solve of the channel totals",
-              "a decay rate far below the generator's scale is lost to rounding")
     for start in range(0, len(decomps), per_chunk):
         chunk = decomps[start:start + per_chunk]
         results = [decomp if isinstance(decomp, Exception)
@@ -409,16 +414,15 @@ def _spectral_results(scn: Scenario, decomps):
             # (files, columns, G) to the rows of each file
             bodies = iter(_csv_bodies(columns_of(spec, grid).transpose(0, 2, 1)))
             for i in ok:
-                totals = dict(zip(BARE_MODES, results[i].tolist()))
-                results[i] = ((chunk[i].eigenvalues, chunk[i].labels), totals,
-                              [(kind, cols, next(bodies)) for kind, cols in layout],
-                              abs(sum(totals.values()) - 1.0), source)
+                results[i] = Outcome(chunk[i].eigenvalues, chunk[i].labels, results[i],
+                                     [(kind, cols, next(bodies)) for kind, cols in layout],
+                                     abs(sum(results[i].tolist()) - 1.0))
         yield from results
 
 
 def _trajectory_results(scn: Scenario, decomps):
-    """Per point of a trajectory run, its outcome (see _run_point): the totals
-    also hold the survival at t_max, and the residual is the grid's largest.
+    """Per point of a trajectory run, its outcome (see _run_point): its
+    residual is the grid's largest, and it holds the survival at t_max.
 
     RK4 integrates the bare amplitudes, so a DegenerateBlock (p = 0 or
     InaccurateRoots) does not stop a point, whose summary then gives the
@@ -426,50 +430,54 @@ def _trajectory_results(scn: Scenario, decomps):
     does.  A point is integrated when it is asked for.
     """
     cols = ["t", *BARE_MODES, *NORMAL_MODES, "survival"] + [f"p_{c}" for c in BARE_MODES]
-    source = (f"RK4 at dt = {scn.integrator.dt}", "take a smaller dt")
     for (_, params), decomp in zip(scn.points, decomps):
         if isinstance(decomp, Exception) and not isinstance(decomp, DegenerateBlock):
             yield decomp
         else:
-            eig = ((decomp.eigenvalues, decomp.labels) if not isinstance(decomp, Exception)
-                   else (np.linalg.eigvals(bare_generator(params)), None))
+            eigenvalues, labels = ((decomp.eigenvalues, decomp.labels)
+                                   if not isinstance(decomp, Exception)
+                                   else (np.linalg.eigvals(bare_generator(params)), None))
             traj = dynamics.evolve_bare(params, single_excitation(scn.initial), scn.integrator)
             data = np.column_stack((traj.times, dynamics.occupations(traj), traj.survival,
                                     traj.channel_probs))
-            totals = dict(zip(BARE_MODES, traj.channel_probs[-1]), survival=traj.survival[-1])
-            yield (eig, totals, [("trajectory", cols, _csv_bodies(data[None])[0])],
-                   traj.conservation_residual(), source)
+            yield Outcome(eigenvalues, labels, traj.channel_probs[-1],
+                          [("trajectory", cols, _csv_bodies(data[None])[0])],
+                          traj.conservation_residual(), traj.survival[-1])
 
 
 def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point, result):
-    """Write one parameter point's files; returns (files, summary lines).
+    """Write one parameter point's files; returns them and the point's printed block.
 
     result is the point's outcome from _spectral_results or
-    _trajectory_results: the error it raises at its turn, or ((eigenvalues,
-    labels or None), totals, (kind, columns, CSV body) per file,
-    conservation residual, (source, hint)).  A residual above
-    _RESIDUAL_BOUND warns AccuracyWarning once the files are written.
+    _trajectory_results: the error it raises at its turn, or its Outcome.
+    A residual above _RESIDUAL_BOUND warns AccuracyWarning once the files
+    are written, naming the Gramian solve or RK4 by the run type.  The block
+    is the '==' line, the eigenvalues, totals and residual, and the files.
     """
     if isinstance(result, Exception):
         raise result
-    (eigenvalues, labels), totals, outputs, residual, (source, hint) = result
     suffix = f"_{point[0]}{point[1]:g}" if point is not None else ""
     files = []
-    for kind, cols, body in outputs:
+    for kind, cols, body in result.outputs:
         path = out_dir / f"{scn.out_base}{suffix}_{kind}.csv"
         _write_csv(path, _header(scn, params, cols, point), body)
         files.append(path)
-    if residual > _RESIDUAL_BOUND:
-        warnings.warn(f"{source} loses conservation by up to {residual:.3e} "
-                      f"(bound {_RESIDUAL_BOUND:g}); {hint}", AccuracyWarning)
-    names = (f"{lbl}: " for lbl in labels) if labels is not None else repeat("")
+    if result.residual > _RESIDUAL_BOUND:
+        loss = f"loses conservation by up to {result.residual:.3e} (bound {_RESIDUAL_BOUND:g})"
+        warnings.warn(f"RK4 at dt = {scn.integrator.dt} {loss}; take a smaller dt"
+                      if scn.run == "trajectory" else
+                      f"the Gramian solve of the channel totals {loss}; a decay rate far "
+                      "below the generator's scale is lost to rounding", AccuracyWarning)
+    names = (f"{lbl}: " for lbl in result.labels) if result.labels is not None else repeat("")
+    totals = result.totals.tolist()
     # rounded first, so a total that rounds to zero prints without a sign
-    rounded = " ".join(f"{c}={round(float(totals[c]), 6) + 0.0:.6f}" for c in BARE_MODES)
-    return files, [
-        "eigenvalues: " + ", ".join(f"{name}{x:.6g}" for name, x in zip(names, eigenvalues)),
+    rounded = " ".join(f"{c}={round(x, 6) + 0.0:.6f}" for c, x in zip(BARE_MODES, totals))
+    return files, "\n   ".join([
+        f"== {scn.name}" + (f" [{point[0]}={point[1]:g}]" if point is not None else ""),
+        "eigenvalues: " + ", ".join(f"{name}{x:.6g}" for name, x in zip(names, result.eigenvalues)),
         f"channel totals: {rounded}",
-        # a trajectory's totals also hold its survival at t_max
-        f"conservation residual: {sum(totals.values()) - 1.0:+.3e}"]
+        f"conservation residual: {sum(totals) + result.survival - 1.0:+.3e}",
+        *(f"wrote {path}" for path in files)])
 
 
 def run_scenario(config_path, out_dir=None, quiet=False) -> list:
@@ -494,15 +502,10 @@ def run_scenario(config_path, out_dir=None, quiet=False) -> list:
         scn, decomps)
     written = []
     for (point, point_params), result in zip(scn.points, results):
-        files, summary = _run_point(scn, point_params, out, point, result)
+        files, block = _run_point(scn, point_params, out, point, result)
         written.extend(files)
         if not quiet:
-            tag = f" [{point[0]}={point[1]:g}]" if point is not None else ""
-            print(f"== {scn.name}{tag}")
-            for line in summary:
-                print("   " + line)
-            for path in files:
-                print(f"   wrote {path}")
+            print(block)
     return written
 
 

@@ -21,6 +21,8 @@ __all__ = ["IntegratorConfig", "Trajectory", "evolve_bare", "occupations"]
 _BLOCK = 4096
 # allowed excess of the RK4 step's spectral radius over 1 (see evolve_bare)
 _RADIUS_MARGIN = 1e-12
+# most steps a config may ask for (~13 min at 0.16-0.19 us a step, 2-core Xeon)
+_STEP_BUDGET = 2**32
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,7 @@ class IntegratorConfig:
     """Fixed-step integration settings, checked when built (ConfigInvalid).
 
     dt           : step size (conjugate unit of 2*pi*MHz)
-    t_max        : integration horizon, n_steps whole steps dt to within 1e-9 * t_max
+    t_max        : horizon, n_steps <= _STEP_BUDGET whole steps dt to within 1e-9 * t_max
     record_every : keep every n-th step in the output (plus the final one)
 
     Whether dt is stable depends on the generator: see evolve_bare.
@@ -49,9 +51,9 @@ class IntegratorConfig:
         if not 1 <= self.record_every < 2**63:
             raise ConfigInvalid(f"record_every must be >= 1 and below 2**63, "
                                 f"got {self.record_every}")
-        if not self.t_max / self.dt < 2.0**63:
-            raise ConfigInvalid(f"t_max = {self.t_max} over dt = {self.dt} is "
-                                f"{self.t_max / self.dt:.3g} steps, not below 2**63")
+        if not (steps := self.t_max / self.dt) <= _STEP_BUDGET:
+            raise ConfigInvalid(f"t_max = {self.t_max} over dt = {self.dt} is {steps:.3g} steps, "
+                                f"over the budget of {_STEP_BUDGET:.3g}")
         if abs(self.n_steps * self.dt - self.t_max) > 1e-9 * self.t_max:
             raise ConfigInvalid(
                 f"t_max = {self.t_max} is not a whole number of steps dt = {self.dt}: "

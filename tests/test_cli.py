@@ -10,7 +10,7 @@ import sys
 import tempfile
 import time
 import warnings
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from fiberqed import (
     SystemParams,
     bare_generator,
     cli,
+    dynamics,
     eigen,
     full_decomposition,
     single_excitation,
@@ -422,8 +423,10 @@ def test_totals_that_miss_conservation_warn_after_writing(tmp_path, capsys, g, v
                                                           initial):
     cfg = write_cfg(tmp_path, f"[params]\ng = {g!r}\nv = {v!r}\nkappa = 0\nkappa_b = 0\n"
                     f"gamma = {gamma!r}\n\n[run]\ntype = spectrum\ninitial = {initial}\n")
-    message = (r"the Gramian solve of the channel totals loses conservation by up to "
-               r"(\S+) \(bound 5e-07\)")
+    # the whole text, hint included
+    message = (r"^the Gramian solve of the channel totals loses conservation by up to "
+               r"(\S+) \(bound 5e-07\); a decay rate far below the generator's scale is "
+               r"lost to rounding$")
     with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
         with pytest.raises(AccuracyWarning, match=message) as caught:
@@ -464,19 +467,25 @@ def test_bad_time_step_exits_2(tmp_path, capsys, dt, t_max, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("t_max, dt, message", [
+@pytest.mark.parametrize("t_max, dt, record_every, steps", [
     # t_max / dt overflows to inf, so no step count exists
-    ("1e300", "1e-300", "t_max = 1e+300 over dt = 1e-300 is inf steps, not below 2**63"),
-    # 1e15 + 1 recorded steps: 7.11 PiB of int64, which fails to allocate at once
-    ("1000", "1e-12", "Unable to allocate 7.11 PiB for an array with shape "
-                      "(1000000000000001,) and data type int64"),
-], ids=["overflow", "memory"])
-def test_step_grid_too_large_exits_2(tmp_path, capsys, t_max, dt, message):
+    ("1e300", "1e-300", "1", "inf"),
+    # 1e15 + 1 recorded steps would be 7.11 PiB of int64
+    ("1000", "1e-12", "1", "1e+15"),
+    # 1001 recorded rows fit in memory, but 1e15 RK4 steps would run for years
+    ("1000", "1e-12", "1000000000000", "1e+15"),
+], ids=["overflow", "memory", "time"])
+def test_step_grid_too_large_exits_2(tmp_path, capsys, t_max, dt, record_every, steps):
     text = (BASE.format(kind="trajectory").replace("t_max = 1.0", f"t_max = {t_max}")
-            .replace("dt = 1e-3", f"dt = {dt}").replace("record_every = 10", "record_every = 1"))
+            .replace("dt = 1e-3", f"dt = {dt}")
+            .replace("record_every = 10", f"record_every = {record_every}"))
     cfg = write_cfg(tmp_path, text)
+    start = time.perf_counter()
     assert main([str(cfg), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (f"config error: t_max = {float(t_max)} over dt = "
+                                       f"{float(dt)} is {steps} steps, over the budget of "
+                                       "4.29e+09\n")
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -501,7 +510,8 @@ def test_stable_coarse_time_step_runs(tmp_path, capsys):
     text = (SCENARIO_DIR / "fig3.cfg").read_text()
     text = text.replace("t_max = 2.0", "t_max = 20").replace("dt = 1e-4", "dt = 0.05")
     cfg = write_cfg(tmp_path, text)
-    with pytest.warns(AccuracyWarning, match="loses conservation by up to 5.288e-01"):
+    with pytest.warns(AccuracyWarning, match=r"^RK4 at dt = 0\.05 loses conservation by up to "
+                      r"5\.288e-01 \(bound 5e-07\); take a smaller dt$"):
         assert main([str(cfg), "--out", str(tmp_path)]) == 0
     residual = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
     # stable, not accurate: g * dt = 2.5 leaves a residual of -0.53
@@ -808,24 +818,37 @@ def test_underflowing_couplings_exit_3(tmp_path, capsys, kind):
 
 def test_run_calls_the_kernels_by_the_names_perfbench_traces(tmp_path, monkeypatch):
     # perfbench/tracing.py times each layer by wrapping these module attributes, so a
-    # run must reach its stacked kernels through them; it also reads a .basis, which
-    # decompositions no longer have, off every full_decomposition result, so a run
-    # must never call full_decomposition
-    calls = Counter()
+    # run must reach its stages and stacked kernels through them, with the arguments
+    # the tracer reads: the written path first in _write_csv, the IntegratorConfig
+    # third in evolve_bare.  It also reads a .basis, which decompositions no longer
+    # have, off every full_decomposition result, so a run must never call that
+    calls = defaultdict(list)  # name: the positional arguments of each call
     for module, name in ((spectra, "channel_spectrum"), (spectra, "integrated_spectrum"),
                          (eigen, "symmetric_block"), (eigen, "antisymmetric_block"),
-                         (eigen, "full_decomposition")):
+                         (eigen, "full_decomposition"), (cli, "parse_scenario"),
+                         (cli, "_run_point"), (cli, "_write_csv"), (dynamics, "evolve_bare")):
         def counted(*args, _func=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _func(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    run_scenario(SCENARIO_DIR / "fig6.cfg", out_dir=tmp_path, quiet=True)
-    print(dict(calls))
+    text = (SCENARIO_DIR / "fig6.cfg").read_text().replace("values = 2, 6, 10, 20",
+                                                           "values = 2, 6, 10")
+    files = run_scenario(write_cfg(tmp_path, text), out_dir=tmp_path / "sweep", quiet=True)
+    print({name: len(args) for name, args in calls.items()})
     for name in ("channel_spectrum", "integrated_spectrum", "symmetric_block",
                  "antisymmetric_block"):
-        assert calls[name] >= 1, name
-    assert calls["full_decomposition"] == 0
+        assert calls[name], name
+    assert not calls["full_decomposition"]
+    assert len(calls["parse_scenario"]) == 1
+    assert [args[3] for args in calls["_run_point"]] == [("g", 2.0), ("g", 6.0), ("g", 10.0)]
+    written = [args[0] for args in calls["_write_csv"]]
+    assert written == files and all(isinstance(path, Path) for path in written)
+
+    calls.clear()
+    run_scenario(SCENARIO_DIR / "fig3.cfg", out_dir=tmp_path / "trajectory", quiet=True)
+    assert [type(args[2]) for args in calls["evolve_bare"]] == [dynamics.IntegratorConfig]
+    assert len(calls["_run_point"]) == len(calls["_write_csv"]) == 1
 
 
 def test_console_entry_point(tmp_path):

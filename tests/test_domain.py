@@ -107,7 +107,8 @@ def sample():
 
 
 def _flagged(totals):
-    """Whether the CLI warns AccuracyWarning for these totals (see cli._run_point)."""
+    """Whether the CLI warns AccuracyWarning for these totals: cli._spectral_results
+    puts this residual in the point's Outcome, and cli._run_point warns on it."""
     return abs(sum(totals.tolist()) - 1.0) > cli._RESIDUAL_BOUND
 
 

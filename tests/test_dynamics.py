@@ -190,22 +190,30 @@ def test_invalid_config_rejected(cfg):
         evolve_bare(FIG3, ATOM1, IntegratorConfig(**cfg))
 
 
-# t_max / dt overflows to inf, or exceeds the int64 step index numpy counts in
+# t_max / dt overflows to inf, or exceeds the int64 step index numpy counts in,
+# which the step budget of 2**32 covers
 @pytest.mark.parametrize("t_max, dt, steps", [(1e300, 1e-300, "inf"), (1e16, 1e-3, "1e+19")])
 def test_step_count_beyond_int64_refused_when_built(t_max, dt, steps):
     with pytest.raises(ConfigInvalid) as caught:
         IntegratorConfig(dt=dt, t_max=t_max)
     assert str(caught.value) == (f"t_max = {t_max} over dt = {dt} is {steps} steps, "
-                                 "not below 2**63")
+                                 "over the budget of 4.29e+09")
 
 
-def test_step_grid_beyond_memory_raises_memory_error():
-    # 1e15 + 1 recorded steps are 7.11 PiB of int64, more than any address
-    # space, so the allocation fails at once
-    cfg = IntegratorConfig(dt=1e-12, t_max=1000.0)
-    assert cfg.n_steps == 10**15
-    with pytest.raises(MemoryError, match="Unable to allocate 7.11 PiB"):
-        evolve_bare(FIG3, ATOM1, cfg)
+def test_step_budget_holds_its_edge():
+    # built only, never integrated: 2**32 steps would run for some 13 minutes
+    assert IntegratorConfig(dt=1.0, t_max=2.0**32).n_steps == 2**32
+    with pytest.raises(ConfigInvalid, match=r"is 4\.29e\+09 steps, over the budget of 4\.29e\+09"):
+        IntegratorConfig(dt=1.0, t_max=2.0**32 + 1)
+
+
+def test_step_grid_beyond_memory_refused_when_built():
+    # 1e15 + 1 recorded steps would be 7.11 PiB of int64; the step budget
+    # refuses the grid before anything is allocated
+    with pytest.raises(ConfigInvalid) as caught:
+        IntegratorConfig(dt=1e-12, t_max=1000.0)
+    assert str(caught.value) == ("t_max = 1000.0 over dt = 1e-12 is 1e+15 steps, "
+                                 "over the budget of 4.29e+09")
 
 
 def test_initial_state_is_not_written():
