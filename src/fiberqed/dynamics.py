@@ -23,6 +23,8 @@ _BLOCK = 4096
 _RADIUS_MARGIN = 1e-12
 # most steps a config may ask for (~13 min at 0.16-0.19 us a step, 2-core Xeon)
 _STEP_BUDGET = 2**32
+# most rows a config may record (~450 bytes a row at the peak of a trajectory run: ~1.9 GB)
+_ROW_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,8 @@ class IntegratorConfig:
 
     dt           : step size (conjugate unit of 2*pi*MHz)
     t_max        : horizon, n_steps <= _STEP_BUDGET whole steps dt to within 1e-9 * t_max
-    record_every : keep every n-th step in the output (plus the final one)
+    record_every : keep every n-th step in the output (plus the final one), so
+                   ceil(n_steps / record_every) + 1 <= _ROW_BUDGET rows
 
     Whether dt is stable depends on the generator: see evolve_bare.
     """
@@ -54,6 +57,9 @@ class IntegratorConfig:
         if not (steps := self.t_max / self.dt) <= _STEP_BUDGET:
             raise ConfigInvalid(f"t_max = {self.t_max} over dt = {self.dt} is {steps:.3g} steps, "
                                 f"over the budget of {_STEP_BUDGET:.3g}")
+        if (rows := -(-self.n_steps // self.record_every) + 1) > _ROW_BUDGET:
+            raise ConfigInvalid(f"recording every {self.record_every} of {self.n_steps} steps "
+                                f"is {rows} rows, over the budget of {_ROW_BUDGET}")
         if abs(self.n_steps * self.dt - self.t_max) > 1e-9 * self.t_max:
             raise ConfigInvalid(
                 f"t_max = {self.t_max} is not a whole number of steps dt = {self.dt}: "
@@ -126,7 +132,7 @@ def evolve_bare(params: SystemParams, initial, cfg: IntegratorConfig) -> Traject
     n * eps * |phi| ~ 1e-15 (6.7e-16 on a lossless set, whose exact radius
     is at most 1).  It lets the norm grow by a factor of at most
     (1 + 1e-12)^n_steps, 1 + 1e-8 over 1e4 steps.  The recorded steps are
-    allocated at once, so a grid of too many of them raises MemoryError.
+    allocated at once, at most _ROW_BUDGET rows (see IntegratorConfig).
     """
     gen, weights = bare_generator(params), flux_weights(params)
     y = _amplitudes(initial).copy()  # the recurrence below writes into y

@@ -4,8 +4,8 @@ Because every amplitude is a finite sum of decaying exponentials, the
 spectrum of each channel is the squared modulus of a closed-form Laplace
 transform: a sum of at most five Lorentzians plus pairwise interference
 terms that redistribute weight between output ports without changing
-positivity of the total.  A channel is held as arrays: its labels, its
-row of chi coefficients and the five eigenvalues.  Its grid arrays come
+positivity of the total.  A channel is held as arrays indexed by pole:
+its row of chi coefficients and the five eigenvalues.  Its grid arrays come
 from one broadcast pole kernel, stacked over leading axes, so the
 channels of many parameter points are evaluated in one pass
 (:func:`channel_spectrum`), the one place a spectrum is built.
@@ -117,11 +117,10 @@ class SpectrumDecomposition:
     The arrays may carry leading axes, as they do for the (points,
     channels) stack of :func:`channel_spectrum`: chi (..., P), eigenvalues
     and omega_grid broadcasting against it, prefactor (..., 1); every grid
-    array then gains the same axes.
+    array then gains the same axes; every array is indexed by pole.
     """
 
     prefactor: float | np.ndarray
-    labels: tuple | None
     chi: np.ndarray
     eigenvalues: np.ndarray
     omega_grid: np.ndarray
@@ -173,12 +172,9 @@ class SpectrumDecomposition:
     def spectrum(self) -> np.ndarray:
         return self.prefactor * np.abs(self.amplitude) ** 2
 
-    def interference(self, label_j, label_k) -> np.ndarray:
-        """W term for an unordered pair of mode labels."""
-        if self.labels is None:
-            raise LookupError("decomposition is unlabeled")
-        pair = sorted((self.labels.index(label_j), self.labels.index(label_k)))
-        return self.interferences[..., self.pairs.index(tuple(pair)), :]
+    def interference(self, j, k) -> np.ndarray:
+        """W term of poles j != k, given in either order."""
+        return self.interferences[..., self.pairs.index((min(j, k), max(j, k))), :]
 
 
 def channel_spectrum(decomps, channels, omega_grid=None) -> SpectrumDecomposition:
@@ -191,9 +187,9 @@ def channel_spectrum(decomps, channels, omega_grid=None) -> SpectrumDecompositio
     (N, 1, 5), prefactor (N, C, 1) and omega_grid (G,), or (N, 1, G) when
     each point takes its default grid (omega_grid None).  Entry [i, c] of
     every grid array has the bits of the same array of
-    channel_spectrum([decomps[i]], [channels[c]], omega_grid).  labels are
-    the points' common labels, or None unless all of them share them.
-    channels is a sequence of names; a bare string is refused.
+    channel_spectrum([decomps[i]], [channels[c]], omega_grid); a mode's
+    name maps to its pole by the decomposition's index method.  channels
+    is a sequence of names; a bare string is refused.
     """
     if isinstance(channels, str):
         raise ValueError(f"channels must be a sequence of channel names, not the string "
@@ -210,11 +206,9 @@ def channel_spectrum(decomps, channels, omega_grid=None) -> SpectrumDecompositio
             raise GridInvalid("omega grid must be a non-empty 1-d array")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise GridInvalid("omega grid must be strictly increasing")
-    labels = {d.labels for d in decomps}
     return SpectrumDecomposition(
         # spectral density per unit angular frequency: the channel's flux weight / 2 pi
         np.array([flux_weights(d.params)[rows] / (2 * np.pi) for d in decomps])[..., None],
-        labels.pop() if len(labels) == 1 else None,
         np.array([d.chi_coeffs[rows] for d in decomps]),
         np.array([d.eigenvalues for d in decomps])[:, None, :],
         grid,

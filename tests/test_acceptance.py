@@ -317,8 +317,9 @@ def test_criterion_9_interference_asymmetry():
     rel = np.abs(lor1 - lor2).max() / lor1.max()
     check(results, "9 lorentzian-only identical", rel < 1e-12,
           f"max rel difference {rel:.2e} < 1e-12")
-    w1 = s1.interference("QCD", "QFD-")
-    w2 = s2.interference("QCD", "QFD-")
+    cd, fd = decomp.index("QCD"), decomp.index("QFD-")
+    w1 = s1.interference(cd, fd)
+    w2 = s2.interference(cd, fd)
     flip = np.abs(w1 + w2).max()
     check(results, "9 QCDxQFD- equal and opposite", flip < 1e-10,
           f"max |W1 + W2| = {flip:.2e} < 1e-10")

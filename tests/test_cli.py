@@ -467,15 +467,22 @@ def test_bad_time_step_exits_2(tmp_path, capsys, dt, t_max, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("t_max, dt, record_every, steps", [
+@pytest.mark.parametrize("t_max, dt, record_every, error", [
     # t_max / dt overflows to inf, so no step count exists
-    ("1e300", "1e-300", "1", "inf"),
+    ("1e300", "1e-300", "1", "t_max = 1e+300 over dt = 1e-300 is inf steps, "
+                             "over the budget of 4.29e+09"),
     # 1e15 + 1 recorded steps would be 7.11 PiB of int64
-    ("1000", "1e-12", "1", "1e+15"),
+    ("1000", "1e-12", "1", "t_max = 1000.0 over dt = 1e-12 is 1e+15 steps, "
+                           "over the budget of 4.29e+09"),
     # 1001 recorded rows fit in memory, but 1e15 RK4 steps would run for years
-    ("1000", "1e-12", "1000000000000", "1e+15"),
-], ids=["overflow", "memory", "time"])
-def test_step_grid_too_large_exits_2(tmp_path, capsys, t_max, dt, record_every, steps):
+    ("1000", "1e-12", "1000000000000", "t_max = 1000.0 over dt = 1e-12 is 1e+15 steps, "
+                                       "over the budget of 4.29e+09"),
+    # 2**32 steps are within the step budget, but recording each of them would
+    # ask for 34 GB of int64 step indices and 344 GB of complex states
+    ("4294967296", "1", "1", "recording every 1 of 4294967296 steps is 4294967297 rows, "
+                             "over the budget of 4194304"),
+], ids=["overflow", "memory", "time", "rows"])
+def test_step_grid_too_large_exits_2(tmp_path, capsys, t_max, dt, record_every, error):
     text = (BASE.format(kind="trajectory").replace("t_max = 1.0", f"t_max = {t_max}")
             .replace("dt = 1e-3", f"dt = {dt}")
             .replace("record_every = 10", f"record_every = {record_every}"))
@@ -483,9 +490,7 @@ def test_step_grid_too_large_exits_2(tmp_path, capsys, t_max, dt, record_every, 
     start = time.perf_counter()
     assert main([str(cfg), "--out", str(tmp_path)]) == 2
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (f"config error: t_max = {float(t_max)} over dt = "
-                                       f"{float(dt)} is {steps} steps, over the budget of "
-                                       "4.29e+09\n")
+    assert capsys.readouterr().err == f"config error: {error}\n"
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -849,6 +854,24 @@ def test_run_calls_the_kernels_by_the_names_perfbench_traces(tmp_path, monkeypat
     run_scenario(SCENARIO_DIR / "fig3.cfg", out_dir=tmp_path / "trajectory", quiet=True)
     assert [type(args[2]) for args in calls["evolve_bare"]] == [dynamics.IntegratorConfig]
     assert len(calls["_run_point"]) == len(calls["_write_csv"]) == 1
+
+    # the tracer swaps the class of each channel_spectrum result for a subclass
+    # that notes reads of its grid arrays, so a spectrum must take that assignment,
+    # which a frozen or slotted dataclass refuses
+    read = set()
+    point = full_decomposition(SystemParams(g=7, v=4, kappa=1, kappa_b=0.01, gamma=5.2))
+    spec = spectra.channel_spectrum([point], ["cavity1"])
+
+    class Watched(type(spec)):
+        def __getattribute__(self, attr):
+            read.add(attr)
+            return super().__getattribute__(attr)
+
+    spec.__class__ = Watched
+    watched = ("amplitude", "lorentzians", "interferences")
+    for name in watched:
+        assert getattr(spec, name).shape[:2] == (1, 1), name
+    assert read.issuperset(watched)
 
 
 def test_console_entry_point(tmp_path):

@@ -202,9 +202,24 @@ def test_step_count_beyond_int64_refused_when_built(t_max, dt, steps):
 
 def test_step_budget_holds_its_edge():
     # built only, never integrated: 2**32 steps would run for some 13 minutes
-    assert IntegratorConfig(dt=1.0, t_max=2.0**32).n_steps == 2**32
+    assert IntegratorConfig(dt=1.0, t_max=2.0**32, record_every=2**11).n_steps == 2**32
     with pytest.raises(ConfigInvalid, match=r"is 4\.29e\+09 steps, over the budget of 4\.29e\+09"):
-        IntegratorConfig(dt=1.0, t_max=2.0**32 + 1)
+        IntegratorConfig(dt=1.0, t_max=2.0**32 + 1, record_every=2**11)
+
+
+def test_row_budget_holds_its_edge():
+    # ceil(n_steps / record_every) + 1 rows: step 0, every record_every-th step
+    # and the final step, which an odd step count adds here
+    small = IntegratorConfig(dt=1e-3, t_max=7e-3, record_every=2)
+    assert len(evolve_bare(FIG3, ATOM1, small).times) == 5  # steps 0, 2, 4, 6, 7
+    assert IntegratorConfig(dt=1.0, t_max=2.0**22 - 1).n_steps == 2**22 - 1
+    assert IntegratorConfig(dt=1.0, t_max=2.0**23 - 3, record_every=2).n_steps == 2**23 - 3
+    with pytest.raises(ConfigInvalid) as caught:
+        IntegratorConfig(dt=1.0, t_max=2.0**22)
+    assert str(caught.value) == ("recording every 1 of 4194304 steps is 4194305 rows, "
+                                 "over the budget of 4194304")
+    with pytest.raises(ConfigInvalid, match="is 4194305 rows, over the budget of 4194304"):
+        IntegratorConfig(dt=1.0, t_max=2.0**23 - 1, record_every=2)
 
 
 def test_step_grid_beyond_memory_refused_when_built():

@@ -53,6 +53,22 @@ def _definitions(tree) -> set:
     return names
 
 
+def _bound(node) -> list:
+    """The names one AST node binds: assignment targets, arguments, definitions,
+    imports and exception names."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return [node.id]
+    if isinstance(node, ast.arg):
+        return [node.arg]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [node.asname or node.name]
+    if isinstance(node, ast.ExceptHandler) and node.name:
+        return [node.name]
+    return []
+
+
 def test_closed_forms_do_not_import_the_oracle_or_the_perturbative_picture():
     graph = {name: _imports(tree) for name, tree in _trees().items()}
     for module in ("model", "eigen", "spectra"):
@@ -77,3 +93,12 @@ def test_block_kernels_are_not_exported_from_the_package_root():
         assert not hasattr(fiberqed, name), name
         assert callable(getattr(fiberqed.eigen, name)), name
     assert "full_decomposition" in dir(fiberqed)
+
+
+def test_spectra_leaves_mode_labels_to_the_decomposition():
+    # a spectrum is indexed by pole; eigen alone maps a label to its pole
+    tree = _trees()["spectra"]
+    read = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "labels"]
+    bound = [name for node in ast.walk(tree) for name in _bound(node) if "label" in name.lower()]
+    assert not read and not bound, (read, bound)
