@@ -18,7 +18,6 @@ from .errors import (
     DegenerateBlock,
     DivergentIntegral,
     GridInvalid,
-    InaccurateRoots,
     LabelAmbiguous,
     RegimeWarning,
     SingularMatrix,

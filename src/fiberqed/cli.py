@@ -42,8 +42,8 @@ _FMT = "%.12e"
 # largest conservation residual of totals that, printed to six decimals,
 # are right to half a unit in the last digit
 _RESIDUAL_BOUND = 5e-7
-_UNLABELED = ("coincident eigenvalues in the symmetric block leave the quasi modes "
-              "unlabeled; a decomposition run needs the labels")
+_UNLABELED = ("coincident or inaccurate roots of the symmetric block leave the quasi "
+              "modes unlabeled; a decomposition run needs the labels")
 # a runnable point's answer: its eigenvalues and labels (None if unlabeled), its
 # totals in BARE_MODES order, (kind, columns, CSV body) per file, its conservation
 # residual and, for a trajectory, its survival at t_max
@@ -424,10 +424,10 @@ def _trajectory_results(scn: Scenario, decomps):
     """Per point of a trajectory run, its outcome (see _run_point): its
     residual is the grid's largest, and it holds the survival at t_max.
 
-    RK4 integrates the bare amplitudes, so a DegenerateBlock (p = 0 or
-    InaccurateRoots) does not stop a point, whose summary then gives the
-    bare generator's eigenvalues unlabeled; any other decomposition error
-    does.  A point is integrated when it is asked for.
+    RK4 needs no eigenbasis, so DegenerateBlock (p = 0) does not stop a
+    point, whose summary then gives the bare generator's eigenvalues
+    unlabeled; any other decomposition error does.  A point is integrated
+    when it is asked for.
     """
     cols = ["t", *BARE_MODES, *NORMAL_MODES, "survival"] + [f"p_{c}" for c in BARE_MODES]
     for (_, params), decomp in zip(scn.points, decomps):

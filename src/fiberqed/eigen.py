@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBlock, InaccurateRoots, LabelAmbiguous, SingularMatrix
+from .errors import DegenerateBlock, LabelAmbiguous, SingularMatrix
 from .model import (ANTI_ROWS, SYM_ROWS, SystemParams, _amplitudes, derive_rates,
-                    mode_matrices, single_excitation, symmetric_generator)
+                    flux_weights, mode_matrices, single_excitation, symmetric_generator)
 
 __all__ = [
     "MODE_LABELS",
@@ -183,8 +183,8 @@ def _cubic_roots(c2, c1, c0, a, p, q, disc) -> np.ndarray:
     return roots
 
 
-def _trace_errors(coeffs, roots, checked) -> dict:
-    """{index: InaccurateRoots} of the checked points whose roots break the trace identity.
+def _trace_misses(coeffs, roots) -> np.ndarray:
+    """Mask (N,) of the points whose roots break the trace identity.
 
     The roots of the computed cubic p sum to -c2 exactly.  A root that is
     exact for p with every coefficient c_k (c_3 = 1) off by at most
@@ -192,8 +192,8 @@ def _trace_errors(coeffs, roots, checked) -> dict:
     has a real part within gamma_6 K_j of the exact one to first order,
     K_j = sum_k |c_k Re(lambda_j^k / p'(lambda_j))|.  Adding the three real
     parts to c2 rounds by at most 3u (c2 + sum_j |Re lambda_j|).  A larger
-    gap means rounding swamped the real parts, as it does once zeta exceeds
-    the decay rates by about 1e37, or when the rates span ten decades.
+    gap means rounding swamped the real parts: zeta 1e37 times the decay
+    rates, rates over ten decades, or a near-double root split too far.
     """
     u = np.finfo(float).eps / 2
     c2, c1, c0 = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
@@ -202,15 +202,7 @@ def _trace_errors(coeffs, roots, checked) -> dict:
         k = sum(np.abs(c[:, None] * (roots**m / dp).real)
                 for m, c in enumerate((c0, c1, c2, np.ones_like(c2))))
     gap = np.abs(roots.real.sum(axis=1) + c2)
-    bound = 6 * u * k.sum(axis=1) + 3 * u * (c2 + np.abs(roots.real).sum(axis=1))
-    return {
-        int(i): InaccurateRoots(
-            f"the real parts of the symmetric block's roots miss their sum "
-            f"-(Gamma_S+ + Gamma_D) = {-c2[i]:.6g} by {gap[i]:.2g}, where rounding "
-            f"allows {bound[i]:.2g}"
-        )
-        for i in np.flatnonzero(checked & (gap > bound))
-    }
+    return gap > 6 * u * k.sum(axis=1) + 3 * u * (c2 + np.abs(roots.real).sum(axis=1))
 
 
 def _modulus(z) -> np.ndarray:
@@ -266,16 +258,16 @@ def symmetric_block(rates) -> tuple:
 
     The derive_rates of N points give eigenvalues (N, 3) in (QBS+, QBS-,
     QCD) order, right (columns) and left (rows) vectors (N, 3, 3) over
-    (S+, S-, D), a labeled mask (N,) and an {index: SingularMatrix or
-    InaccurateRoots} map.  The closed-form cubic gives a conjugate pair
-    plus a real root, or three real roots (an overdamped bright pair), and
-    one rule labels both: QCD is the root of least |Im lambda| for a pair,
-    else the one whose vector has the largest D component; the other two
-    follow one sort key, Im lambda for a pair and -Re lambda for real
-    roots (ties by Im lambda), so QBS+ is the bright member oscillating at
-    +zeta (Im lambda < 0) or the slower one.  Roots that coincide within
-    1e-5 of the largest |lambda| warn LabelAmbiguous and leave the point
-    unlabeled, its block from a dense eigensolve.
+    (S+, S-, D), a labeled mask (N,) and an {index: SingularMatrix} map.
+    The closed-form cubic gives a conjugate pair plus a real root, or
+    three real roots (an overdamped bright pair), and one rule labels
+    both: QCD is the root of least |Im lambda| for a pair, else the one
+    whose vector has the largest D component; the other two follow one
+    sort key, Im lambda for a pair and -Re lambda for real roots (ties by
+    Im lambda), so QBS+ is the bright member oscillating at +zeta
+    (Im lambda < 0) or the slower one.  Roots that coincide (within 1e-5
+    of the largest |lambda|) or break the trace identity warn
+    LabelAmbiguous; the point is left unlabeled, from a dense eigensolve.
     """
     n = len(rates)
     coeffs = np.array([_cubic_coefficients(r) for r in rates]).reshape(n, 7)
@@ -300,18 +292,15 @@ def symmetric_block(rates) -> tuple:
     )
 
     gaps = _modulus(roots[:, [0, 0, 1]] - roots[:, [1, 2, 2]]).min(axis=1)
-    labeled = ~(gaps <= _COINCIDENT_RTOL * _modulus(roots).max(axis=1))
-    coincident = np.flatnonzero(~labeled)
-    for _ in coincident:
-        warnings.warn(
-            "coincident eigenvalues in the symmetric block; labels dropped",
-            LabelAmbiguous,
-        )
-    if coincident.size:
-        eigenvalues[coincident], right[coincident] = np.linalg.eig(gen[coincident])
-    left, singular = _inverse(right)
-    # the dense eigensolve of coincident roots is backward stable on its own
-    failed = {**singular, **_trace_errors(coeffs, roots, labeled)}
+    labeled = ~((gaps <= _COINCIDENT_RTOL * _modulus(roots).max(axis=1))
+                | _trace_misses(coeffs, roots))
+    dense = np.flatnonzero(~labeled)
+    for _ in dense:
+        warnings.warn("coincident eigenvalues in the symmetric block, or roots that miss "
+                      "their sum; labels dropped", LabelAmbiguous)
+    if dense.size:
+        eigenvalues[dense], right[dense] = np.linalg.eig(gen[dense])
+    left, failed = _inverse(right)
     return eigenvalues, right, left, labeled, failed
 
 
@@ -321,7 +310,7 @@ class QuasiModeDecomposition:
 
     eigenvalues   : the five lambda_j (Re <= 0 for physical rates)
     labels        : quasi-mode names in eigenvalue order, or None when
-                    symmetric-block roots coincide
+                    symmetric-block roots coincide or miss their sum
     right_vectors : columns are right eigenvectors in normal-mode coordinates
     left_vectors  : rows are left eigenvectors, left @ right = I
     weights       : overlaps w_j of the left vectors with the initial state
@@ -376,8 +365,12 @@ def full_decompositions(points, initial=None) -> list:
     full_decomposition(points[i], initial) raises, so one bad point does
     not stop the others: the derive_rates error of a g = v = 0 point,
     DegenerateBlock at p = 0, or SingularMatrix for a singular set of
-    symmetric-block vectors.  Each entry has the bits of the single call;
-    the stacked arithmetic keeps them by four rules:
+    symmetric-block vectors.  An unlabeled point's symmetric real parts,
+    which a dense solve gives to about u |B| only, come from the damping
+    identity G + G^H = -diag(w), Re lambda = -1/2 sum_c w_c |r_c|^2 / |r|^2
+    over the bare-basis vector r = T^T r_normal, a sum of terms >= 0.  Each
+    entry has the bits of the single call; the stacked arithmetic keeps
+    them by four rules:
 
     - the rates and the cubic's coefficients stay per-point Python floats,
       because Python's ``x**2`` and ``x**3`` call libm pow where numpy's
@@ -415,6 +408,10 @@ def full_decompositions(points, initial=None) -> list:
 
     eigenvalues = np.concatenate([sym_lam, anti_lam], axis=1)
     trans = mode_matrices(*np.array([(p.g, p.v, r.zeta) for p, r in zip(points, rates)]).T)
+    dense = np.flatnonzero(~labeled)
+    bare = np.abs(np.swapaxes(trans[dense], 1, 2) @ right[dense, :, :3]) ** 2
+    w = np.array([flux_weights(points[k]) for k in dense]).reshape(dense.size, 5, 1)
+    eigenvalues.real[dense, :3] = -0.5 * (w * bare).sum(axis=1) / bare.sum(axis=1)
     weights = (left @ (trans @ bare0)[..., None])[..., 0]
     # right * weights holds the normal-amplitude coefficients
     chi_coeffs = np.swapaxes(trans, 1, 2) @ (right * weights[:, None, :])

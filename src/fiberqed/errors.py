@@ -9,10 +9,6 @@ class DegenerateBlock(ValueError):
     """A mode block is defective (p = 0) and has no eigenbasis."""
 
 
-class InaccurateRoots(DegenerateBlock):
-    """The symmetric block's computed roots break the trace identity beyond rounding."""
-
-
 class GridInvalid(ValueError):
     """Frequency grid is empty or not strictly increasing."""
 
@@ -30,7 +26,7 @@ class UnlabeledModes(ValueError):
 
 
 class LabelAmbiguous(UserWarning):
-    """Two eigenvalues coincide; quasi-mode labels cannot be assigned."""
+    """Symmetric-block roots coincide or miss their sum; quasi-mode labels are dropped."""
 
 
 class RegimeWarning(UserWarning):

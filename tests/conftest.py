@@ -1,12 +1,15 @@
-"""Shared parameter sets (the figure-caption values) and a cached ODE oracle."""
+"""Shared parameter sets (the figure-caption values), a cached ODE oracle and
+high-precision oracles of the roots and the channel totals."""
 
 from functools import lru_cache
+from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
 
-from fiberqed import IntegratorConfig, SystemParams, evolve_bare, single_excitation
+from fiberqed import (IntegratorConfig, SystemParams, bare_generator, evolve_bare,
+                      single_excitation)
 
 GAMMA = 5.2  # atomic decay, 2*pi*MHz (cesium D2)
 
@@ -53,6 +56,27 @@ def exact_fiber_dark_roots(params) -> list:
         half = (gamma / 2 + kappa) / 2
         p = mpmath.sqrt(mpmath.mpc(g * g - ((gamma / 2 - kappa) / 2) ** 2))
         return [-half - 1j * p, -half + 1j * p]
+
+
+def exact_gramian_diagonal(params, c0, digits) -> np.ndarray:
+    """Diagonal of X with G X + X G^+ = -c0 c0^+, G the bare generator, solved in
+    Kronecker form at the given digits.
+
+    The same equation as the channel totals solve, on the same double
+    entries of G and c0, so its rounding to doubles is the exact answer.
+    """
+    gen = bare_generator(params).tolist()
+    c0 = np.asarray(c0, dtype=complex).tolist()
+    with mpmath.workdps(digits):
+        op = mpmath.matrix(25, 25)
+        rhs = mpmath.matrix(25, 1)
+        for i, j in product(range(5), repeat=2):
+            rhs[5 * i + j] = -mpmath.mpc(c0[i]) * mpmath.conj(c0[j])
+            for k in range(5):
+                op[5 * i + j, 5 * k + j] += gen[i][k]
+                op[5 * i + j, 5 * i + k] += mpmath.conj(gen[j][k])
+        x = mpmath.lu_solve(op, rhs)
+        return np.array([float(x[6 * i].real) for i in range(5)])
 
 
 @lru_cache(maxsize=64)

@@ -23,8 +23,12 @@ here is what the package promises today:
 - the symmetric-block roots of an answered, labeled draw (the cubic's path)
   are within their rounding bound of a 60-digit eigensolve of the same float
   block; the dense eigensolve of an unlabeled draw is not yet within its
-  conditioning bound (a strict xfail, ROADMAP item 4), and three single
-  points that should answer do not (strict xfails, items 4 and 5);
+  conditioning bound (a strict xfail, ROADMAP item 4);
+- no unlabeled decomposition has a growing mode, its real parts from the
+  damping identity; the cubic still gives some labeled ones Re lambda > 0
+  (a strict xfail, item 4);
+- two single points that the cubic got wrong answer through the dense
+  solve, and one that should answer does not (a strict xfail, items 4 and 5);
 - a labeled bright pair whose real parts are equal has QBS+ at the lower
   Im lambda, also where rounding puts the pair on the three-real side.
 """
@@ -40,7 +44,6 @@ import pytest
 
 from fiberqed import (
     AccuracyWarning,
-    InaccurateRoots,
     LabelAmbiguous,
     SingularMatrix,
     SystemParams,
@@ -48,6 +51,7 @@ from fiberqed import (
     cli,
     derive_rates,
     full_decomposition,
+    full_decompositions,
     single_excitation,
 )
 from fiberqed.eigen import _cubic_coefficients, antisymmetric_block, symmetric_block
@@ -373,7 +377,7 @@ def _cubic_bound(points, lam) -> np.ndarray:
     most 6 operations: |delta c_k| <= gamma_6 C_k, C_k that sum over the
     absolute values of its terms.  The polished roots are exact for a
     polynomial with every c_k off by gamma_6 |c_k| more (Horner's backward
-    error, as in eigen._trace_errors).  To first order a root moves by
+    error, as in eigen._trace_misses).  To first order a root moves by
     sum_k delta c_k lambda^k / p'(lambda), p'(lambda_j) the product of
     lambda_j - lambda_i over the other two roots.
     """
@@ -454,7 +458,45 @@ def test_unlabeled_symmetric_roots_match_high_precision(sample):
     assert worst <= 1
 
 
-# --- faults at single points, each a strict xfail until its item lifts it -----
+# --- no growing mode: G + G^H = -diag(w) makes every exact Re lambda <= 0 ---
+
+
+def _largest_real_parts(sample, labeled) -> list:
+    """max Re lambda of each labeled, or each unlabeled, decomposition of the
+    main sample and the edge classes."""
+    top = []
+    for name in ["main", *EDGE_CLASSES]:
+        draws = sample if name == "main" else _edge_sample(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LabelAmbiguous)
+            decomps = full_decompositions([params for params, *_ in draws])
+        found = [d.eigenvalues.real.max() for d in decomps
+                 if not isinstance(d, Exception) and (d.labels is not None) == labeled]
+        print(f"{name}: {len(found)} {'' if labeled else 'un'}labeled decompositions, "
+              f"{sum(x > 0 for x in found)} with Re lambda > 0, "
+              f"largest {max(found, default=0):.3g}")
+        top += found
+    return top
+
+
+def test_unlabeled_decompositions_have_no_growing_mode(sample):
+    # the dense solve's real parts come from the damping identity, a sum of
+    # terms >= 0
+    top = _largest_real_parts(sample, labeled=False)
+    growing = [x for x in top if x > 0]
+    assert top and not growing, f"{len(growing)} of {len(top)}, largest {max(top):.3g}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 4: the cubic's real parts err by up to ~u |lambda|, and Cardano returns "
+    "Re lambda > 0 (up to 2.4e-15) for 12 labeled main draws"))
+def test_labeled_decompositions_have_no_growing_mode(sample):
+    top = _largest_real_parts(sample, labeled=True)
+    growing = [x for x in top if x > 0]
+    assert top and not growing, f"{len(growing)} of {len(top)}, largest {max(top):.3g}"
+
+
+# --- single points: two the dense solve answers, one strict xfail until items 4 and 5 ---
 
 TEN_DECADES = SystemParams(g=3.724600411038213e-05, v=0.21231136719963148, kappa=0.0,
                            kappa_b=0.0, gamma=714525.2705568495)
@@ -465,10 +507,10 @@ SLOW_BRIGHT_PAIR = SystemParams(g=0.0003299426394885256, v=4054.840835000334, ka
                                 kappa_b=0.0, gamma=0.04841964414462772)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 4: roots 1e-5 of the largest |lambda| apart count as coincident, and the "
-    "dense fallback's absolute error ~u |B| makes a decay rate of 1.9e-15 a growth rate"))
 def test_ten_decade_point_has_no_growing_mode():
+    # roots 1e-5 of the largest |lambda| apart count as coincident; the dense
+    # solve's real parts would err by ~u |B| = 6e-14 (+6.3e-14 here), the
+    # damping identity's keep the decay rate 1.9e-15
     with pytest.warns(LabelAmbiguous):
         lam = full_decomposition(TEN_DECADES).eigenvalues
     exact = _exact_roots(_float_blocks([derive_rates(TEN_DECADES)])[0])
@@ -477,18 +519,19 @@ def test_ten_decade_point_has_no_growing_mode():
     assert lam.real.max() <= 0
 
 
-@pytest.mark.xfail(strict=True, raises=InaccurateRoots, reason=(
-    "ROADMAP item 4: Cardano gives a near-double root's pair Im lambda = +-1.47 (3.5e-3 "
-    "of |lambda|) where the exact ones are +-4.2e-6, and the trace check refuses the point"))
 def test_near_double_root_point_decomposes():
-    (lam,), _, _, _, failed = symmetric_block([derive_rates(NEAR_DOUBLE_ROOT)])
+    # Cardano gives the near-double root's pair Im lambda = +-1.47 (3.5e-3 of
+    # |lambda|) where the exact ones are +-4.2e-6; the trace check sends the
+    # point to the dense solve
+    with pytest.warns(LabelAmbiguous, match="miss their sum"):
+        (lam,), _, _, (labeled,), failed = symmetric_block([derive_rates(NEAR_DOUBLE_ROOT)])
     exact = _exact_roots(_float_blocks([derive_rates(NEAR_DOUBLE_ROOT)])[0])
-    print(f"cubic roots {np.array2string(lam, precision=8)}, refused: {failed.get(0)!r}; "
+    print(f"dense roots {np.array2string(lam, precision=8)}, labeled: {labeled}; "
           f"60-digit roots: {', '.join(mpmath.nstr(x, 10) for x in exact)}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LabelAmbiguous)
+    assert not labeled and not failed
+    with pytest.warns(LabelAmbiguous):
         decomp = full_decomposition(NEAR_DOUBLE_ROOT)
-    assert np.isfinite(decomp.eigenvalues).all()
+    assert np.isfinite(decomp.eigenvalues).all() and decomp.eigenvalues.real.max() <= 0
 
 
 @pytest.mark.xfail(strict=True, raises=SingularMatrix, reason=(

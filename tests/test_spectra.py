@@ -2,7 +2,6 @@
 
 import re
 import warnings
-from itertools import product
 
 import mpmath
 import numpy as np
@@ -35,7 +34,8 @@ from fiberqed import (
 from fiberqed.model import BARE_MODES, flux_weights
 from fiberqed.perturb import VARIANTS
 
-from conftest import FIG6, FIG7, FIG8, FIG10, GAMMA, NEAR_EP, atom1_oracle
+from conftest import (FIG6, FIG7, FIG8, FIG10, GAMMA, NEAR_EP, atom1_oracle,
+                      exact_gramian_diagonal)
 
 
 def full_line_quad(f, breakpoints):
@@ -76,26 +76,6 @@ def interference_integral(chi_j, lam_j, chi_k, lam_k):
         raise DivergentIntegral(f"eta_j + eta_k = {eta_sum} <= 0")
     den = eta_sum + 1j * (lam_k.imag - lam_j.imag)
     return float(2 * np.real(2 * np.pi * chi_j * np.conj(chi_k) / den))
-
-
-def gramian_diagonal_50_digits(params, c0) -> np.ndarray:
-    """Diagonal of X with G X + X G^+ = -c0 c0^+, G the bare generator, in 50 digits.
-
-    The same equation as the channel totals solve, on the same double
-    entries of G and c0, so its rounding to doubles is the exact answer.
-    """
-    gen = bare_generator(params).tolist()
-    c0 = np.asarray(c0, dtype=complex).tolist()
-    with mpmath.workdps(50):
-        op = mpmath.matrix(25, 25)
-        rhs = mpmath.matrix(25, 1)
-        for i, j in product(range(5), repeat=2):
-            rhs[5 * i + j] = -mpmath.mpc(c0[i]) * mpmath.conj(c0[j])
-            for k in range(5):
-                op[5 * i + j, 5 * k + j] += gen[i][k]
-                op[5 * i + j, 5 * i + k] += mpmath.conj(gen[j][k])
-        x = mpmath.lu_solve(op, rhs)
-        return np.array([float(x[6 * i].real) for i in range(5)])
 
 
 def spec_of(chi, lam):
@@ -343,7 +323,7 @@ class TestPairKernel:
             (totals,) = integrated_spectrum([decomp])
             assert totals.shape == (5,)
             assert BARE_MODES == ("atom1", "atom2", "cavity1", "cavity2", "fiber")
-            exact = flux_weights(params) * gramian_diagonal_50_digits(params, decomp.initial)
+            exact = flux_weights(params) * exact_gramian_diagonal(params, decomp.initial, 50)
             for channel, total, reference in zip(BARE_MODES, totals, exact):
                 spec = channel_spectrum([decomp], [channel], grid)
                 # relative to the Lorentzian sum: |W_jk| <= L_j + L_k bounds every
