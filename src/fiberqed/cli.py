@@ -314,10 +314,9 @@ def _format_rows(rows: np.ndarray) -> bytes:
     words[:, 2] = _GROUP[g2]
     words[:, 3] = _GROUP[g3]
     slots.view(np.uint64)[:, 2] = _EXPONENT[e + 300]
-    slow = np.flatnonzero(~fast)
-    if slow.size:  # at most 20 characters, then 0 up to the delimiter
-        text = np.array([_FMT % v for v in x[slow].tolist()], dtype="S21")
-        slots[slow, :21] = text.view(np.uint8).reshape(-1, 21)
+    slow = np.flatnonzero(~fast)  # _FMT: at most 20 characters, then 0 to the delimiter
+    text = np.array([_FMT % v for v in x[slow].tolist()], dtype="S21")
+    slots[slow, :21] = text.view(np.uint8).reshape(-1, 21)
     slots.reshape(n_rows, n_cols, 24)[:, -1, 21] = ord("\n")
     return slots.tobytes().translate(None, b"\0")
 

@@ -58,9 +58,7 @@ def fiber_dominated_solution(params: SystemParams, t) -> tuple:
     """
     t = np.asarray(t, dtype=float)
     half_dark = 0.5 * np.exp(-params.gamma * t / 2)
-    a_plus, a_minus = fiber_dark_amplitudes(params, t)
-    osc = 0.5 * (a_plus + a_minus)
-    alpha1 = 0.5 * (a_plus - a_minus)
+    osc, alpha1 = (0.5 * x for x in atom_dominated_solution(params, t))
     return half_dark + osc, half_dark - osc, alpha1, -alpha1
 
 

@@ -81,9 +81,9 @@ def _pair_integrals(chi, lam) -> np.ndarray:
     """Pair matrices of the frequency integral of |sum_j chi_j L(omega, lam_j)|^2.
 
     chi (..., P) holds channel rows over any leading axes and lam their
-    poles, broadcasting against chi.  Entry [..., j, k] is
-    -2 pi Re chi_j chi_k^* / (lam_j + lam_k^*) over the modes with
-    chi_j != 0 and 0 elsewhere.  The diagonal holds the Lorentzian
+    poles, broadcasting against chi.  Entry [..., j, k] is -2 pi Re
+    chi_j chi_k^* / (lam_j + lam_k^*), and exactly 0 where chi_j chi_k^* = 0,
+    a pole that does not decay included.  The diagonal holds the Lorentzian
     integrals |chi_j|^2 pi / eta_j, [j, k] + [k, j] is the net
     interference integral of the pair, and the sum of the matrix is the
     integral of the whole spectrum.  Raises the DivergentIntegral of
@@ -94,12 +94,10 @@ def _pair_integrals(chi, lam) -> np.ndarray:
     failed = _divergences(chi.reshape(-1, 1, n_poles), lam.reshape(-1, n_poles))
     if failed:
         raise next(iter(failed.values()))
-    active = chi != 0
-    both = active[..., :, None] & active[..., None, :]
-    # lam_j + lam_k^* != 0 on both
-    den = np.where(both, lam[..., :, None] + lam.conj()[..., None, :], 1.0)
-    pairs = chi[..., :, None] * chi.conj()[..., None, :] / den
-    return -2 * np.pi * pairs.real
+    products = chi[..., :, None] * chi.conj()[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # lam_j + lam_k^* = 0 only at products 0
+        pairs = products / (lam[..., :, None] + lam.conj()[..., None, :])
+    return -2 * np.pi * np.where(products != 0, pairs, 0).real
 
 
 @dataclass
@@ -131,18 +129,13 @@ class SpectrumDecomposition:
 
     @cached_property
     def _responses(self) -> np.ndarray:
-        # the poles of a stacked point are evaluated once for all its channels
+        """Pole terms chi_j L(omega, lam_j), (..., P, G).  A pole with chi_j = 0 adds
+        exactly 0, also where a mode that does not decay puts 1 / 0 on the grid.
+        The poles of a stacked point are evaluated once for all its channels."""
         lam, chi = self.eigenvalues[..., None], self.chi[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
             poles = spectral_function(self.omega_grid[..., None, :], lam)
-            responses = chi * poles
-        # a mode that does not decay (eta 0 or subnormal) can have the pole
-        # 1 / 0 on the grid; where it carries no weight its term is 0 there,
-        # not 0 * inf, and every other term keeps the bits of chi * pole
-        weightless_still = (chi == 0) & (np.abs(lam.real) < np.finfo(float).tiny)
-        if weightless_still.any():
-            responses[weightless_still & ~np.isfinite(poles)] = 0
-        return responses
+            return np.where(chi != 0, chi * poles, 0)
 
     @cached_property
     def amplitude(self) -> np.ndarray:
@@ -154,9 +147,9 @@ class SpectrumDecomposition:
 
     @cached_property
     def interferences(self) -> np.ndarray:
+        j, k = np.array(self.pairs, dtype=int).reshape(-1, 2).T
         r = self._responses
-        rows = [2 * np.real(r[..., j, :] * np.conj(r[..., k, :])) for j, k in self.pairs]
-        return np.stack(rows, axis=-2) if rows else np.empty(r.shape[:-2] + (0, r.shape[-1]))
+        return 2 * np.real(r[..., j, :] * np.conj(r[..., k, :]))
 
     @cached_property
     def pair_integrals(self) -> np.ndarray:
@@ -231,7 +224,7 @@ def integrated_spectrum(decomps) -> list:
     SingularMatrix where rounding swamps a decay rate in the solve.  A mode
     that does not decay makes the equation singular; where every such mode
     carries no weight (exact zero rates), the pair matrices give the totals
-    instead.
+    instead, in one stacked call, and such a mode adds exactly 0 to them.
     """
     n = len(decomps)
     chi = np.array([d.chi_coeffs for d in decomps]).reshape(n, 5, 5)
@@ -239,21 +232,20 @@ def integrated_spectrum(decomps) -> list:
     weights = np.array([flux_weights(d.params) for d in decomps]).reshape(n, 5)
     failed = _divergences(chi, lam)
     decaying = (lam.real < 0).all(axis=1)
+    fallback = ~decaying  # every divergent point is among them
+    fallback[list(failed)] = False
     totals = np.empty((n, 5))
+    pairs = _pair_integrals(chi[fallback], lam[fallback, None, :]).sum(axis=(-2, -1))
+    totals[fallback] = weights[fallback] / (2 * np.pi) * pairs
     solved = np.flatnonzero(decaying)
-    if solved.size:
-        gen = np.array([bare_generator(decomps[i].params) for i in solved])
-        c0 = np.array([decomps[i].initial for i in solved])
-        diagonals, singular = _gramian_diagonals(gen, c0)
-        totals[solved] = weights[solved] * diagonals
-        for i in solved[list(singular)].tolist():
-            failed[i] = SingularMatrix(
-                f"the Gramian equation of the channel totals is singular: the slowest "
-                f"decay rate, {-lam[i].real.max():.3g}, is lost to rounding in the solve")
-    for i in np.flatnonzero(~decaying):
-        if i not in failed:
-            pairs = _pair_integrals(chi[i], lam[i]).sum(axis=(1, 2))
-            totals[i] = weights[i] / (2 * np.pi) * pairs
+    gen = np.array([bare_generator(decomps[i].params) for i in solved]).reshape(-1, 5, 5)
+    c0 = np.array([decomps[i].initial for i in solved]).reshape(-1, 5)
+    diagonals, singular = _gramian_diagonals(gen, c0)
+    totals[solved] = weights[solved] * diagonals
+    for i in solved[list(singular)].tolist():
+        failed[i] = SingularMatrix(
+            f"the Gramian equation of the channel totals is singular: the slowest "
+            f"decay rate, {-lam[i].real.max():.3g}, is lost to rounding in the solve")
     return [failed.get(i, totals[i]) for i in range(n)]
 
 

@@ -536,6 +536,28 @@ class TestBatchedKernel:
         errors = sorted(type(d).__name__ for d in batch if isinstance(d, Exception))
         assert errors == ["DegenerateBlock", "ValueError"]
 
+    def test_empty_and_all_failed_batches_take_the_stacked_path(self):
+        # an empty stack and a stack of only g = v = 0 points run the same
+        # kernels as any other, on arrays with a leading axis of 0
+        assert full_decompositions([]) == []
+        decoupled = [SystemParams(g=0, v=0, kappa=1.0, kappa_b=0.01, gamma=GAMMA),
+                     SystemParams(g=0, v=0, kappa=0, kappa_b=0, gamma=0)]
+        results = full_decompositions(decoupled)
+        assert len(results) == 2
+        for params, result in zip(decoupled, results):
+            with pytest.raises(ValueError) as single:
+                full_decomposition(params)
+            assert type(result) is ValueError and str(result) == str(single.value)
+
+    def test_blocks_take_an_empty_stack(self):
+        lam, right, left, labeled, failed = symmetric_block([])
+        assert (lam.shape, right.shape, left.shape, labeled.shape) == ((0, 3), (0, 3, 3),
+                                                                        (0, 3, 3), (0,))
+        assert failed == {}
+        lam, right, left, failed = antisymmetric_block([], [])
+        assert (lam.shape, right.shape, left.shape) == ((0, 2), (0, 2, 2), (0, 2, 2))
+        assert failed == {}
+
     def test_float_type_does_not_change_bits(self, rng):
         # np.float64 fields are stored as Python floats, so both give the same arithmetic
         names = ("g", "v", "kappa", "kappa_b", "gamma")

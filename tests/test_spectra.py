@@ -148,6 +148,30 @@ class TestDecomposition:
             if j in fd or k in fd:
                 assert np.abs(w).max() < 1e-15
 
+    def test_a_weightless_pole_adds_exactly_nothing(self):
+        # chi = 0 on a pole at lambda = 0, whose kernel is 1 / 0 at omega = 0:
+        # its terms are exactly 0 on the grid and in the pair matrix, not NaN
+        grid = np.linspace(-2.0, 2.0, 5)
+        spec = SpectrumDecomposition(1.0, np.array([0.5 - 0.25j, 0.0]),
+                                     np.array([-1.0 + 0.5j, 0.0]), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(spec.lorentzians[1], np.zeros(5))
+            assert np.array_equal(spec.interferences, np.zeros((1, 5)))
+            assert np.array_equal(spec.amplitude,
+                                  (0.5 - 0.25j) * spectral_function(grid, -1.0 + 0.5j))
+            pairs = spec.pair_integrals
+        assert pairs[1].tolist() == [0.0, 0.0] and pairs[:, 1].tolist() == [0.0, 0.0]
+        assert pairs[0, 0] == pytest.approx(np.pi * abs(0.5 - 0.25j) ** 2, rel=1e-15)
+
+    def test_one_pole_has_no_pairs(self):
+        grid = np.linspace(-1.0, 1.0, 7)
+        spec = SpectrumDecomposition(np.ones((2, 1)), np.array([[1.0], [0.5j]]),
+                                     np.array([-1.0 + 0.0j]), grid)
+        assert spec.pairs == ()
+        assert spec.interferences.shape == (2, 0, 7)
+        assert np.array_equal(spec.amplitude, spec.chi * spectral_function(grid, -1.0 + 0.0j))
+
     def test_fig10_symmetry_of_cross_terms(self):
         decomp = full_decomposition(FIG10)
         s1 = channel_spectrum([decomp], ["cavity1"])
@@ -422,6 +446,26 @@ class TestStackedKernel:
             assert abs(result.sum() - 1.0) < 1e-14
         assert str(results[3]) == "eta = -0.0 <= 0"
         assert results[4][[0, 1, 4]].tolist() == [0.0, 0.0, 0.0]
+
+    def test_integrated_spectrum_of_no_points(self):
+        assert integrated_spectrum([]) == []
+
+    def test_pair_fallback_is_one_stacked_call_with_single_call_bits(self):
+        # the decoupled lossless-fiber points, whose weightless QCD sits at
+        # lambda = 0, take the pair matrices in one stacked call; fig8 between
+        # them takes the Gramian
+        decomps = [
+            full_decomposition(SystemParams(g=1.5551179811576048, v=0, kappa=0, kappa_b=0,
+                                            gamma=22.850860089288734),
+                               single_excitation("cavity1")),
+            full_decomposition(FIG8),
+            full_decomposition(SystemParams(g=2, v=0, kappa=1, kappa_b=0, gamma=5)),
+        ]
+        assert [(d.eigenvalues.real < 0).all() for d in decomps] == [False, True, False]
+        results = integrated_spectrum(decomps)
+        for decomp, result in zip(decomps, results):
+            (single,) = integrated_spectrum([decomp])
+            assert isinstance(result, np.ndarray) and result.tobytes() == single.tobytes()
 
     def test_singular_gramian_fails_only_its_point(self):
         # kappa = kappa_b = 0 and v = 4055: the bright pair decays at 3.9e-17, which
