@@ -45,10 +45,9 @@ _RESIDUAL_BOUND = 5e-7
 _UNLABELED = ("coincident or inaccurate roots of the symmetric block leave the quasi "
               "modes unlabeled; a decomposition run needs the labels")
 # a runnable point's answer: its eigenvalues and labels (None if unlabeled), its
-# totals in BARE_MODES order, (kind, columns, CSV body) per file, its conservation
-# residual and, for a trajectory, its survival at t_max
-Outcome = namedtuple("Outcome", "eigenvalues labels totals outputs residual survival",
-                     defaults=(0.0,))
+# totals in BARE_MODES order, (kind, columns, CSV body) per file and its
+# conservation residual, the one number the summary prints and the warning tests
+Outcome = namedtuple("Outcome", "eigenvalues labels totals outputs residual")
 
 
 @dataclass
@@ -407,21 +406,21 @@ def _spectral_results(scn: Scenario, decomps):
         for i, totals in zip(ok, spectra.integrated_spectrum([chunk[i] for i in ok])):
             results[i] = totals  # an error stays as the result
         ok = [i for i in ok if not isinstance(results[i], Exception)]
-        if ok:
-            spec = spectra.channel_spectrum([chunk[i] for i in ok], scn.channels, scn.omega_grid)
-            grid = np.broadcast_to(spec.omega_grid, spec.amplitude.shape)
-            # (files, columns, G) to the rows of each file
-            bodies = iter(_csv_bodies(columns_of(spec, grid).transpose(0, 2, 1)))
-            for i in ok:
-                results[i] = Outcome(chunk[i].eigenvalues, chunk[i].labels, results[i],
-                                     [(kind, cols, next(bodies)) for kind, cols in layout],
-                                     abs(sum(results[i].tolist()) - 1.0))
+        spec = spectra.channel_spectrum([chunk[i] for i in ok], scn.channels, scn.omega_grid)
+        grid = np.broadcast_to(spec.omega_grid, spec.amplitude.shape)
+        # (files, columns, G) to the rows of each file
+        bodies = iter(_csv_bodies(columns_of(spec, grid).transpose(0, 2, 1)))
+        for i in ok:
+            results[i] = Outcome(chunk[i].eigenvalues, chunk[i].labels, results[i],
+                                 [(kind, cols, next(bodies)) for kind, cols in layout],
+                                 abs(sum(results[i].tolist()) - 1.0))
         yield from results
 
 
 def _trajectory_results(scn: Scenario, decomps):
-    """Per point of a trajectory run, its outcome (see _run_point): its
-    residual is the grid's largest, and it holds the survival at t_max.
+    """Per point of a trajectory run, its outcome (see _run_point): its totals
+    are the detection probabilities at t_max, and its residual is the largest
+    |survival + detected - 1| on the grid.
 
     RK4 needs no eigenbasis, so DegenerateBlock (p = 0) does not stop a
     point, whose summary then gives the bare generator's eigenvalues
@@ -441,7 +440,7 @@ def _trajectory_results(scn: Scenario, decomps):
                                     traj.channel_probs))
             yield Outcome(eigenvalues, labels, traj.channel_probs[-1],
                           [("trajectory", cols, _csv_bodies(data[None])[0])],
-                          traj.conservation_residual(), traj.survival[-1])
+                          traj.conservation_residual())
 
 
 def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point, result):
@@ -451,7 +450,8 @@ def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point, result
     _trajectory_results: the error it raises at its turn, or its Outcome.
     A residual above _RESIDUAL_BOUND warns AccuracyWarning once the files
     are written, naming the Gramian solve or RK4 by the run type.  The block
-    is the '==' line, the eigenvalues, totals and residual, and the files.
+    is the '==' line, the eigenvalues, totals and that same residual, and
+    the files.
     """
     if isinstance(result, Exception):
         raise result
@@ -475,7 +475,7 @@ def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point, result
         f"== {scn.name}" + (f" [{point[0]}={point[1]:g}]" if point is not None else ""),
         "eigenvalues: " + ", ".join(f"{name}{x:.6g}" for name, x in zip(names, result.eigenvalues)),
         f"channel totals: {rounded}",
-        f"conservation residual: {sum(totals) + result.survival - 1.0:+.3e}",
+        f"conservation residual: {result.residual:+.3e}",
         *(f"wrote {path}" for path in files)])
 
 

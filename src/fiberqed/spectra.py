@@ -181,8 +181,9 @@ def channel_spectrum(decomps, channels, omega_grid=None) -> SpectrumDecompositio
     each point takes its default grid (omega_grid None).  Entry [i, c] of
     every grid array has the bits of the same array of
     channel_spectrum([decomps[i]], [channels[c]], omega_grid); a mode's
-    name maps to its pole by the decomposition's index method.  channels
-    is a sequence of names; a bare string is refused.
+    name maps to its pole by the decomposition's index method.  An empty
+    stack gives arrays with a leading axis of 0, with either grid form.
+    channels is a sequence of names; a bare string is refused.
     """
     if isinstance(channels, str):
         raise ValueError(f"channels must be a sequence of channel names, not the string "
@@ -191,19 +192,20 @@ def channel_spectrum(decomps, channels, omega_grid=None) -> SpectrumDecompositio
         if channel not in BARE_MODES:
             raise ValueError(f"unknown channel {channel!r}; choose from {sorted(BARE_MODES)}")
     rows = [BARE_MODES.index(c) for c in channels]
+    n = len(decomps)
     if omega_grid is None:
-        grid = np.stack([default_omega_grid(d.params) for d in decomps])[:, None, :]
+        grid = np.array([default_omega_grid(d.params) for d in decomps]).reshape(n, 1, _GRID_POINTS)
     else:
         grid = np.asarray(omega_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise GridInvalid("omega grid must be a non-empty 1-d array")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        if not np.all(np.diff(grid) > 0):
             raise GridInvalid("omega grid must be strictly increasing")
     return SpectrumDecomposition(
         # spectral density per unit angular frequency: the channel's flux weight / 2 pi
-        np.array([flux_weights(d.params)[rows] / (2 * np.pi) for d in decomps])[..., None],
-        np.array([d.chi_coeffs[rows] for d in decomps]),
-        np.array([d.eigenvalues for d in decomps])[:, None, :],
+        np.array([flux_weights(d.params) for d in decomps]).reshape(n, 5, 1)[:, rows] / (2 * np.pi),
+        np.array([d.chi_coeffs for d in decomps]).reshape(n, 5, 5)[:, rows],
+        np.array([d.eigenvalues for d in decomps]).reshape(n, 1, 5),
         grid,
     )
 

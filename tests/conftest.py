@@ -1,5 +1,6 @@
-"""Shared parameter sets (the figure-caption values), a cached ODE oracle and
-high-precision oracles of the roots and the channel totals."""
+"""Shared parameter sets (the figure-caption values), a cached ODE oracle,
+high-precision oracles of the roots and the channel totals, and the
+quadrature oracle of the spectra."""
 
 from functools import lru_cache
 from itertools import product
@@ -7,9 +8,10 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fiberqed import (IntegratorConfig, SystemParams, bare_generator, evolve_bare,
-                      single_excitation)
+                      single_excitation, spectral_function)
 
 GAMMA = 5.2  # atomic decay, 2*pi*MHz (cesium D2)
 
@@ -87,6 +89,21 @@ def atom1_oracle(params, t_max, dt=1e-4, record_every=1):
     """
     cfg = IntegratorConfig(dt=dt, t_max=round(t_max / dt) * dt, record_every=record_every)
     return evolve_bare(params, single_excitation("atom1"), cfg)
+
+
+def pole(spec, j, omega):
+    """Pole j of the channel amplitude of a spectrum's entry [0, 0], chi_j L(omega, lambda_j)."""
+    return spec.chi[0, 0, j] * spectral_function(omega, spec.eigenvalues[0, 0, j])
+
+
+def full_line_quad(f, breakpoints):
+    """Adaptive quadrature over the whole real line, resolving given poles."""
+    pts = sorted(float(x) for x in breakpoints)
+    lo, hi = pts[0] - 50.0, pts[-1] + 50.0
+    inner, _ = quad(f, lo, hi, points=pts, limit=500, epsabs=1e-13, epsrel=1e-11)
+    left, _ = quad(f, -np.inf, lo, limit=300, epsabs=1e-13, epsrel=1e-11)
+    right, _ = quad(f, hi, np.inf, limit=300, epsabs=1e-13, epsrel=1e-11)
+    return inner + left + right
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from fiberqed import (
     SystemParams,
@@ -26,11 +25,11 @@ from fiberqed import (
     occupations,
     perturbative_cavity_amplitudes,
     perturbative_symmetric,
-    spectral_function,
 )
 from fiberqed.model import BARE_MODES
 
-from conftest import ALL_FIGURE_SETS, FIG3, FIG4, FIG5, FIG6, FIG8, FIG10, GAMMA, atom1_oracle
+from conftest import (ALL_FIGURE_SETS, FIG3, FIG4, FIG5, FIG6, FIG8, FIG10, GAMMA, atom1_oracle,
+                      full_line_quad, pole)
 
 DYNAMIC_SETS = {"fig3": FIG3, "fig4": FIG4, "fig5": FIG5}
 
@@ -48,20 +47,6 @@ def finish(results):
 def local_maxima(values):
     d = np.diff(values)
     return np.where((d[:-1] > 0) & (d[1:] <= 0))[0] + 1
-
-
-def pole(spec, j, omega):
-    """Pole j of the channel amplitude of a spectrum's entry [0, 0], chi_j L(omega, lambda_j)."""
-    return spec.chi[0, 0, j] * spectral_function(omega, spec.eigenvalues[0, 0, j])
-
-
-def full_line_quad(f, breakpoints):
-    pts = sorted(float(x) for x in breakpoints)
-    lo, hi = pts[0] - 50.0, pts[-1] + 50.0
-    inner, _ = quad(f, lo, hi, points=pts, limit=500, epsabs=1e-13, epsrel=1e-11)
-    left, _ = quad(f, -np.inf, lo, limit=300, epsabs=1e-13, epsrel=1e-11)
-    right, _ = quad(f, hi, np.inf, limit=300, epsabs=1e-13, epsrel=1e-11)
-    return inner + left + right
 
 
 def antisymmetry_bound(params, t_max):

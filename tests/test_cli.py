@@ -437,7 +437,24 @@ def test_totals_that_miss_conservation_warn_after_writing(tmp_path, capsys, g, v
     printed = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
     residual = float(re.search(message, str(caught.value)).group(1))
     print(f"{initial}: residual {residual:.3e} (bound 5e-07)")
-    assert residual == float(f"{abs(printed):.3e}") and residual > 5e-7
+    assert printed == residual and residual > 5e-7
+
+
+def test_trajectory_prints_the_residual_its_warning_names(tmp_path, capsys):
+    # the largest |survival + detected - 1| on this grid lies before t_max, so
+    # the residual at t_max alone would print below the bound the run warns on
+    cfg = write_cfg(tmp_path, "[params]\ng = 7.5506840211401265\nv = 16.373324436833425\n"
+                    "kappa = 0.30599017680012175\nkappa_b = 1.7112738863022305\n"
+                    "gamma = 19.880433099583975\n\n[run]\ntype = trajectory\n"
+                    "initial = atom1\ndt = 0.0095\nt_max = 0.95\n")
+    with pytest.warns(AccuracyWarning, match=r"^RK4 at dt = 0\.0095 loses conservation by "
+                      r"up to \S+ \(bound 5e-07\); take a smaller dt$") as caught:
+        assert main([str(cfg), "--out", str(tmp_path)]) == 0
+    (warning,) = caught
+    warned = float(str(warning.message).split("up to ")[1].split()[0])
+    printed = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
+    print(f"printed {printed:+.3e}, warned {warned:.3e} (bound 5e-07)")
+    assert printed == warned and printed > 5e-7
 
 
 @pytest.mark.parametrize("setting", ["dt = inf", "t_max = inf", "dt = nan"])
@@ -519,7 +536,7 @@ def test_stable_coarse_time_step_runs(tmp_path, capsys):
                       r"5\.288e-01 \(bound 5e-07\); take a smaller dt$"):
         assert main([str(cfg), "--out", str(tmp_path)]) == 0
     residual = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
-    # stable, not accurate: g * dt = 2.5 leaves a residual of -0.53
+    # stable, not accurate: g * dt = 2.5 leaves a residual of +5.288e-01
     assert abs(residual) < 1.0
     assert (tmp_path / "case_trajectory.csv").exists()
 

@@ -6,7 +6,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.linalg import solve_continuous_lyapunov
 
 from fiberqed import (
@@ -35,22 +34,7 @@ from fiberqed.model import BARE_MODES, flux_weights
 from fiberqed.perturb import VARIANTS
 
 from conftest import (FIG6, FIG7, FIG8, FIG10, GAMMA, NEAR_EP, atom1_oracle,
-                      exact_gramian_diagonal)
-
-
-def full_line_quad(f, breakpoints):
-    """Adaptive quadrature over the whole real line, resolving given poles."""
-    pts = sorted(float(x) for x in breakpoints)
-    lo, hi = pts[0] - 50.0, pts[-1] + 50.0
-    inner, _ = quad(f, lo, hi, points=pts, limit=500, epsabs=1e-13, epsrel=1e-11)
-    left, _ = quad(f, -np.inf, lo, limit=300, epsabs=1e-13, epsrel=1e-11)
-    right, _ = quad(f, hi, np.inf, limit=300, epsabs=1e-13, epsrel=1e-11)
-    return inner + left + right
-
-
-def pole(spec, j, omega):
-    """Pole j of the channel amplitude of a spectrum's entry [0, 0], chi_j L(omega, lambda_j)."""
-    return spec.chi[0, 0, j] * spectral_function(omega, spec.eigenvalues[0, 0, j])
+                      exact_gramian_diagonal, full_line_quad, pole)
 
 
 def pair_w(spec, j, k):
@@ -190,6 +174,9 @@ class TestDecomposition:
             channel_spectrum([decomp], ["cavity1"], np.array([]))
         with pytest.raises(GridInvalid):
             channel_spectrum([decomp], ["cavity1"], np.array([0.0, 1.0, 0.5]))
+        # one sample has no step to decrease
+        spec = channel_spectrum([decomp], ["cavity1"], np.array([0.5]))
+        assert spec.spectrum.shape == (1, 1, 1)
 
     def test_unknown_channel(self):
         with pytest.raises(ValueError, match="channel"):
@@ -449,6 +436,15 @@ class TestStackedKernel:
 
     def test_integrated_spectrum_of_no_points(self):
         assert integrated_spectrum([]) == []
+
+    @pytest.mark.parametrize("grid", [None, np.linspace(-1.0, 1.0, 7)], ids=["default", "given"])
+    def test_channel_spectrum_of_no_points(self, grid):
+        spec = channel_spectrum([], ["atom1", "cavity2"], grid)
+        n_grid = 4001 if grid is None else 7
+        assert spec.spectrum.shape == (0, 2, n_grid)
+        assert spec.lorentzians.shape == (0, 2, 5, n_grid)
+        assert spec.interferences.shape == (0, 2, 10, n_grid)
+        assert spec.pair_integrals.shape == (0, 2, 5, 5)
 
     def test_pair_fallback_is_one_stacked_call_with_single_call_bits(self):
         # the decoupled lossless-fiber points, whose weightless QCD sits at
