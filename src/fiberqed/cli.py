@@ -463,10 +463,11 @@ def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point, result
         files.append(path)
     if result.residual > _RESIDUAL_BOUND:
         loss = f"loses conservation by up to {result.residual:.3e} (bound {_RESIDUAL_BOUND:g})"
-        warnings.warn(f"RK4 at dt = {scn.integrator.dt} {loss}; take a smaller dt"
-                      if scn.run == "trajectory" else
-                      f"the Gramian solve of the channel totals {loss}; a decay rate far "
-                      "below the generator's scale is lost to rounding", AccuracyWarning)
+        message = (f"RK4 at dt = {scn.integrator.dt} {loss}; take a smaller dt"
+                   if scn.run == "trajectory" else
+                   f"the Gramian solve of the channel totals {loss}; a decay rate far "
+                   "below the generator's scale is lost to rounding")
+        warnings.warn(message, AccuracyWarning)
     names = (f"{lbl}: " for lbl in result.labels) if result.labels is not None else repeat("")
     totals = result.totals.tolist()
     # rounded first, so a total that rounds to zero prints without a sign
@@ -475,7 +476,7 @@ def _run_point(scn: Scenario, params: SystemParams, out_dir: Path, point, result
         f"== {scn.name}" + (f" [{point[0]}={point[1]:g}]" if point is not None else ""),
         "eigenvalues: " + ", ".join(f"{name}{x:.6g}" for name, x in zip(names, result.eigenvalues)),
         f"channel totals: {rounded}",
-        f"conservation residual: {result.residual:+.3e}",
+        f"conservation residual: {result.residual:.3e}",
         *(f"wrote {path}" for path in files)])
 
 

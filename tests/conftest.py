@@ -1,6 +1,8 @@
 """Shared parameter sets (the figure-caption values), a cached ODE oracle,
-high-precision oracles of the roots and the channel totals, and the
-quadrature oracle of the spectra."""
+and the one implementation of each oracle the tests hold the package to:
+the roots and the Gramian (channel totals) at high precision, the
+propagator expm(G t), the resolvent (s - G)^-1 c0 and the quadrature of
+the spectra."""
 
 from functools import lru_cache
 from itertools import product
@@ -9,9 +11,11 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from fiberqed import (IntegratorConfig, SystemParams, bare_generator, evolve_bare,
                       single_excitation, spectral_function)
+from fiberqed.model import flux_weights
 
 GAMMA = 5.2  # atomic decay, 2*pi*MHz (cesium D2)
 
@@ -60,25 +64,53 @@ def exact_fiber_dark_roots(params) -> list:
         return [-half - 1j * p, -half + 1j * p]
 
 
-def exact_gramian_diagonal(params, c0, digits) -> np.ndarray:
-    """Diagonal of X with G X + X G^+ = -c0 c0^+, G the bare generator, solved in
-    Kronecker form at the given digits.
+def exact_roots(block) -> list:
+    """The eigenvalues of one float matrix at 60 digits."""
+    with mpmath.workdps(60):
+        return mpmath.eig(mpmath.matrix(block.tolist()), left=False, right=False)
+
+
+def exact_gramian(gen, c0, digits) -> np.ndarray:
+    """X with G X + X G^+ = -c0 c0^+ for any n x n generator G, solved in
+    Kronecker form at the given digits and rounded to complex doubles.
 
     The same equation as the channel totals solve, on the same double
     entries of G and c0, so its rounding to doubles is the exact answer.
     """
-    gen = bare_generator(params).tolist()
+    gen = np.asarray(gen, dtype=complex).tolist()
     c0 = np.asarray(c0, dtype=complex).tolist()
+    n = len(c0)
     with mpmath.workdps(digits):
-        op = mpmath.matrix(25, 25)
-        rhs = mpmath.matrix(25, 1)
-        for i, j in product(range(5), repeat=2):
-            rhs[5 * i + j] = -mpmath.mpc(c0[i]) * mpmath.conj(c0[j])
-            for k in range(5):
-                op[5 * i + j, 5 * k + j] += gen[i][k]
-                op[5 * i + j, 5 * i + k] += mpmath.conj(gen[j][k])
+        op = mpmath.matrix(n * n, n * n)
+        rhs = mpmath.matrix(n * n, 1)
+        for i, j in product(range(n), repeat=2):
+            rhs[n * i + j] = -mpmath.mpc(c0[i]) * mpmath.conj(c0[j])
+            for k in range(n):
+                op[n * i + j, n * k + j] += gen[i][k]
+                op[n * i + j, n * i + k] += mpmath.conj(gen[j][k])
         x = mpmath.lu_solve(op, rhs)
-        return np.array([float(x[6 * i].real) for i in range(5)])
+        return np.array([complex(x[i]) for i in range(n * n)]).reshape(n, n)
+
+
+def exact_totals(params, c0, digits=50) -> np.ndarray:
+    """Channel totals w_c X_cc in BARE_MODES order from the Gramian of the bare generator."""
+    return flux_weights(params) * exact_gramian(bare_generator(params), c0, digits).diagonal().real
+
+
+def propagator(gen, times) -> np.ndarray:
+    """The matrices expm(G t), (T, n, n), one per time."""
+    times = np.asarray(times, dtype=float)
+    return expm(np.asarray(gen)[None] * times[:, None, None])
+
+
+def resolvent(gen, c0, omega) -> np.ndarray:
+    """Amplitudes (s - G)^-1 c0 at s = -i omega, (W, n), one direct solve per
+    frequency: the Laplace transform whose pole terms are chi_j L(omega, lambda_j)."""
+    omega = np.asarray(omega, dtype=float)
+    n = len(c0)
+    mats = -1j * omega[:, None, None] * np.eye(n) - np.asarray(gen)[None]
+    rhs = np.broadcast_to(np.asarray(c0, dtype=complex), (omega.size, n))
+    return np.linalg.solve(mats, rhs[..., None])[..., 0]
 
 
 @lru_cache(maxsize=64)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import linecache
 import re
 import subprocess
 import sys
@@ -16,8 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from scipy.linalg import solve_continuous_lyapunov
 
 from fiberqed import (
     AccuracyWarning,
@@ -36,7 +35,7 @@ from fiberqed import (
 from fiberqed.cli import _csv_bodies, _write_csv, main, parse_scenario, run_scenario
 from fiberqed.model import BARE_MODES, flux_weights
 
-from conftest import NEAR_EP, exact_gramian_diagonal
+from conftest import NEAR_EP, exact_gramian, exact_totals
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -321,11 +320,9 @@ def test_near_exceptional_point_totals_match_lyapunov(tmp_path, capsys, name):
     printed = out.split("channel totals: ")[1].split("\n")[0]
     residual = float(out.split("conservation residual:")[1].split()[0])
     params = SystemParams(**values)
-    c0 = single_excitation("atom1")
-    gramian = solve_continuous_lyapunov(bare_generator(params), -np.outer(c0, c0.conj()))
-    oracle = flux_weights(params) * gramian.diagonal().real
-    print(f"{name}: {printed} (Lyapunov oracle "
-          + " ".join(f"{x:.6f}" for x in oracle) + f"); residual {residual:+.3e} (bound 1e-12)")
+    oracle = exact_totals(params, single_excitation("atom1"))
+    print(f"{name}: {printed} (50-digit Gramian "
+          + " ".join(f"{x:.6f}" for x in oracle) + f"); residual {residual:.3e} (bound 1e-12)")
     assert printed == " ".join(f"{c}={x:.6f}" for c, x in zip(BARE_MODES, oracle))
     assert abs(residual) <= 1e-12
 
@@ -432,12 +429,16 @@ def test_totals_that_miss_conservation_warn_after_writing(tmp_path, capsys, g, v
         with pytest.raises(AccuracyWarning, match=message) as caught:
             main([str(cfg), "--out", str(tmp_path / "strict")])
     assert (tmp_path / "strict" / "case_spectrum.csv").exists()  # written before the warning
-    with pytest.warns(AccuracyWarning, match=message):
+    with pytest.warns(AccuracyWarning, match=message) as recorded:
         assert main([str(cfg), "--out", str(tmp_path)]) == 0
     printed = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
     residual = float(re.search(message, str(caught.value)).group(1))
-    print(f"{initial}: residual {residual:.3e} (bound 5e-07)")
+    # the source line the warning display echoes is the call, not the trajectory text
+    (warning,) = recorded
+    echoed = linecache.getline(warning.filename, warning.lineno)
+    print(f"{initial}: residual {residual:.3e} (bound 5e-07); echoes {echoed.strip()!r}")
     assert printed == residual and residual > 5e-7
+    assert "RK4" not in echoed
 
 
 def test_trajectory_prints_the_residual_its_warning_names(tmp_path, capsys):
@@ -453,7 +454,7 @@ def test_trajectory_prints_the_residual_its_warning_names(tmp_path, capsys):
     (warning,) = caught
     warned = float(str(warning.message).split("up to ")[1].split()[0])
     printed = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
-    print(f"printed {printed:+.3e}, warned {warned:.3e} (bound 5e-07)")
+    print(f"printed {printed:.3e}, warned {warned:.3e} (bound 5e-07)")
     assert printed == warned and printed > 5e-7
 
 
@@ -536,7 +537,7 @@ def test_stable_coarse_time_step_runs(tmp_path, capsys):
                       r"5\.288e-01 \(bound 5e-07\); take a smaller dt$"):
         assert main([str(cfg), "--out", str(tmp_path)]) == 0
     residual = float(capsys.readouterr().out.split("conservation residual:")[1].split()[0])
-    # stable, not accurate: g * dt = 2.5 leaves a residual of +5.288e-01
+    # stable, not accurate: g * dt = 2.5 leaves a residual of 5.288e-01
     assert abs(residual) < 1.0
     assert (tmp_path / "case_trajectory.csv").exists()
 
@@ -592,8 +593,7 @@ def test_decoupled_lossless_fiber_spectrum_runs(tmp_path, capsys, rates, initial
     assert decomp.eigenvalues[decomp.labels.index("QCD")] == 0
     pair = [BARE_MODES.index("atom1"), BARE_MODES.index("cavity1")]
     c0 = single_excitation(initial)[pair]
-    gramian = solve_continuous_lyapunov(bare_generator(params)[np.ix_(pair, pair)],
-                                        -np.outer(c0, c0.conj()))
+    gramian = exact_gramian(bare_generator(params)[np.ix_(pair, pair)], c0, 50)
     oracle = np.zeros(5)
     oracle[pair] = flux_weights(params)[pair] * gramian.diagonal().real
     error = max(abs(float(item.split("=")[1]) - x) for item, x in zip(printed.split(), oracle))
@@ -703,7 +703,7 @@ def test_roots_lost_to_rounding_spectrum_answers(tmp_path, capsys, base):
     printed = [float(x.split("=")[1])
                for x in out.split("channel totals: ")[1].split("\n")[0].split()]
     params = parse_scenario(cfg).points[0][1]
-    oracle = flux_weights(params) * exact_gramian_diagonal(params, single_excitation("atom1"), 60)
+    oracle = exact_totals(params, single_excitation("atom1"), 60)
     miss = max(abs(x - y) for x, y in zip(printed, oracle))
     print(f"eigenvalues {eigenvalues}; printed totals {printed}, 60-digit Gramian "
           f"{oracle.tolist()}: off by {miss:.3g} (bound {cli._RESIDUAL_BOUND:g})")

@@ -58,7 +58,7 @@ from fiberqed.eigen import _cubic_coefficients, antisymmetric_block, symmetric_b
 from fiberqed.model import _RATE_BOUND, BARE_MODES, symmetric_generator
 from fiberqed.spectra import integrated_spectrum
 
-from conftest import exact_fiber_dark_roots
+from conftest import exact_fiber_dark_roots, exact_roots
 
 N_DRAWS = 1000
 N_CLI = 20
@@ -338,12 +338,6 @@ def _float_blocks(rates) -> np.ndarray:
     ).reshape(len(rates), 5).T)
 
 
-def _exact_roots(block) -> list:
-    """The eigenvalues of one float 3x3 block at 60 digits."""
-    with mpmath.workdps(60):
-        return mpmath.eig(mpmath.matrix(block.tolist()), left=False, right=False)
-
-
 def _symmetric_roots(points) -> tuple:
     """(roots, condition numbers, float blocks, |root - exact|) of the points'
     symmetric blocks, the roots (N, 3) as symmetric_block returns them,
@@ -358,7 +352,7 @@ def _symmetric_roots(points) -> tuple:
     cond = np.linalg.norm(left, axis=2) * np.linalg.norm(right, axis=1)
     errors = np.empty(lam.shape)
     for i, (roots, block) in enumerate(zip(lam.tolist(), blocks)):
-        exact = _exact_roots(block)
+        exact = exact_roots(block)
         near = [complex(x) for x in exact]
         perm = min(permutations(range(3)),
                    key=lambda perm: max(abs(x - near[j]) for x, j in zip(roots, perm)))
@@ -513,7 +507,7 @@ def test_ten_decade_point_has_no_growing_mode():
     # damping identity's keep the decay rate 1.9e-15
     with pytest.warns(LabelAmbiguous):
         lam = full_decomposition(TEN_DECADES).eigenvalues
-    exact = _exact_roots(_float_blocks([derive_rates(TEN_DECADES)])[0])
+    exact = exact_roots(_float_blocks([derive_rates(TEN_DECADES)])[0])
     print(f"max Re lambda = {lam.real.max():.4g}; the symmetric block's real parts at "
           f"60 digits: {', '.join(mpmath.nstr(x.real, 6) for x in exact)}")
     assert lam.real.max() <= 0
@@ -525,7 +519,7 @@ def test_near_double_root_point_decomposes():
     # point to the dense solve
     with pytest.warns(LabelAmbiguous, match="miss their sum"):
         (lam,), _, _, (labeled,), failed = symmetric_block([derive_rates(NEAR_DOUBLE_ROOT)])
-    exact = _exact_roots(_float_blocks([derive_rates(NEAR_DOUBLE_ROOT)])[0])
+    exact = exact_roots(_float_blocks([derive_rates(NEAR_DOUBLE_ROOT)])[0])
     print(f"dense roots {np.array2string(lam, precision=8)}, labeled: {labeled}; "
           f"60-digit roots: {', '.join(mpmath.nstr(x, 10) for x in exact)}")
     assert not labeled and not failed

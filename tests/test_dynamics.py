@@ -245,8 +245,7 @@ def _reference_integrate(gen, y0, cfg, weights):
     dynamics.evolve_bare must give its bits: it makes the same BLAS calls
     and elementwise operations in the same order, into reused buffers.
     """
-    dt = cfg.dt
-    n_steps = max(1, int(round(cfg.t_max / dt)))
+    dt, n_steps = cfg.dt, cfg.n_steps
     eye = np.eye(5, dtype=complex)
     b2 = eye + 0.5 * dt * gen
     b3 = eye + 0.5 * dt * (gen @ b2)

@@ -24,9 +24,10 @@ from fiberqed import (
 )
 from fiberqed.eigen import (_COINCIDENT_RTOL, _cubic_coefficients, _cubic_roots,
                             _trace_misses, antisymmetric_block, symmetric_block)
-from fiberqed.model import symmetric_generator
+from fiberqed.model import ANTI_ROWS, symmetric_generator
 
-from conftest import FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, atom1_oracle, exact_fiber_dark_roots
+from conftest import (FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, atom1_oracle, exact_fiber_dark_roots,
+                      propagator)
 
 U = np.finfo(float).eps / 2  # unit roundoff
 
@@ -90,7 +91,7 @@ class TestAntisymmetricBlock:
     def test_vectors_diagonalize_the_block(self):
         (lam,), (right,), (left,), _ = antisymmetric_block([FIG8], [derive_rates(FIG8)])
         recon = right @ np.diag(lam) @ left
-        assert np.abs(recon - _antisymmetric_generator(FIG8)).max() < 1e-12
+        assert np.abs(recon - normal_generator(FIG8)[np.ix_(ANTI_ROWS, ANTI_ROWS)]).max() < 1e-12
 
     def test_conjugate_pairing_when_underdamped(self, rng):
         for _ in range(20):
@@ -160,12 +161,10 @@ class TestFiberDarkAmplitudes:
     def test_matches_expm_through_critical_damping(self, r):
         # g = g_c (1 + r) approaches p = 0 from both sides; an eigenvector
         # form loses accuracy like eps/|p| there, the matrix exponential not
-        from scipy.linalg import expm
-
         g_c = abs(GAMMA / 2 - 1.0) / 2
         params = SystemParams(g=g_c * (1 + r), v=7.0, kappa=1.0, kappa_b=0.01, gamma=GAMMA)
         t = np.linspace(0.0, 3.0, 301)
-        ref = np.array([expm(_antisymmetric_generator(params) * x) @ [0.5, 0.5] for x in t])
+        ref = propagator(normal_generator(params)[np.ix_(ANTI_ROWS, ANTI_ROWS)], t) @ [0.5, 0.5]
         a_plus, a_minus = fiber_dark_amplitudes(params, t)
         err = max(np.abs(a_plus - ref[:, 0]).max(), np.abs(a_minus - ref[:, 1]).max())
         bound = 4 * np.finfo(float).eps  # amplitudes are at most 1/2
@@ -211,17 +210,6 @@ class TestFiberDarkAmplitudes:
         bound = 20 * U
         print(f"max relative |A - exact| = {err:.2g} (bound {bound:.2g})")
         assert err <= bound
-
-
-def _antisymmetric_generator(params):
-    """The 2x2 anti-symmetric block over (A+, A-)."""
-    r = derive_rates(params)
-    return np.array(
-        [
-            [-1j * params.g - r.gamma_a_plus / 2, -r.gamma_a_minus / 2],
-            [-r.gamma_a_minus / 2, 1j * params.g - r.gamma_a_plus / 2],
-        ]
-    )
 
 
 class TestSymmetricBlock:

@@ -6,7 +6,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_lyapunov
 
 from fiberqed import (
     DegenerateBlock,
@@ -17,7 +16,6 @@ from fiberqed import (
     SingularMatrix,
     SpectrumDecomposition,
     SystemParams,
-    bare_generator,
     cavity_coefficients,
     channel_spectrum,
     default_omega_grid,
@@ -30,11 +28,11 @@ from fiberqed import (
     single_excitation,
     spectral_function,
 )
-from fiberqed.model import BARE_MODES, flux_weights
+from fiberqed.model import BARE_MODES
 from fiberqed.perturb import VARIANTS
 
 from conftest import (FIG6, FIG7, FIG8, FIG10, GAMMA, NEAR_EP, atom1_oracle,
-                      exact_gramian_diagonal, full_line_quad, pole)
+                      exact_totals, full_line_quad, pole)
 
 
 def pair_w(spec, j, k):
@@ -334,7 +332,7 @@ class TestPairKernel:
             (totals,) = integrated_spectrum([decomp])
             assert totals.shape == (5,)
             assert BARE_MODES == ("atom1", "atom2", "cavity1", "cavity2", "fiber")
-            exact = flux_weights(params) * exact_gramian_diagonal(params, decomp.initial, 50)
+            exact = exact_totals(params, decomp.initial)
             for channel, total, reference in zip(BARE_MODES, totals, exact):
                 spec = channel_spectrum([decomp], [channel], grid)
                 # relative to the Lorentzian sum: |W_jk| <= L_j + L_k bounds every
@@ -511,13 +509,7 @@ class TestStackedKernel:
 
 
 class TestNearExceptionalPoints:
-    """Channel totals against the Lyapunov oracle where chi grows without bound."""
-
-    @staticmethod
-    def oracle(params):
-        c0 = single_excitation("atom1")
-        gramian = solve_continuous_lyapunov(bare_generator(params), -np.outer(c0, c0.conj()))
-        return flux_weights(params) * gramian.diagonal().real
+    """Channel totals against the 50-digit Gramian where chi grows without bound."""
 
     @pytest.mark.parametrize("name", sorted(NEAR_EP))
     def test_stacked_integrals_are_the_totals(self, name):
@@ -535,10 +527,11 @@ class TestNearExceptionalPoints:
         for r in (1e-3, 1e-7, 1e-11, 1e-15, -1e-7, -1e-11):
             params = SystemParams(g=g_c * (1 + r), v=7.0, kappa=1.0, kappa_b=0.01,
                                   gamma=GAMMA)
-            (totals,) = integrated_spectrum([full_decomposition(params)])
-            worst = max(worst, np.abs(totals - self.oracle(params)).max(),
+            decomp = full_decomposition(params)
+            (totals,) = integrated_spectrum([decomp])
+            worst = max(worst, np.abs(totals - exact_totals(params, decomp.initial)).max(),
                         abs(totals.sum() - 1.0))
-        print(f"max |total - Lyapunov| and |sum - 1| near p = 0: {worst:.2g} (bound 1e-12)")
+        print(f"max |total - Gramian| and |sum - 1| near p = 0: {worst:.2g} (bound 1e-12)")
         assert worst <= 1e-12
 
     def test_double_root_of_the_symmetric_block(self):
@@ -549,8 +542,9 @@ class TestNearExceptionalPoints:
         with pytest.warns(LabelAmbiguous):
             decomp = full_decomposition(params)
         (totals,) = integrated_spectrum([decomp])
-        worst = max(np.abs(totals - self.oracle(params)).max(), abs(totals.sum() - 1.0))
-        print(f"max |total - Lyapunov| and |sum - 1| at the double root: {worst:.2g} "
+        worst = max(np.abs(totals - exact_totals(params, decomp.initial)).max(),
+                    abs(totals.sum() - 1.0))
+        print(f"max |total - Gramian| and |sum - 1| at the double root: {worst:.2g} "
               f"(bound 1e-12)")
         assert worst <= 1e-12
 
