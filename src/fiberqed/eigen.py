@@ -154,7 +154,7 @@ def _cubic_roots(c2, c1, c0, a, p, q, disc) -> np.ndarray:
     s = np.sqrt(disc.astype(complex))
     u3 = -q / 2.0 + s
     other = -q / 2.0 - s
-    u3 = np.where(_modulus(u3) < _modulus(other), other, u3)
+    u3 = np.where(np.abs(u3) < np.abs(other), other, u3)
     with np.errstate(divide="ignore", invalid="ignore"):  # u3 = 0 is replaced below
         u = u3 ** (1.0 / 3.0)
         # u * w and u * conj(w) spelled out: an array product may fuse multiply-add
@@ -177,7 +177,7 @@ def _cubic_roots(c2, c1, c0, a, p, q, disc) -> np.ndarray:
     # c0 = 0 (Gamma_D = Gamma_SD = 0) makes 0 an exact root; Cardano can
     # return it as a tiny number of either sign, which decides whether it decays
     exact = np.flatnonzero(c0[:, 0] == 0)
-    roots[exact, np.argmin(_modulus(roots[exact]), axis=1)] = 0
+    roots[exact, np.argmin(np.abs(roots[exact]), axis=1)] = 0
     # c2 = 0 (kappa = kappa_b = gamma = 0) leaves the block lossless and every root imaginary
     roots.real[c2[:, 0] == 0] = 0
     return roots
@@ -203,11 +203,6 @@ def _trace_misses(coeffs, roots) -> np.ndarray:
                 for m, c in enumerate((c0, c1, c2, np.ones_like(c2))))
     gap = np.abs(roots.real.sum(axis=1) + c2)
     return gap > 6 * u * k.sum(axis=1) + 3 * u * (c2 + np.abs(roots.real).sum(axis=1))
-
-
-def _modulus(z) -> np.ndarray:
-    """|z| through hypot, the bits of abs() on a numpy complex scalar."""
-    return np.hypot(z.real, z.imag)
 
 
 def _norm(x) -> np.ndarray:
@@ -282,7 +277,7 @@ def symmetric_block(rates) -> tuple:
     # QCD last, the other two by one key with QBS+ first: Im lambda, or -Re
     # lambda with ties (a pair that rounding put on the real side) by Im lambda
     qcd = np.where(conj_pair, np.argmin(np.abs(roots.imag), axis=1),
-                   np.argmax(_modulus(vectors[:, :, 2]), axis=1))
+                   np.argmax(np.abs(vectors[:, :, 2]), axis=1))
     key = np.where(conj_pair[:, None], roots.imag, -roots.real)
     key[np.arange(n), qcd] = np.inf
     order = np.lexsort((roots.imag, key), axis=1)
@@ -291,8 +286,8 @@ def symmetric_block(rates) -> tuple:
         np.swapaxes(np.take_along_axis(vectors, order[:, :, None], axis=1), 1, 2)
     )
 
-    gaps = _modulus(roots[:, [0, 0, 1]] - roots[:, [1, 2, 2]]).min(axis=1)
-    labeled = ~((gaps <= _COINCIDENT_RTOL * _modulus(roots).max(axis=1))
+    gaps = np.abs(roots[:, [0, 0, 1]] - roots[:, [1, 2, 2]]).min(axis=1)
+    labeled = ~((gaps <= _COINCIDENT_RTOL * np.abs(roots).max(axis=1))
                 | _trace_misses(coeffs, roots))
     dense = np.flatnonzero(~labeled)
     for _ in dense:
@@ -371,18 +366,25 @@ def full_decompositions(points, initial=None) -> list:
     empty or all-failed stack runs the same kernels on empty arrays.  The
     single call is this code at N = 1; what four rules keep is the bits of
     the per-point scalar reference of the tests, _reference_decomposition,
-    and through it the digests of the shipped CSVs:
+    and, for three of them, the digests of the shipped CSVs.  The plain
+    spelling of each rule moves, alone:
 
     - the rates and the cubic's coefficients stay per-point Python floats,
       because Python's ``x**2`` and ``x**3`` call libm pow where numpy's
-      array power can differ in the last bit;
+      array power can differ in the last bit: array arithmetic moves no
+      shipped CSV, printed summary or ledger line, only the bits of the
+      scalar reference;
     - the complex products u * w of the Cardano step are spelled out in
       real and imaginary parts, since numpy's scalar product does not fuse
-      multiply-add and its array product may;
+      multiply-add and its array product may: one array product moves
+      fig7_decomposition_fiber.csv and fig5's printed summary;
     - vector norms are stacked (1, 3) @ (3, 1) products, the BLAS dot that
-      np.linalg.norm uses on a 1-d vector, not a sum of squares;
+      np.linalg.norm uses on a 1-d vector, not a sum of squares:
+      np.linalg.norm(axis=-1) moves the 4 fig8 and fig10 decomposition_cavity CSVs;
     - the fiber-dark closed forms stay in Python complex arithmetic, which
-      divides by a real number where numpy multiplies by its reciprocal.
+      divides by a real number where numpy multiplies by its reciprocal: a
+      stacked numpy form moves the 4 fig6 spectrum CSVs and the 4 fig8 and
+      fig10 decomposition_cavity CSVs.
     """
     bare0 = _amplitudes(single_excitation("atom1") if initial is None else initial)
     results, ok, rates = [None] * len(points), [], []

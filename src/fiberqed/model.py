@@ -72,8 +72,9 @@ class SystemParams:
             if value >= _RATE_BOUND:
                 raise ValueError(f"{f.name} must be below {_RATE_BOUND:.3g}, where the "
                                  f"cubic of the symmetric block overflows, got {value}")
-            # a Python float, so numpy scalar inputs give the same arithmetic bits
-            object.__setattr__(self, f.name, float(value))
+            # a Python float for any number type, as eigen.full_decompositions'
+            # first rule needs; + 0.0 stores -0 as +0.0, so a header prints 0
+            object.__setattr__(self, f.name, float(value) + 0.0)
 
 
 def single_excitation(mode: str) -> np.ndarray:
@@ -220,20 +221,15 @@ def normal_generator(params: SystemParams) -> np.ndarray:
 def symmetric_generator(zeta, gamma_s_plus, gamma_s_minus, gamma_sd, gamma_d) -> np.ndarray:
     """The (S+, S-, D) block of :func:`normal_generator` from the derived rates.
 
-    Array arguments give a stack of blocks, shape (..., 3, 3).  The entries
-    are the bits of the complex scalar expressions
-    -(i zeta + Gamma_S+/2), i zeta - Gamma_S+/2 and the real rates.
+    Array arguments give a stack of blocks, shape (..., 3, 3).
     """
     zeta, gsp, gsm, gsd, gd = np.broadcast_arrays(
         zeta, gamma_s_plus, gamma_s_minus, gamma_sd, gamma_d
     )
     gen = np.zeros(zeta.shape + (3, 3), dtype=complex)
-    re, im = gen.real, gen.imag
-    re[..., 0, 0] = -(gsp / 2)
-    im[..., 0, 0] = -zeta
-    re[..., 1, 1] = 0.0 - gsp / 2
-    im[..., 1, 1] = zeta
-    re[..., 0, 1] = re[..., 1, 0] = -gsm / 2
-    re[..., 0, 2] = re[..., 1, 2] = re[..., 2, 0] = re[..., 2, 1] = gsd
-    re[..., 2, 2] = -gd
+    gen[..., 0, 0] = -(1j * zeta + gsp / 2)
+    gen[..., 1, 1] = 1j * zeta - gsp / 2
+    gen[..., 0, 1] = gen[..., 1, 0] = -gsm / 2
+    gen[..., 0, 2] = gen[..., 1, 2] = gen[..., 2, 0] = gen[..., 2, 1] = gsd
+    gen[..., 2, 2] = -gd
     return gen

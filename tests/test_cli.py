@@ -115,6 +115,15 @@ def test_byte_identical_reruns(tmp_path):
     first = (tmp_path / "a" / "case_spectrum.csv").read_bytes()
     second = (tmp_path / "b" / "case_spectrum.csv").read_bytes()
     assert first == second
+    # a rate written -0 is stored as +0.0, so its header reads 0, not -0
+    for rate in cli.RATES:
+        runs = {}
+        for zero in ("0", "-0"):
+            text = re.sub(rf"(?m)^{rate} = .*$", f"{rate} = {zero}", BASE.format(kind="spectrum"))
+            [path] = run_scenario(write_cfg(tmp_path, text), out_dir=tmp_path / rate / zero,
+                                  quiet=True)
+            runs[zero] = path.read_bytes()
+        assert runs["-0"] == runs["0"], rate
 
 
 def test_sweep_writes_one_file_per_value(tmp_path):
