@@ -153,17 +153,17 @@ def parse_scenario(path) -> Scenario:
 
     defaults = dynamics.IntegratorConfig
     dt = _floats("run", "dt", raw_run.get("dt", defaults.dt))
-    try:
-        record_every = int(raw_run.get("record_every", defaults.record_every))
-    except ValueError:
+    record_every = _floats("run", "record_every",
+                           raw_run.get("record_every", defaults.record_every))
+    if not record_every.is_integer():
         raise ConfigInvalid(f"[run] record_every = {raw_run['record_every']!r} "
-                            "is not an integer") from None
+                            "is not an integer")
     integrator = None
     if kind == "trajectory":
         if "t_max" not in raw_run:
             raise ConfigInvalid("[run] missing key t_max (required for trajectory runs)")
         t_max = _floats("run", "t_max", raw_run["t_max"])
-        integrator = dynamics.IntegratorConfig(dt=dt, t_max=t_max, record_every=record_every)
+        integrator = dynamics.IntegratorConfig(dt=dt, t_max=t_max, record_every=int(record_every))
 
     omega_grid = None
     omega_keys = [k for k in ("omega_min", "omega_max", "omega_points") if k in raw_run]

@@ -9,6 +9,7 @@ the trajectories of `simulate` and is the oracle of every closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -50,9 +51,9 @@ class IntegratorConfig:
             raise ConfigInvalid(f"t_max must be finite and > 0, got {self.t_max}")
         if self.dt > self.t_max:
             raise ConfigInvalid(f"dt = {self.dt} exceeds the horizon t_max = {self.t_max}")
-        # numpy counts the steps in int64
-        if not 1 <= self.record_every < 2**63:
-            raise ConfigInvalid(f"record_every must be >= 1 and below 2**63, "
+        # numpy counts the steps in int64 and indexes the recorded rows by them
+        if not (isinstance(self.record_every, Integral) and 1 <= self.record_every < 2**63):
+            raise ConfigInvalid(f"record_every must be an integer >= 1 and below 2**63, "
                                 f"got {self.record_every}")
         if not (steps := self.t_max / self.dt) <= _STEP_BUDGET:
             raise ConfigInvalid(f"t_max = {self.t_max} over dt = {self.dt} is {steps:.3g} steps, "
@@ -115,10 +116,13 @@ def evolve_bare(params: SystemParams, initial, cfg: IntegratorConfig) -> Traject
     table powers[j] = powers[j-1] @ phi as one 5x5 zgemm per power; per
     block of _BLOCK = 4096 steps one gemv, flat_powers @ y, for the
     amplitudes, one gemm each for the stages amps @ b2.T, amps @ b3.T and
-    amps @ b4.T; |.|^2 as np.abs (hypot) squared; the stage sum
+    amps @ b4.T; |.|^2 as np.abs squared; the stage sum
     a0 + 2 a1 + 2 a2 + a3, times dt / 6, times weights; a sequential cumsum
     per channel; the next block starts from y = phi @ amps[-1].  All of it
-    runs in place in buffers allocated once per call.  Measured to change
+    runs in place in buffers allocated once per call.  The bits of np.abs
+    depend on the complex-abs loop numpy dispatches for the CPU (its
+    AVX-512 loop differs from np.hypot by up to 2 ulp), which
+    numpy.show_runtime() reports.  Measured to change
     the bits, and so not used: one (L, 5) @ (5, 15) product for the three
     stages, one multi-column gemm for the amplitudes of several blocks,
     re^2 + im^2 for |.|^2, reduceat or sum for cumsum, and any other block

@@ -16,14 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fiberqed import (
     AccuracyWarning,
     ConfigInvalid,
     LabelAmbiguous,
     SystemParams,
-    bare_generator,
     cli,
     dynamics,
     eigen,
@@ -35,7 +34,7 @@ from fiberqed import (
 from fiberqed.cli import _csv_bodies, _write_csv, main, parse_scenario, run_scenario
 from fiberqed.model import BARE_MODES, flux_weights
 
-from conftest import NEAR_EP, exact_gramian, exact_totals
+from conftest import NEAR_EP, exact_totals
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -600,13 +599,10 @@ def test_decoupled_lossless_fiber_spectrum_runs(tmp_path, capsys, rates, initial
     params = SystemParams(**rates)
     decomp = full_decomposition(params, single_excitation(initial))
     assert decomp.eigenvalues[decomp.labels.index("QCD")] == 0
-    pair = [BARE_MODES.index("atom1"), BARE_MODES.index("cavity1")]
-    c0 = single_excitation(initial)[pair]
-    gramian = exact_gramian(bare_generator(params)[np.ix_(pair, pair)], c0, 50)
-    oracle = np.zeros(5)
-    oracle[pair] = flux_weights(params)[pair] * gramian.diagonal().real
+    # the Kronecker form is singular here, so the oracle takes the pair matrix
+    oracle = exact_totals(params, single_excitation(initial))
     error = max(abs(float(item.split("=")[1]) - x) for item, x in zip(printed.split(), oracle))
-    print(f"{initial}: {printed} (pair oracle " + " ".join(f"{x:.6f}" for x in oracle)
+    print(f"{initial}: {printed} (oracle " + " ".join(f"{x:.6f}" for x in oracle)
           + f"); error {error:.1e} (bound 5e-7)")
     assert error <= 5e-7
     # the unit-2 totals are rounding noise of either sign; zero prints unsigned
@@ -800,6 +796,16 @@ def test_config_refusal_exits_2_with_its_line(tmp_path, capsys, kind, edit, mess
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_record_every_of_1e2_records_every_100th_step(tmp_path):
+    # 1e2 is the integer 100, as for omega_points; 2.5 is refused (record_every above)
+    cfg = write_cfg(tmp_path, BASE.format(kind="trajectory").replace("record_every = 10",
+                                                                     "record_every = 1e2"))
+    assert parse_scenario(cfg).integrator.record_every == 100
+    assert main([str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    (path,) = tmp_path.glob("*.csv")
+    assert len(np.loadtxt(path, delimiter=",", comments="#", ndmin=2)) == 11  # steps 0, 100, ...
+
+
 def _with_line_replaced(case):
     """BASE's spectrum run on an 11-point grid, with line i of BASE, or the
     value of its key, replaced by text.
@@ -821,15 +827,21 @@ def _with_line_replaced(case):
     st.binary(),
     st.tuples(st.integers(0, BASE.count("\n") - 1), st.text()).map(_with_line_replaced),
 ))
+# g = 1.0000000001e17: the Gramian solve loses conservation, and the run warns
+@example(content=_with_line_replaced((1, "100000000010000000")))
 def test_any_config_file_exits_with_a_code_and_one_line(content):
     # any text and any bytes give exit 0, 2, 3 or 4, never a traceback, and
-    # a refusal prints exactly one stderr line
+    # a refusal prints exactly one stderr line; a run may warn, but only with
+    # a warning type of the package's own
     data = content.encode() if isinstance(content, str) else content
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err,
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         cfg = Path(tmp, "any.cfg")
         cfg.write_bytes(data)
         code = main([str(cfg), "--out", tmp, "--quiet"])
     assert code in (0, 2, 3, 4)
+    assert all(w.category.__module__ == "fiberqed.errors" for w in caught), caught
     if code:
         assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
 

@@ -23,6 +23,8 @@ here is what the package promises today:
 - the c(t) of an answered draw is within the bound of a backward-stable
   decomposition of expm(G t) c0, and its spectra of the resolvent; on the
   main sample both are strict xfails (ROADMAP items 12 and 4);
+- the channel totals of an answered draw that the Gramian solve gives are
+  within that LU solve's bound of the 50-digit Gramian;
 - the symmetric-block roots of an answered, labeled draw (the cubic's path)
   are within their rounding bound of a 60-digit eigensolve of the same float
   block; the dense eigensolve of an unlabeled draw is not yet within its
@@ -39,7 +41,6 @@ here is what the package promises today:
 import warnings
 from collections import Counter
 from functools import cache
-from itertools import permutations
 
 import mpmath
 import numpy as np
@@ -60,10 +61,12 @@ from fiberqed import (
     single_excitation,
 )
 from fiberqed.eigen import _cubic_coefficients, antisymmetric_block, symmetric_block
-from fiberqed.model import _RATE_BOUND, BARE_MODES, flux_weights, symmetric_generator
+from fiberqed.model import _RATE_BOUND, BARE_MODES, flux_weights
 from fiberqed.spectra import integrated_spectrum
 
-from conftest import exact_fiber_dark_roots, exact_roots, propagator, resolvent
+from conftest import (U, cubic_root_bound, exact_fiber_dark_roots, exact_gramian, exact_roots,
+                      float_blocks, matched_errors, pole_conditions, propagator, ratios, resolvent,
+                      totals_solve_bound)
 
 N_DRAWS = 1000
 N_CLI = 20
@@ -295,7 +298,6 @@ def test_answered_fiber_dark_roots_match_high_precision(name, sample):
     # at most that sum in size: 5u (Gamma_A+/2 + |p| + (g^2 + Gamma_A-^2/4) / |p|)
     # bounds every case.
     answered = _answered(name, sample)
-    u = np.finfo(float).eps / 2
     checked = []  # (error / bound, error, bound, params)
     for params in answered:
         (lam,), _, _, _ = antisymmetric_block([params], [derive_rates(params)])
@@ -306,7 +308,7 @@ def test_answered_fiber_dark_roots_match_high_precision(name, sample):
             g, kappa, gamma = (mpmath.mpf(getattr(params, k)) for k in ("g", "kappa", "gamma"))
             scale = half + p + (g**2 + (gamma / 2 - kappa) ** 2 / 4) / p
             err = max(abs(x - y) for x, y in zip(lam.tolist(), exact))
-            bound = 5 * u * scale
+            bound = 5 * U * scale
         checked.append((float(err / bound), float(err), float(bound), params))
     ratio, err, bound, params = max(checked, key=lambda c: c[0])
     print(f"{name}: {len(answered)} answered draws, worst |lambda - exact| = {err:.3g} "
@@ -336,72 +338,22 @@ def test_bright_pair_sharing_a_real_part_puts_qbs_plus_below(name, sample):
 N_ROOT_ORACLE = 300  # main-sample answers checked, a seeded subsample (4 ms per eigensolve)
 
 
-def _float_blocks(rates) -> np.ndarray:
-    """The symmetric blocks (N, 3, 3) of the derived rates, as the package builds them."""
-    return symmetric_generator(*np.array(
-        [(r.zeta, r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d) for r in rates]
-    ).reshape(len(rates), 5).T)
-
-
-def _symmetric_roots(points) -> tuple:
-    """(roots, condition numbers, float blocks, |root - exact|) of the points'
-    symmetric blocks, the roots (N, 3) as symmetric_block returns them,
-    each against the 60-digit eigenvalue of the same float block that the
-    closest matching (in double precision) pairs it with."""
-    rates = [derive_rates(p) for p in points]
+def _symmetric_roots(rates) -> tuple:
+    """(roots, condition numbers, float blocks, |root - exact|) of the symmetric
+    blocks of the derived rates, the roots (N, 3) as symmetric_block returns
+    them, each against the 60-digit eigenvalue of the same float block."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LabelAmbiguous)
         lam, right, left, _, _ = symmetric_block(rates)
-    blocks = _float_blocks(rates)
-    # left @ right = I, so each root's condition number is |left row| |right column|
-    cond = np.linalg.norm(left, axis=2) * np.linalg.norm(right, axis=1)
-    errors = np.empty(lam.shape)
-    for i, (roots, block) in enumerate(zip(lam.tolist(), blocks)):
-        exact = exact_roots(block)
-        near = [complex(x) for x in exact]
-        perm = min(permutations(range(3)),
-                   key=lambda perm: max(abs(x - near[j]) for x, j in zip(roots, perm)))
-        with mpmath.workdps(60):
-            errors[i] = [float(abs(x - exact[j])) for x, j in zip(roots, perm)]
-    return lam, cond, blocks, errors
-
-
-def _cubic_bound(points, lam) -> np.ndarray:
-    """First-order bound (N, 3) on how far the cubic's roots lam lie from the
-    eigenvalues of the float block.
-
-    The block's entries are the float rates (halving is exact), so its
-    characteristic polynomial has the coefficients of _cubic_coefficients in
-    exact arithmetic.  Each is a sum of products of the rates rounded in at
-    most 6 operations: |delta c_k| <= gamma_6 C_k, C_k that sum over the
-    absolute values of its terms.  The polished roots are exact for a
-    polynomial with every c_k off by gamma_6 |c_k| more (Horner's backward
-    error, as in eigen._trace_misses).  To first order a root moves by
-    sum_k delta c_k lambda^k / p'(lambda), p'(lambda_j) the product of
-    lambda_j - lambda_i over the other two roots.
-    """
-    u = np.finfo(float).eps / 2
-    g6 = 6 * u / (1 - 6 * u)
-    bounds = np.empty(lam.shape)
-    for i, (params, roots) in enumerate(zip(points, lam.tolist())):
-        r = derive_rates(params)
-        c2, c1, c0 = _cubic_coefficients(r)[:3]
-        gsp, sm, gsd, gd, zeta = (abs(x) for x in (r.gamma_s_plus, r.gamma_s_minus / 2,
-                                                   r.gamma_sd, r.gamma_d, r.zeta))
-        terms = [gd * (gsp**2 / 4 + zeta**2 + sm**2) + gsd**2 * (gsp + 2 * sm),
-                 gsp**2 / 4 + zeta**2 + sm**2 + gd * gsp + 2 * gsd**2, gsp + gd, 0.0]
-        coeffs = [abs(c0), abs(c1), abs(c2), 1.0]
-        for j, x in enumerate(roots):
-            slope = abs(np.prod([x - y for k, y in enumerate(roots) if k != j]))
-            moved = g6 * sum((t + c) * abs(x) ** k for k, (t, c) in enumerate(zip(terms, coeffs)))
-            bounds[i, j] = moved / slope if moved else 0.0
-    return bounds
+    blocks = float_blocks(rates)
+    errors = np.array([matched_errors(roots, exact_roots(block))
+                       for roots, block in zip(lam, blocks)]).reshape(lam.shape)
+    return lam, pole_conditions(left, right), blocks, errors
 
 
 def _worst(errors, bounds) -> tuple:
     """(error / bound, error, bound, point index) of the worst root, 0 / 0 read as 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(errors == 0, 0.0, errors / bounds)
+    ratio = ratios(errors, bounds)
     i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
     return ratio[i, j], errors[i, j], bounds[i, j], i
 
@@ -417,8 +369,8 @@ def _split_by_label(answered) -> tuple:
 
 @pytest.mark.parametrize("name", ["main", *EDGE_CLASSES])
 def test_labeled_symmetric_roots_match_high_precision(name, sample):
-    # the cubic's roots of every answered, labeled draw within _cubic_bound of
-    # the 60-digit eigenvalues of the float block
+    # the cubic's roots of every answered, labeled draw within cubic_root_bound
+    # of the 60-digit eigenvalues of the float block
     answered = _answered(name, sample)
     if name == "main":
         keep = np.random.default_rng(28).choice(len(answered), N_ROOT_ORACLE, replace=False)
@@ -426,8 +378,9 @@ def test_labeled_symmetric_roots_match_high_precision(name, sample):
     points, _ = _split_by_label(answered)
     ratio, err, bound, i = 0.0, 0.0, 0.0, None
     if points:
-        lam, _, _, errors = _symmetric_roots(points)
-        ratio, err, bound, i = _worst(errors, _cubic_bound(points, lam))
+        rates = [derive_rates(p) for p in points]
+        lam, _, _, errors = _symmetric_roots(rates)
+        ratio, err, bound, i = _worst(errors, cubic_root_bound(rates, lam))
     print(f"{name}: {len(points)} labeled of {len(answered)} answered draws, worst "
           f"|lambda - exact| = {err:.3g} (bound {bound:.3g})"
           + (f" at {points[i]}" if points else ""))
@@ -442,14 +395,13 @@ def test_unlabeled_symmetric_roots_match_high_precision(sample):
     # within u |B|_2 cond_j of the 60-digit eigenvalues of the float block: a
     # backward error of u |B|_2 moves root j by at most cond_j times it, to
     # first order
-    u = np.finfo(float).eps / 2
     worst = 0.0
     for name in ["main", *EDGE_CLASSES]:
         _, points = _split_by_label(_answered(name, sample))
         if not points:
             continue
-        _, cond, blocks, errors = _symmetric_roots(points)
-        bounds = u * np.linalg.norm(blocks, 2, axis=(1, 2))[:, None] * cond
+        _, cond, blocks, errors = _symmetric_roots([derive_rates(p) for p in points])
+        bounds = U * np.linalg.norm(blocks, 2, axis=(1, 2))[:, None] * cond
         ratio, err, bound, i = _worst(errors, bounds)
         print(f"{name}: {len(points)} unlabeled answered draws, worst |lambda - exact| = "
               f"{err:.3g} (bound {bound:.3g}) at {points[i]}")
@@ -508,7 +460,6 @@ def test_labeled_decompositions_have_no_growing_mode(sample):
 # <= 0, so |e^(G s)|_2 <= 1.  Every initial state has |c0| = 1.
 
 N_MODES = 5
-U = np.finfo(float).eps / 2
 ORACLE_TIMES = (0.3, 3.0)  # in units of 1 / max|G_ik|
 GRID_STRIDE = 400  # every 400th point of the default grid, and the ones nearest the poles
 
@@ -528,12 +479,6 @@ def answers(sample) -> dict:
                 decomps = full_decompositions(points, c0)
             found[name] += [(p, c0, d) for p, d in zip(points, decomps)]
     return found
-
-
-def _pole_conditions(decomp) -> np.ndarray:
-    """K_j = |l_j| |r_j| (5,); the normal basis is an orthogonal map of the bare one."""
-    return (np.linalg.norm(decomp.left_vectors, axis=1)
-            * np.linalg.norm(decomp.right_vectors, axis=0))
 
 
 def _report(name, checked, what) -> float:
@@ -557,7 +502,8 @@ def _propagation_check(params, c0, decomp) -> tuple:
     gen = bare_generator(params)
     times = np.array(ORACLE_TIMES) / np.abs(gen).max()
     err = np.linalg.norm(decomp.bare_amplitudes(times).T - propagator(gen, times) @ c0, axis=1)
-    lam, norm, k = decomp.eigenvalues, np.linalg.norm(gen, 2), _pole_conditions(decomp).sum()
+    lam, norm = decomp.eigenvalues, np.linalg.norm(gen, 2)
+    k = pole_conditions(decomp.left_vectors, decomp.right_vectors).sum()
     exps = np.abs(np.exp(np.outer(lam, times)))  # (5, T)
     growth = np.maximum(exps.max(axis=0), 1.0)
     bound = (N_MODES * U * k * growth * (times * norm + N_MODES * k)
@@ -597,7 +543,7 @@ def _spectrum_check(params, c0, decomp) -> tuple:
     """
     gen = bare_generator(params)
     grid = default_omega_grid(params)
-    lam, k_j = decomp.eigenvalues, _pole_conditions(decomp)
+    lam, k_j = decomp.eigenvalues, pole_conditions(decomp.left_vectors, decomp.right_vectors)
     near = np.abs(grid[:, None] + lam.imag).argmin(axis=0)
     omega = grid[np.union1d(np.arange(0, grid.size, GRID_STRIDE), near)]
     mats = -1j * omega[:, None, None] * np.eye(N_MODES) - gen
@@ -622,8 +568,7 @@ def _spectrum_check(params, c0, decomp) -> tuple:
     exact = prefactor * mag**2
     bound = prefactor * d_amp * (2 * mag + d_amp) + 8 * U * exact
     err = np.abs(got - exact)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 where a channel is 0
-        ratio = np.where(err == 0, 0.0, err / bound)
+    ratio = ratios(err, bound)  # 0 / 0 where a channel is 0
     c, i = np.unravel_index(np.argmax(ratio), ratio.shape)
     peak = exact[c].max() or 1.0
     return ratio[c, i], err[c, i] / peak, bound[c, i] / peak, params
@@ -639,6 +584,42 @@ def _spectrum_check(params, c0, decomp) -> tuple:
 def test_answered_spectra_match_the_resolvent(name, answers):
     checked = [_spectrum_check(*answer) for answer in answers[name]]
     assert _report(name, checked, "|spectrum - resolvent| / peak") <= 1
+
+
+# --- the channel totals against the 50-digit Gramian ------------------------
+
+N_TOTALS_ORACLE = 16  # answers checked per class, the flagged ones first (45 ms a Gramian)
+
+
+def _totals_check(params, c0, totals) -> tuple:
+    """(error / bound, error, bound, params) at the worst channel: the totals of
+    integrated_spectrum against w_c X_cc of the 50-digit Gramian (conftest),
+    within the bound of the package's 25 x 25 LU solve of the same equation."""
+    gen, weights = bare_generator(params), flux_weights(params)
+    gramian = exact_gramian(gen, c0, 50)
+    err = np.abs(totals - weights * gramian.diagonal().real)
+    bound = totals_solve_bound(gen, weights, gramian)
+    c = np.argmax(ratios(err, bound))
+    return err[c] / bound[c], err[c], bound[c], params
+
+
+@pytest.mark.parametrize("name", ["main", *EDGE_CLASSES])
+def test_answered_totals_match_the_gramian(name, answers):
+    # every answer whose totals the CLI flags, then a seeded subsample of the
+    # rest; totals that the pair matrices give (a mode that does not decay, at
+    # exact zero rates) are outside the LU solve's bound and are counted, not checked
+    answered = answers[name]
+    totals = integrated_spectrum([decomp for _, _, decomp in answered])
+    solved = [i for i, (_, _, decomp) in enumerate(answered) if decomp.eigenvalues.real.max() < 0]
+    flagged = [i for i in solved if _flagged(totals[i])]
+    rest = [i for i in solved if i not in flagged]
+    picked = np.random.default_rng(29).choice(
+        rest, min(N_TOTALS_ORACLE - len(flagged), len(rest)), replace=False)
+    checked = [_totals_check(*answered[i][:2], totals[i])
+               for i in flagged + sorted(picked.tolist())]
+    print(f"{name}: {len(flagged)} flagged answers and {len(picked)} more checked; "
+          f"{len(answered) - len(solved)} of {len(answered)} answers from the pair matrices")
+    assert _report(name, checked, "|total - w_c X_cc|") <= 1
 
 
 # --- single points: two the dense solve answers, one strict xfail until items 4 and 5 ---
@@ -658,7 +639,7 @@ def test_ten_decade_point_has_no_growing_mode():
     # damping identity's keep the decay rate 1.9e-15
     with pytest.warns(LabelAmbiguous):
         lam = full_decomposition(TEN_DECADES).eigenvalues
-    exact = exact_roots(_float_blocks([derive_rates(TEN_DECADES)])[0])
+    exact = exact_roots(float_blocks([derive_rates(TEN_DECADES)])[0])
     print(f"max Re lambda = {lam.real.max():.4g}; the symmetric block's real parts at "
           f"60 digits: {', '.join(mpmath.nstr(x.real, 6) for x in exact)}")
     assert lam.real.max() <= 0
@@ -670,7 +651,7 @@ def test_near_double_root_point_decomposes():
     # point to the dense solve
     with pytest.warns(LabelAmbiguous, match="miss their sum"):
         (lam,), _, _, (labeled,), failed = symmetric_block([derive_rates(NEAR_DOUBLE_ROOT)])
-    exact = exact_roots(_float_blocks([derive_rates(NEAR_DOUBLE_ROOT)])[0])
+    exact = exact_roots(float_blocks([derive_rates(NEAR_DOUBLE_ROOT)])[0])
     print(f"dense roots {np.array2string(lam, precision=8)}, labeled: {labeled}; "
           f"60-digit roots: {', '.join(mpmath.nstr(x, 10) for x in exact)}")
     assert not labeled and not failed

@@ -182,6 +182,9 @@ def test_occupations_initial_point_and_lossless_sum():
         dict(dt=0.06, t_max=24.0),  # RK4 step radius 1 + 0.344 on FIG3
         dict(dt=0.04, t_max=0.1),  # round(2.5) = 2 steps would end at t = 0.08
         dict(dt=1e-3, t_max=1.0, record_every=2**63),  # beyond the int64 step index
+        # a float stride gives float step indices, which cannot index the recorded rows
+        dict(dt=0.01, t_max=1.0, record_every=2.5),
+        dict(dt=0.01, t_max=1.0, record_every=100.0),
     ],
 )
 def test_invalid_config_rejected(cfg):

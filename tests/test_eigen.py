@@ -2,7 +2,6 @@
 
 import warnings
 from collections import Counter
-from itertools import permutations
 
 import mpmath
 import numpy as np
@@ -24,12 +23,11 @@ from fiberqed import (
 )
 from fiberqed.eigen import (_COINCIDENT_RTOL, _cubic_coefficients, _cubic_roots,
                             _trace_misses, antisymmetric_block, symmetric_block)
-from fiberqed.model import ANTI_ROWS, symmetric_generator
+from fiberqed.model import ANTI_ROWS
 
-from conftest import (FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, atom1_oracle, exact_fiber_dark_roots,
-                      propagator)
-
-U = np.finfo(float).eps / 2  # unit roundoff
+from conftest import (FIG3, FIG4, FIG5, FIG6, FIG8, GAMMA, U, atom1_oracle, cubic_root_bound,
+                      exact_fiber_dark_roots, exact_roots, float_blocks, matched_errors,
+                      pole_conditions, propagator, ratios)
 
 
 def random_symmetric(rng):
@@ -626,32 +624,10 @@ class TestBatchedKernel:
         assert x[0].tobytes() == np.linalg.solve(mats[0], rhs[0]).tobytes()
 
 
-def _cubic_terms(r, num):
-    """The terms that eigen._cubic_coefficients adds up to c2, c1 and c0, in the type num."""
-    gsp, gsm, gsd, gd, zeta = (num(x) for x in (
-        r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d, r.zeta))
-    sm = gsm / 2
-    shared = [gsp**2 / 4, zeta**2, -sm**2]
-    return ([gsp, gd], shared + [gd * gsp, -2 * gsd**2],
-            [gd * t for t in shared] + [-gsd**2 * gsp, 2 * gsd**2 * sm])
-
-
-def _matched_ratio(lam, ref, bound) -> float:
-    """max_j |lam_j - ref_j| / bound_j over the best pairing of lam with ref;
-    a root equal to its reference counts 0, also where its bound is 0."""
-    def worst(pm):
-        miss = np.abs(lam[list(pm)] - ref)
-        with np.errstate(divide="ignore"):
-            return float(np.max(np.divide(miss, bound, out=np.zeros_like(miss), where=miss > 0)))
-    return min(worst(pm) for pm in permutations(range(len(ref))))
-
-
 class TestRootContract:
     """Each symmetric block answers with roots as accurate as their conditioning allows,
     or is refused with DegenerateBlock (p = 0); roots that miss their sum take the
     dense solve and keep that contract."""
-
-    U = np.finfo(float).eps / 2
 
     @staticmethod
     def draws(n=4000):
@@ -670,14 +646,13 @@ class TestRootContract:
         for params, decomp in answered:
             assert not isinstance(decomp, Exception), f"{params}: {decomp!r}"
         rates = [derive_rates(p) for p, _ in answered]
-        blocks = symmetric_generator(*np.array(
-            [(r.zeta, r.gamma_s_plus, r.gamma_s_minus, r.gamma_sd, r.gamma_d) for r in rates]).T)
-        # a backward-stable dense solve errs by about n u |B|_F kappa_j (n = 3) to
-        # first order, kappa_j = |x_j| |y_j| / |y_j x_j| from its right and left
-        # vectors; roots within twice that of it are as good as the dense solve
+        blocks = float_blocks(rates)
+        # a backward-stable dense solve errs by about n u |B|_F K_j (n = 3) to
+        # first order, K_j = |l_j| |r_j| from its right vectors and their
+        # inverse; roots within twice that of it are as good as the dense solve
         dense, right = np.linalg.eig(blocks)
-        kappa = np.linalg.norm(right, axis=1) * np.linalg.norm(np.linalg.inv(right), axis=2)
-        scale = 6 * self.U * np.linalg.norm(blocks, axis=(1, 2))[:, None] * kappa
+        scale = (6 * U * np.linalg.norm(blocks, axis=(1, 2))[:, None]
+                 * pole_conditions(np.linalg.inv(right), right))
         # the points that only the trace check sends to the dense solve: their
         # cubic roots are apart but miss their sum
         coeffs = np.array([_cubic_coefficients(r) for r in rates])
@@ -686,32 +661,24 @@ class TestRootContract:
         misses = (_trace_misses(coeffs, roots)
                   & (gaps > _COINCIDENT_RTOL * np.abs(roots).max(axis=1)))
         worst, worst_missed, oracle_calls = 0.0, 0.0, 0
-        for (params, decomp), r, ref, bound, missed in zip(answered, rates, dense, scale,
-                                                            misses):
+        for (params, decomp), r, block, ref, bound, missed in zip(answered, rates, blocks, dense,
+                                                                   scale, misses):
             lam = decomp.eigenvalues[:3]
             assert decomp.labels is None or not missed, params
-            ratio = _matched_ratio(lam, ref, bound)
+            ratio = ratios(matched_errors(ref, lam), bound).max()  # in the order of ref
             if ratio <= 1:
                 worst_missed = max(worst_missed, missed * ratio)
                 continue
-            # otherwise the 50-digit roots of the cubic, within its conditioning:
-            # the coefficients carry at most 10 roundings and Horner's residual 6
+            # otherwise the 60-digit eigenvalues of the float block, within the
+            # rounding bound of the cubic's roots
             oracle_calls += 1
-            with mpmath.workdps(50):
-                terms = _cubic_terms(r, mpmath.mpf)
-                c2, c1, c0 = (sum(t) for t in terms)
-                exact = mpmath.polyroots([1, c2, c1, c0], maxsteps=200, extraprec=200)
-                slope = np.array([complex(3 * z**2 + 2 * c2 * z + c1) for z in exact])
-            exact = np.array([complex(z) for z in exact])
-            size = [float(sum(abs(t) for t in ts)) for ts in terms]
-            mod = np.abs(exact)
-            cond = (mod**3 + size[0] * mod**2 + size[1] * mod + size[2]) / np.abs(slope)
-            ratio = _matched_ratio(lam, exact, 16 * self.U * cond)
+            exact = exact_roots(block)
+            ratio = ratios(matched_errors(lam, exact), cubic_root_bound([r], lam[None])[0]).max()
             worst = max(worst, ratio)
             worst_missed = max(worst_missed, missed * ratio)
-            assert ratio <= 1, f"{params}: roots {lam}, 50-digit {exact}"
+            assert ratio <= 1, f"{params}: roots {lam}, 60-digit {exact}"
         refused = Counter(type(d).__name__ for d in results if isinstance(d, DegenerateBlock))
-        print(f"{len(answered)} answered ({oracle_calls} held to 50 digits, worst "
+        print(f"{len(answered)} answered ({oracle_calls} held to 60 digits, worst "
               f"{worst:.2g} of the bound; {misses.sum()} sent to the dense solve by the "
               f"trace check, worst {worst_missed:.2g} of its bound), refused: {dict(refused)}")
         assert misses.any()

@@ -44,23 +44,16 @@ from fiberqed.cli import parse_scenario, run_scenario
 from fiberqed.eigen import MODE_LABELS
 from fiberqed.model import BARE_MODES, NORMAL_MODES, flux_weights
 
-from conftest import exact_gramian, propagator, resolvent
+from conftest import U, exact_gramian, gamma, propagator, ratios, resolvent, totals_solve_bound
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 LEDGER = ROOT / "tests" / "data" / "shipped_ledger.json"
-U = np.finfo(float).eps / 2
 TOTALS_HALF_UNIT = 5e-7  # half a unit in the 6th printed decimal
 # the RK4 stage matrices B_i as coefficients of (h G)^a, and their weights
 RK4_STAGES = ([1], [1, Fraction(1, 2)], [1, Fraction(1, 2), Fraction(1, 4)],
               [1, 1, Fraction(1, 2), Fraction(1, 4)])
 RK4_WEIGHTS = (1, 2, 2, 1)
-
-
-def gamma(n):
-    """sqrt(2) gamma_n, the relative error of n complex operations in a row
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.6)."""
-    return np.sqrt(2) * n * U / (1 - n * U)
 
 
 def half_unit(printed):
@@ -283,10 +276,8 @@ def _entry(printed, oracle, bound) -> dict:
     """Largest error, the bound of that cell, the peak and the worst error / bound."""
     error = np.abs(printed - oracle)
     i = int(np.argmax(error))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(error == 0, 0.0, error / bound)
     return {"error": float(error[i]), "bound": float(bound[i]),
-            "peak": float(np.abs(printed).max()), "ratio": float(ratio.max())}
+            "peak": float(np.abs(printed).max()), "ratio": float(ratios(error, bound).max())}
 
 
 def measure(out_dir) -> dict:
@@ -312,10 +303,7 @@ def measure(out_dir) -> dict:
                 oracles = {files[0]: {k: v for columns in per_channel.values()
                                       for k, v in columns.items()}}
             exact = weights * gramian.diagonal().real
-            # the package's 25 x 25 LU solve (Higham 2002, thm. 9.4)
-            op = np.kron(gen, np.eye(5)) + np.kron(np.eye(5), gen.conj())
-            cond = (weights * np.linalg.cond(op) * 25 * gamma(75)
-                    * np.linalg.norm(gramian))
+            cond = totals_solve_bound(gen, weights, gramian)
         ledger["totals"][name] = _entry(totals, exact, TOTALS_HALF_UNIT + cond)
         for path, columns in oracles.items():
             header = [line for line in path.read_text().splitlines(keepends=False)[:4]
